@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sfvda import losses, lwm
 from sfvda import model as M
 from sfvda import pipeline as P
 from sfvda.config import RunConfig
 from sfvda.data import generate_domain_pair
+from sfvda.tensor import Tensor, concat, finite_diff_check
 
 
 def tiny_cfg(**kw):
@@ -298,3 +300,60 @@ class TestRunAblation:
         cells = lines[1].split(",")
         assert cells[0] == "full"
         assert float(cells[3]) == pytest.approx(0.6)
+
+
+class TestWholeModelGradient:
+    """Central differences through encoder, relation MLPs, head and every
+    full-variant loss term. The head runs in ``last_layer_only`` scope, so
+    batch norm normalizes with batch statistics as it does while adapting.
+    The LWM weights are coefficients (never differentiated), so they are
+    taken once at the base point and held fixed."""
+
+    @staticmethod
+    def full_variant_loss(model, frames, clips, weights, pseudo, w):
+        enc = M.encode_frames(frames, model)
+        lts = M.local_temporal_features(enc, clips, model)
+        local_logits = [M.classify(lt, model, mode="train") for lt in lts]
+        overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, P.VARIANT_SITES["full"])
+        overall_logits = M.classify(overall, model, mode="train")
+        preds = losses.make_prediction_set(pc_logits, overall_logits)
+        fc = losses.feature_consistency_total(lts, w.lam, w.eps_norm)
+        pc = losses.prediction_consistency(preds, w.alpha_local, w.alpha_overall)
+        tc = losses.temporal_consistency(fc, pc, w.beta_fc, w.beta_pc)
+        im = losses.information_maximization(overall_logits)
+        ce = losses.pseudo_label_cross_entropy(overall_logits, pseudo)
+        return tc * w.beta_tc + im * w.beta_im + ce * w.beta_ce
+
+    def test_full_variant_loss_gradients(self):
+        model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
+        model.freeze_head("last_layer_only")
+        rng = np.random.default_rng(18)
+        frames = rng.normal(size=(6, 4, 5))
+        pseudo = rng.integers(0, 3, size=6)
+        clips = M.sample_clips(4, model.m_max, rng)
+        w = tiny_cfg().loss_weights()
+        enc = M.encode_frames(frames, model)
+        lts = M.local_temporal_features(enc, clips, model)
+        weights = lwm.local_relevance_weight([M.classify(lt, model, mode="train") for lt in lts])
+
+        def slot(name):
+            if name.startswith("rel"):
+                r = int(name[3:-3])
+                w1, b1, w2, b2 = model.relation[r]
+                return w1, lambda t: model.relation.__setitem__(r, (t, b1, w2, b2))
+            return getattr(model, name), lambda t: setattr(model, name, t)
+
+        names = ["enc_w1"] + [f"rel{r}_w1" for r in range(2, 5)] + ["wn_v"]
+        for name in names:
+            original, put = slot(name)
+            # probe the first two columns; the rest of the matrix stays fixed
+            rest = Tensor(original.data[:, 2:])
+
+            def f(x):
+                put(concat([x, rest], axis=1))
+                return self.full_variant_loss(model, frames, clips, weights, pseudo, w)
+
+            report = finite_diff_check(f, Tensor(original.data[:, :2]), rel_tol=1e-4)
+            put(original)
+            assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
+            assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
