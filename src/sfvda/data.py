@@ -237,6 +237,18 @@ def write_dataset(ds: Dataset, path) -> None:
             fh.write("\n")
 
 
+HEADER_FIELDS = ("domain", "C", "k", "d_in", "count")
+RECORD_FIELDS = ("id", "label", "domain", "frames")
+
+
+def _require_fields(obj, names, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    for name in names:
+        if name not in obj:
+            raise ValueError(f"{where}: missing field {name!r}")
+
+
 def read_dataset(path) -> Dataset:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -246,16 +258,22 @@ def read_dataset(path) -> Dataset:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line 1: malformed header") from exc
-    version = header.get("format_version")
+    _require_fields(header, ("format_version",), f"{path}: line 1")
+    version = header["format_version"]
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(f"{path}: line 1: unsupported format_version {version}")
+    _require_fields(header, HEADER_FIELDS, f"{path}: line 1")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record") from exc
-        frames = np.asarray(rec["frames"], dtype=np.float64)
+        _require_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
+        try:
+            frames = np.asarray(rec["frames"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: line {lineno}: frames are not a numeric matrix") from exc
         if frames.ndim != 2 or frames.shape != (header["k"], header["d_in"]):
             raise ValueError(
                 f"{path}: line {lineno}: frames shape {frames.shape} does not match "

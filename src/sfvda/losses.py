@@ -169,25 +169,54 @@ def ordered_scale_pairs(k: int) -> list[tuple[int, int]]:
 def feature_consistency_total(lts: list[Tensor], lam: float, eps_norm: float) -> Tensor:
     """Mean pair penalty over all ordered pairs of local-feature scales.
 
-    ``lts`` holds one (B, d) tensor per scale, index 0 being scale 2. The
-    pair count is (k-1)(k-2); each unordered pair contributes twice, via the
-    matrix and its transpose (bitwise equal to evaluating both orders).
+    ``lts`` holds one (B, d) tensor per scale, index 0 being scale 2; the
+    pair count is (k-1)(k-2). One fused op: the scales are stacked side by
+    side as Z (B, S, d) and normalized together. With K_s = Z_s Z_s^T the
+    per-scale B x B Gram, the cross-correlation C_st = Z_s^T Z_t / B has
+    diagonal D[s,t,i] = sum_b Z[b,s,i] Z[b,t,i] / B and squared Frobenius
+    norm <K_s, K_t> / B^2, so the off-diagonal mass of all pairs together is
+    (||sum_s K_s||^2 - sum_s ||K_s||^2) / B^2 - sum_{s != t} ||D[s,t]||^2.
+    No pair loop and no d x d matrix is formed; the VJP is closed form.
     """
     n_scales = len(lts)
     if n_scales < 2:
         raise ValueError("feature_consistency_total: need at least two scales")
-    normalized = [normalize_features(lt, eps_norm) for lt in lts]
-    batch = lts[0].shape[0]
-    terms = []
-    for i in range(n_scales):
-        for j in range(i + 1, n_scales):
-            c_ij = scale(matmul(transpose(normalized[i]), normalized[j]), 1.0 / batch)
-            terms.append(feature_consistency_pair(c_ij, lam))
-            terms.append(feature_consistency_pair(transpose(c_ij), lam))
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / (n_scales * (n_scales - 1)))
+    shape = lts[0].shape
+    for lt in lts[1:]:
+        if lt.shape != shape:
+            raise ValueError(f"feature_consistency_total: shape mismatch {shape} vs {lt.shape}")
+    batch = shape[0]
+    if batch < 2:
+        raise ValueError("feature_consistency_total: need a batch of at least 2")
+    x = np.stack([lt.data for lt in lts], axis=1)  # (B, S, d)
+    centered = x - x.mean(axis=0)
+    sigma = np.sqrt((centered * centered).mean(axis=0) + eps_norm)
+    z = centered / sigma
+    by_scale = z.transpose(1, 0, 2)  # (S, B, d)
+    by_dim = z.transpose(2, 1, 0)  # (d, S, B)
+    grams = by_scale @ by_scale.transpose(0, 2, 1)  # (S, B, B)
+    gram_sum = grams.sum(axis=0)
+    diag = by_dim @ by_dim.transpose(0, 2, 1) / batch  # (d, S, S): D[s,t,i] at [i,s,t]
+    pairs = 1.0 - np.eye(n_scales)
+    diag_dev = pairs * (1.0 - diag)
+    off_mass = (np.sum(gram_sum * gram_sum) - np.sum(grams * grams)) / (batch * batch) - np.sum(
+        pairs * diag * diag
+    )
+    norm = 1.0 / (n_scales * (n_scales - 1))
+    value = (np.sum(diag_dev * diag_dev) + lam * off_mass) * norm
+
+    def vjp(g):
+        g = float(g) * norm
+        # d value / d D over ordered pairs; symmetric in (s, t), so each D
+        # entry reaches Z_s and Z_t alike and the pair sum doubles it
+        g_diag = -2.0 * g * (diag_dev + lam * pairs * diag)
+        dz_by_dim = (2.0 / batch) * (g_diag @ by_dim)  # (d, S, B)
+        dz_by_scale = (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ by_scale)  # (S, B, d)
+        dz = dz_by_dim.transpose(2, 1, 0) + dz_by_scale.transpose(1, 0, 2)  # (B, S, d)
+        dx = (dz - dz.mean(axis=0) - z * (dz * z).mean(axis=0)) / sigma
+        return tuple(dx[:, s] for s in range(n_scales))
+
+    return Tensor._from_op(np.asarray(value), "feature_consistency_total", tuple(lts), vjp)
 
 
 def make_prediction_set(local: list[Tensor], overall: Tensor) -> PredictionSet:

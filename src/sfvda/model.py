@@ -8,10 +8,16 @@ relation MLP per clip scale r maps the concatenated clip encodings
 weight normalization on the final affine. Weights are stored (fan_in,
 fan_out) except the weight-normalized direction matrix, which keeps one row
 per class so the per-row norm invariant is directly checkable.
+
+Each layer runs on stacked rows: the encoder sees all B*k frames of a batch
+as one (B*k, d_in) matrix, and scale r gathers its M_r clips of every video
+into one (B*M_r, r*d_enc) matrix, so the relation MLP runs once per scale
+and the clip sum is one reduction.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -29,7 +35,9 @@ from .tensor import (
     mean,
     mul,
     relu,
+    reshape,
     scale,
+    slice_rows,
     sqrt,
     square,
     sub,
@@ -83,6 +91,11 @@ class ClipIndexSet:
                     raise ValueError(f"ClipIndexSet: tuple {tup} is not strictly increasing")
 
 
+@functools.cache
+def _combinations(k: int, r: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(itertools.combinations(range(k), r))
+
+
 def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> ClipIndexSet:
     """Draw min(m_max, C(k, r)) distinct increasing index tuples per scale.
 
@@ -95,15 +108,21 @@ def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> ClipIndexSet:
         raise ValueError(f"sample_clips: need m_max >= 1, got {m_max}")
     clips: dict[int, list[tuple[int, ...]]] = {}
     for r in range(2, k + 1):
-        combos = list(itertools.combinations(range(k), r))
+        combos = _combinations(k, r)
         take = min(m_max, len(combos))
         chosen = rng.choice(len(combos), size=take, replace=False)
         clips[r] = [combos[i] for i in sorted(chosen)]
     return ClipIndexSet(k=k, clips=clips)
 
 
+@functools.lru_cache(maxsize=None)
 def eval_clip_set(video_id: str, k: int, m_max: int) -> ClipIndexSet:
-    """Deterministic per-video clip choice for evaluation, derived from the id."""
+    """Deterministic per-video clip choice for evaluation, derived from the id.
+
+    Built once per (video_id, k, m_max) and then served from a cache that
+    holds one entry per distinct video seen; the returned set is shared and
+    must not be mutated.
+    """
     digest = hashlib.blake2s(f"eval-clips|{video_id}".encode()).digest()
     seed = int.from_bytes(digest[:8], "little")
     return sample_clips(k, m_max, np.random.default_rng(np.random.SeedSequence(seed)))
@@ -274,16 +293,20 @@ def _mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def encode_frames(frames: np.ndarray, params: ModelParams) -> list[Tensor]:
-    """Encode a (B, k, d_in) batch into k per-frame (B, d_enc) tensors."""
+    """Encode a (B, k, d_in) batch into k per-frame (B, d_enc) tensors.
+
+    All B*k frames go through the encoder as one frame-major matrix, whose
+    row block j is frame j of every video.
+    """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1] != params.k or frames.shape[2] != params.d_in:
         raise ValueError(
             f"encode_frames: expected (B, {params.k}, {params.d_in}), got {frames.shape}"
         )
-    return [
-        _mlp2(Tensor(frames[:, j]), params.enc_w1, params.enc_b1, params.enc_w2, params.enc_b2)
-        for j in range(params.k)
-    ]
+    batch = frames.shape[0]
+    stacked = Tensor(frames.transpose(1, 0, 2).reshape(params.k * batch, params.d_in))
+    enc = _mlp2(stacked, params.enc_w1, params.enc_b1, params.enc_w2, params.enc_b2)
+    return [slice_rows(enc, j * batch, (j + 1) * batch) for j in range(params.k)]
 
 
 def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
@@ -298,10 +321,7 @@ def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
     clip_list = list(clips)
     if len(clip_list) != batch:
         raise ValueError(f"need one clip set per video: {len(clip_list)} for batch {batch}")
-    out = {}
-    for r in range(2, k + 1):
-        out[r] = np.stack([np.asarray(c.clips[r]) for c in clip_list], axis=0)
-    return out
+    return {r: np.array([c.clips[r] for c in clip_list]) for r in range(2, k + 1)}
 
 
 def local_temporal_features(
@@ -312,20 +332,17 @@ def local_temporal_features(
 
     ``clips`` is either one ClipIndexSet shared by the batch (training) or a
     sequence with one ClipIndexSet per video (evaluation). Returns a list of
-    (B, d) tensors ordered by scale, index 0 being scale 2.
+    (B, d) tensors ordered by scale, index 0 being scale 2. Each scale
+    gathers all B*M_r clip inputs into one matrix and runs its relation MLP
+    once.
     """
     batch = encodings[0].shape[0]
     index_arrays = _clip_index_arrays(clips, batch, params.k)
     features = []
     for r in range(2, params.k + 1):
-        w1, b1, w2, b2 = params.relation[r]
         idx = index_arrays[r]
-        lt = None
-        for m in range(idx.shape[1]):
-            clip_in = gather_concat(encodings, idx[:, m, :])
-            term = _mlp2(clip_in, w1, b1, w2, b2)
-            lt = term if lt is None else add(lt, term)
-        features.append(lt)
+        per_clip = _mlp2(gather_concat(encodings, idx), *params.relation[r])
+        features.append(tensor_sum(reshape(per_clip, (batch, idx.shape[1], params.d)), axis=1))
     return features
 
 
@@ -423,45 +440,64 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write("\n")
 
 
+def _field(mapping, name: str, path, where: str = ""):
+    if not isinstance(mapping, dict) or name not in mapping:
+        raise ValueError(f"{path}: checkpoint has no field {where + name!r}")
+    return mapping[name]
+
+
 def load_checkpoint(path) -> ModelParams:
     with open(path) as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: malformed checkpoint JSON") from exc
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"checkpoint format_version {version} is not supported")
-    hp = doc["hyperparams"]
+        raise ValueError(f"{path}: checkpoint format_version {version} is not supported")
+    hp = _field(doc, "hyperparams", path)
+
+    def hyper(name):
+        return _field(hp, name, path, "hyperparams.")
+
     params = ModelParams(
-        k=hp["k"],
-        d_in=hp["d_in"],
-        d_enc=hp["d_enc"],
-        d=hp["d"],
-        d_b=hp["d_b"],
-        n_classes=hp["C"],
-        m_max=hp["M_max"],
-        seed=doc["rng_seed"],
+        k=hyper("k"),
+        d_in=hyper("d_in"),
+        d_enc=hyper("d_enc"),
+        d=hyper("d"),
+        d_b=hyper("d_b"),
+        n_classes=hyper("C"),
+        m_max=hyper("M_max"),
+        seed=_field(doc, "rng_seed", path),
         aggregation=doc.get("aggregation", "mean"),
         confidence_mode=doc.get("confidence_mode", "normalized"),
     )
-    raw = doc["parameters"]
-    params.enc_w1 = Tensor(raw["enc_w1"], requires_grad=True)
-    params.enc_b1 = Tensor(raw["enc_b1"], requires_grad=True)
-    params.enc_w2 = Tensor(raw["enc_w2"], requires_grad=True)
-    params.enc_b2 = Tensor(raw["enc_b2"], requires_grad=True)
+    raw = _field(doc, "parameters", path)
+
+    def param(name):
+        return Tensor(_field(raw, name, path, "parameters."), requires_grad=True)
+
+    params.enc_w1 = param("enc_w1")
+    params.enc_b1 = param("enc_b1")
+    params.enc_w2 = param("enc_w2")
+    params.enc_b2 = param("enc_b2")
     params.relation = {}
     for r in range(2, params.k + 1):
-        params.relation[r] = tuple(
-            Tensor(raw[f"rel{r}_{part}"], requires_grad=True) for part in ("w1", "b1", "w2", "b2")
-        )
-    params.bot_w = Tensor(raw["bot_w"], requires_grad=True)
-    params.bot_b = Tensor(raw["bot_b"], requires_grad=True)
-    params.bn_gamma = Tensor(raw["bn_gamma"], requires_grad=True)
-    params.bn_beta = Tensor(raw["bn_beta"], requires_grad=True)
-    params.wn_v = Tensor(raw["wn_v"], requires_grad=True)
-    params.wn_g = Tensor(raw["wn_g"], requires_grad=True)
-    params.wn_b = Tensor(raw["wn_b"], requires_grad=True)
-    bn = doc["batch_norm"]
-    params.bn_mean = np.asarray(bn["running_mean"], dtype=np.float64)
-    params.bn_var = np.asarray(bn["running_var"], dtype=np.float64)
-    params.bn_initialized = bool(bn["initialized"])
-    params.bn_momentum = float(bn["momentum"])
+        params.relation[r] = tuple(param(f"rel{r}_{part}") for part in ("w1", "b1", "w2", "b2"))
+    params.bot_w = param("bot_w")
+    params.bot_b = param("bot_b")
+    params.bn_gamma = param("bn_gamma")
+    params.bn_beta = param("bn_beta")
+    params.wn_v = param("wn_v")
+    params.wn_g = param("wn_g")
+    params.wn_b = param("wn_b")
+    bn = _field(doc, "batch_norm", path)
+
+    def stat(name):
+        return _field(bn, name, path, "batch_norm.")
+
+    params.bn_mean = np.asarray(stat("running_mean"), dtype=np.float64)
+    params.bn_var = np.asarray(stat("running_var"), dtype=np.float64)
+    params.bn_initialized = bool(stat("initialized"))
+    params.bn_momentum = float(stat("momentum"))
     return params

@@ -154,6 +154,16 @@ def check_compatible(params: ModelParams, ds: Dataset) -> None:
             raise ValueError(f"checkpoint/dataset mismatch on {field}: checkpoint {have}, dataset {want}")
 
 
+def _check_batch_size(batch_size: int, ds: Dataset, caller: str) -> None:
+    """Training drops short batches, so a batch larger than the dataset
+    would leave every epoch without a single step."""
+    if batch_size > len(ds):
+        raise ValueError(
+            f"{caller}: batch_size {batch_size} exceeds the {len(ds)} videos "
+            f"of the {ds.domain} dataset, so no training batch can be formed"
+        )
+
+
 def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *key)))
 
@@ -204,6 +214,7 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     """Minimize smoothed cross-entropy; return the best-by-source-accuracy model."""
     if not source.labeled:
         raise ValueError("train_source: source dataset must be labeled")
+    _check_batch_size(cfg.batch_size, source, "train_source")
     model = init_model(
         k=source.k,
         d_in=source.d_in,
@@ -277,6 +288,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     model = source_model.copy()
     if cfg.variant == "source_only":
         return model, []
+    _check_batch_size(cfg.batch_size, target, "adapt_target")
 
     sites = VARIANT_SITES[cfg.variant]
     model.confidence_mode = cfg.confidence_mode

@@ -43,6 +43,8 @@ __all__ = [
     "sqrt",
     "tensor_sum",
     "transpose",
+    "reshape",
+    "slice_rows",
     "gather_concat",
     "GradCheckReport",
     "finite_diff_check",
@@ -71,7 +73,7 @@ def is_grad_enabled() -> bool:
 
 
 def _ensure_finite(data: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise ValueError(f"{op}: output contains non-finite values")
     return data
 
@@ -282,7 +284,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        ga = g @ b.data.T if a.requires_grad else None
+        gb = a.data.T @ g if b.requires_grad else None
+        return ga, gb
 
     return Tensor._from_op(out, "matmul", (a, b), vjp)
 
@@ -477,30 +481,51 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor._from_op(a.data.T, "transpose", (a,), vjp)
 
 
+def reshape(a: Tensor, shape) -> Tensor:
+    out = a.data.reshape(shape)
+    return Tensor._from_op(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
+
+
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of ``a``; the gradient lands in those rows only."""
+    if not 0 <= start < stop <= a.shape[0]:
+        raise ValueError(f"slice_rows: rows {start}:{stop} out of range for shape {a.shape}")
+
+    def vjp(g):
+        buf = np.zeros_like(a.data)
+        buf[start:stop] = g
+        return (buf,)
+
+    return Tensor._from_op(a.data[start:stop], "slice_rows", (a,), vjp)
+
+
 def gather_concat(frames, idx: np.ndarray) -> Tensor:
     """Concatenate per-row selections from a list of equally shaped tensors.
 
-    ``frames`` is a sequence of (B, d) tensors (one per frame position) and
-    ``idx`` an int array (B, r); row b of the result is the concatenation
-    frames[idx[b,0]][b], ..., frames[idx[b,r-1]][b], giving shape (B, r*d).
+    ``frames`` is a sequence of (B, d) tensors (one per frame position).
+    With ``idx`` an int array (B, r), row b of the result is the
+    concatenation frames[idx[b,0]][b], ..., frames[idx[b,r-1]][b], giving
+    shape (B, r*d). With ``idx`` of shape (B, M, r) every video contributes
+    M such rows, row b*M + m built from idx[b, m], giving shape (B*M, r*d).
     """
     frames = list(frames)
     idx = np.asarray(idx)
-    batch, r = idx.shape
+    if idx.ndim not in (2, 3):
+        raise ValueError(f"gather_concat: expected (B, r) or (B, M, r) indices, got {idx.shape}")
+    batch, r = idx.shape[0], idx.shape[-1]
     stacked = np.stack([f.data for f in frames], axis=0)
     if idx.min() < 0 or idx.max() >= len(frames):
         raise ValueError("gather_concat: frame index out of range")
-    rows = np.arange(batch)
-    out = np.concatenate([stacked[idx[:, j], rows] for j in range(r)], axis=1)
-    d = frames[0].shape[1]
+    rows = np.arange(batch).reshape((batch,) + (1,) * (idx.ndim - 1))
+    picked = stacked[idx, rows]  # idx.shape + (d,)
+    d = stacked.shape[-1]
 
     def vjp(g):
         buf = np.zeros_like(stacked)
-        for j in range(r):
-            np.add.at(buf, (idx[:, j], rows), g[:, j * d : (j + 1) * d])
-        return tuple(buf[i] for i in range(len(frames)))
+        np.add.at(buf, (idx, rows), g.reshape(picked.shape))
+        return tuple(buf)
 
-    return Tensor._from_op(out, "gather_concat", tuple(frames), vjp)
+    return Tensor._from_op(picked.reshape(-1, r * d), "gather_concat", tuple(frames), vjp)
 
 
 # -- gradient checking ---------------------------------------------------------------

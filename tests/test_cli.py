@@ -83,6 +83,18 @@ def test_unknown_config_key_names_the_key(workspace):
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_batch_size_larger_than_dataset_is_one_error_line(workspace):
+    out = run_sfvda(
+        "train-source", "--config", "tiny.config", "--set", "batch_size=100",
+        "--data", "data/source.jsonl", "--out", "never.json", cwd=workspace,
+    )
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "batch_size 100" in lines[0] and "18 videos" in lines[0]
+    assert not (workspace / "never.json").exists()
+
+
 def test_missing_file_errors(workspace):
     out = run_sfvda("eval", "--model", "nope.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode != 0

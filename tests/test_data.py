@@ -117,6 +117,27 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="count"):
             D.read_dataset(path)
 
+    @pytest.mark.parametrize(
+        "line, field", [(0, "count"), (0, "k"), (1, "frames"), (2, "label")]
+    )
+    def test_missing_field_names_file_line_and_field(self, tmp_path, line, field):
+        import json
+
+        source, _ = D.generate_domain_pair(small_spec())
+        path = tmp_path / "schema.jsonl"
+        D.write_dataset(source, path)
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[line])
+        del doc[field]
+        lines[line] = json.dumps(doc, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            D.read_dataset(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"line {line + 1}" in message
+        assert repr(field) in message
+
     def test_unlabeled_target_roundtrip(self, tmp_path):
         _, target = D.generate_domain_pair(small_spec())
         stripped = target.without_labels()

@@ -123,6 +123,43 @@ class TestFeatureConsistency:
             assert losses.feature_consistency_total(lts, 5e-3, 1e-5).item() >= 0.0
 
 
+class TestFusedFeatureConsistency:
+    """The fused op against the definition: one cross-correlation matrix and
+    one pair penalty per ordered scale pair, averaged."""
+
+    @staticmethod
+    def scales(k, seed):
+        rng = np.random.default_rng(seed)
+        lts = [rng.normal(0.0, rng.uniform(0.5, 3.0), size=(12, 5)) for _ in range(k - 1)]
+        lts[1][:, 3] = 2.5  # a constant dimension takes the eps_norm path
+        return lts
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_equals_mean_of_pair_penalties(self, k):
+        lam, eps = 5e-3, 1e-5
+        lts = [Tensor(lt) for lt in self.scales(k, 30 + k)]
+        pairs = losses.ordered_scale_pairs(k)
+        reference = sum(
+            losses.feature_consistency_pair(
+                losses.cross_correlation(lts[r1 - 2], lts[r2 - 2], eps), lam
+            ).item()
+            for r1, r2 in pairs
+        ) / len(pairs)
+        fused = losses.feature_consistency_total(lts, lam, eps).item()
+        assert abs(fused - reference) <= 1e-12 * abs(reference)
+
+    def test_gradient_at_k8(self):
+        others = [Tensor(lt) for lt in self.scales(8, 40)]
+
+        # a large lam weights the Gram (off-diagonal) path as much as the
+        # diagonal one, so an error in either shows in the gradient
+        def f(x):
+            return losses.feature_consistency_total(others[:3] + [x] + others[4:], 0.5, 1e-5)
+
+        point = Tensor(np.random.default_rng(41).normal(size=(12, 5)))
+        assert finite_diff_check(f, point, rel_tol=1e-4).passed
+
+
 class TestPredictionConsistency:
     def test_equal_logits_give_zero(self):
         p = Tensor(np.array([[0.3, -0.2, 1.0]] * 4))

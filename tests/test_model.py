@@ -255,6 +255,24 @@ class TestModelState:
         M.save_checkpoint(loaded, tmp_path / "again.json")
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "section, field",
+        [("parameters", "wn_g"), ("parameters", "rel3_b1"), ("hyperparams", "k"), ("batch_norm", "running_var"), (None, "rng_seed")],
+    )
+    def test_checkpoint_missing_field_names_file_and_field(self, tmp_path, section, field):
+        import json
+
+        path = tmp_path / "model.json"
+        M.save_checkpoint(tiny_model(), path)
+        doc = json.loads(path.read_text())
+        del (doc[section] if section else doc)[field]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as info:
+            M.load_checkpoint(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert (f"{section}.{field}" if section else field) in message
+
     def test_checkpoint_version_check(self, tmp_path):
         params = tiny_model()
         path = tmp_path / "model.json"

@@ -7,6 +7,7 @@ import pytest
 from sfvda import losses, lwm
 from sfvda import model as M
 from sfvda import pipeline as P
+from sfvda import tensor as T
 from sfvda.config import RunConfig
 from sfvda.data import generate_domain_pair
 from sfvda.tensor import Tensor, concat, finite_diff_check
@@ -182,6 +183,30 @@ class TestAdaptTarget:
         )
         assert adapted.confidence_mode == "raw"
         assert np.isfinite(rows[0].total)
+
+    def test_batch_size_larger_than_target_rejected(self, trained):
+        cfg, _, target, model, _ = trained
+        with pytest.raises(ValueError, match=f"batch_size 25 exceeds the {len(target)} videos"):
+            P.adapt_target(model, target, replace(cfg, batch_size=25))
+
+    def test_one_step_graph_stays_small(self, monkeypatch):
+        # one full-variant step at k=8, batch 16 traced 919 nodes when every
+        # scale pair and every clip was its own subgraph
+        cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
+        source, target = generate_domain_pair(cfg.domain_spec())
+        model, _ = P.train_source(source, cfg)
+        sizes = []
+        trace = T.Graph.trace
+
+        def counting_trace(root):
+            graph = trace(root)
+            sizes.append(len(graph.nodes))
+            return graph
+
+        monkeypatch.setattr(T.Graph, "trace", staticmethod(counting_trace))
+        P.adapt_target(model, target, cfg)
+        assert len(sizes) == 1
+        assert sizes[0] < 400
 
     def test_mismatched_dataset_rejected(self, trained):
         cfg, _, _, model, _ = trained
