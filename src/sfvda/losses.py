@@ -213,6 +213,7 @@ def feature_consistency_total(lts: list[Tensor], lam: float, eps_norm: float) ->
         dz_by_dim = (2.0 / batch) * (g_diag @ by_dim)  # (d, S, B)
         dz_by_scale = (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ by_scale)  # (S, B, d)
         dz = dz_by_dim.transpose(2, 1, 0) + dz_by_scale.transpose(1, 0, 2)  # (B, S, d)
+        # back through z = (x - mean) / sigma, both taken over the batch
         dx = (dz - dz.mean(axis=0) - z * (dz * z).mean(axis=0)) / sigma
         return tuple(dx[:, s] for s in range(n_scales))
 
