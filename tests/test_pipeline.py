@@ -84,9 +84,24 @@ class TestAdaptTarget:
         assert params_bytes(adapted) == params_bytes(model)
         assert rows == []
 
-    def test_all_zero_weights_change_nothing(self, trained):
+    # The LossWeights fields that, set to zero, zero every term of a
+    # variant's objective.
+    ZEROED_WEIGHTS = {
+        "full": ("beta_tc", "beta_im", "beta_ce"),
+        "fc": ("beta_fc",),
+        "pc": ("alpha_local", "alpha_overall"),
+        "pc_no_overall": ("alpha_local",),
+        "tc": ("beta_fc", "beta_pc"),
+        "na": ("beta_tc", "beta_im", "beta_ce"),
+        "a_at_f": ("beta_tc", "beta_im", "beta_ce"),
+        "a_at_p": ("beta_tc", "beta_im", "beta_ce"),
+        "shot_baseline": ("beta_im", "beta_ce"),
+    }
+
+    @pytest.mark.parametrize("variant", list(ZEROED_WEIGHTS))
+    def test_all_zero_weights_change_nothing(self, trained, variant):
         cfg, _, target, model, _ = trained
-        zeroed = replace(cfg, beta_tc=0.0, beta_im=0.0, beta_ce=0.0)
+        zeroed = replace(cfg, variant=variant, **{f: 0.0 for f in self.ZEROED_WEIGHTS[variant]})
         adapted, _ = P.adapt_target(model, target, zeroed)
         assert params_bytes(adapted) == params_bytes(model)
         acc_a = P.evaluate(adapted, target).accuracy
