@@ -100,7 +100,10 @@ def _cmd_eval(args) -> None:
 def _cmd_ablate(args) -> None:
     cfg = _build_config(args)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    except ValueError:
+        raise ValueError(f"--seeds expects comma-separated integers, got {args.seeds!r}") from None
     if not variants or not seeds:
         raise ValueError("ablate: need at least one variant and one seed")
     results = run_ablation(cfg, variants, seeds)

@@ -12,20 +12,40 @@ from dataclasses import dataclass, fields
 from .data import DomainSpec
 from .losses import LossWeights
 
-__all__ = ["RunConfig", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
+__all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
 
-VARIANTS = (
-    "full",
-    "fc",
-    "pc",
-    "pc_no_overall",
-    "tc",
-    "na",
-    "a_at_f",
-    "a_at_p",
-    "shot_baseline",
-    "source_only",
-)
+# Each adaptation variant is a subtree of the full objective
+#   beta_tc*(beta_fc*fc + beta_pc*(alpha_local*pc_local + alpha_overall*pc_overall))
+#     + beta_im*im + beta_ce*pl_ce
+# written as a tuple of (LossWeights field, child) terms, where a child is a
+# nested tuple or a component name (a metrics column). A variant's sites say
+# where it applies the entropy weights. The consistency-only variants train
+# unweighted: without the entropy-minimizing IM term, the weight feedback
+# (uncertain scale -> small weight -> flatter prediction -> smaller weight)
+# degenerates, so entropy weighting is only active alongside the full objective.
+_PC = (("alpha_local", "pc_local"), ("alpha_overall", "pc_overall"))
+_TC = (("beta_fc", "fc"), ("beta_pc", _PC))
+_FULL = (("beta_tc", _TC), ("beta_im", "im"), ("beta_ce", "pl_ce"))
+
+
+@dataclass(frozen=True)
+class Variant:
+    objective: tuple
+    sites: frozenset = frozenset()
+
+
+VARIANTS = {
+    "full": Variant(_FULL, frozenset({"feature", "prediction"})),
+    "fc": Variant(_TC[:1]),
+    "pc": Variant(_PC),
+    "pc_no_overall": Variant(_PC[:1]),
+    "tc": Variant(_TC),
+    "na": Variant(_FULL),
+    "a_at_f": Variant(_FULL, frozenset({"feature"})),
+    "a_at_p": Variant(_FULL, frozenset({"prediction"})),
+    "shot_baseline": Variant(_FULL[1:]),
+    "source_only": Variant(()),
+}
 FREEZE_SCOPES = ("head_all", "last_layer_only")
 CONFIDENCE_MODES = ("normalized", "raw")
 WEIGHT_TARGETS = ("logits", "probabilities")
@@ -81,7 +101,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+            raise ValueError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
         if self.freeze_scope not in FREEZE_SCOPES:
             raise ValueError(f"unknown freeze_scope {self.freeze_scope!r}")
         if self.confidence_mode not in CONFIDENCE_MODES:
@@ -92,6 +112,8 @@ class RunConfig:
             raise ValueError("epochs must be >= 1")
         if self.pl_rounds < 1:
             raise ValueError("pl_rounds must be >= 1")
+        if self.m_max < 1:
+            raise ValueError(f"config key 'm_max': must be >= 1, got {self.m_max}")
 
     def domain_spec(self, seed: int | None = None) -> DomainSpec:
         return DomainSpec(
@@ -131,11 +153,13 @@ def _parse_value(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+    if kind not in ("int", "float"):
+        return raw
+    try:
+        return int(raw) if kind == "int" else float(raw)
+    except ValueError:
+        expected = "an integer" if kind == "int" else "a number"
+        raise ValueError(f"config key {key!r}: expected {expected}, got {raw!r}") from None
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -152,8 +176,11 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key not in _FIELDS:
-            raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw)
+            raise ValueError(f"config line {lineno}: unknown config key {key!r}")
+        try:
+            updates[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from None
     return apply_overrides(cfg, updates)
 
 

@@ -130,9 +130,6 @@ class Dataset:
     def labeled(self) -> bool:
         return all(s.label is not None for s in self.samples)
 
-    def frames_array(self) -> np.ndarray:
-        return np.stack([s.frames for s in self.samples], axis=0)
-
     def labels_array(self) -> np.ndarray | None:
         if not self.labeled:
             return None
@@ -274,6 +271,8 @@ def read_dataset(path) -> Dataset:
             frames = np.asarray(rec["frames"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: line {lineno}: frames are not a numeric matrix") from exc
+        if not np.isfinite(frames).all():
+            raise ValueError(f"{path}: line {lineno}: frames contain non-finite values")
         if frames.ndim != 2 or frames.shape != (header["k"], header["d_in"]):
             raise ValueError(
                 f"{path}: line {lineno}: frames shape {frames.shape} does not match "

@@ -11,24 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, add, log, mul, scale, softmax
+from .model import aggregate_overall
+from .tensor import Tensor, add, log, mul, softmax, softmax_rows
 
 __all__ = [
     "confidence",
     "local_relevance_weight",
     "weighted_local_logits",
-    "weighted_aggregate",
     "apply_weights",
 ]
 
 FEATURE_SITE = "feature"
 PREDICTION_SITE = "prediction"
-
-
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def confidence(logits, mode: str = "normalized"):
@@ -42,7 +36,7 @@ def confidence(logits, mode: str = "normalized"):
     n_classes = data.shape[-1]
     if n_classes < 2:
         raise ValueError("confidence: need at least two classes")
-    p = _softmax_rows(data)
+    p = softmax_rows(data)
     neg_entropy = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
     if mode == "raw":
         return neg_entropy
@@ -80,15 +74,6 @@ def weighted_local_logits(local_logits, weights: np.ndarray, target: str = "logi
     return out
 
 
-def weighted_aggregate(lts: list[Tensor], weights: np.ndarray) -> Tensor:
-    """(1/(k-1)) * sum_r w_r * lt_r with per-(video, scale) weights."""
-    acc = None
-    for i, lt in enumerate(lts):
-        term = mul(lt, Tensor(weights[:, i : i + 1]))
-        acc = term if acc is None else add(acc, term)
-    return scale(acc, 1.0 / len(lts))
-
-
 def apply_weights(
     lts: list[Tensor],
     local_logits: list[Tensor],
@@ -108,13 +93,7 @@ def apply_weights(
     unknown = sites - {FEATURE_SITE, PREDICTION_SITE}
     if unknown:
         raise ValueError(f"apply_weights: unknown sites {sorted(unknown)}")
-    if FEATURE_SITE in sites:
-        overall = weighted_aggregate(lts, weights)
-    else:
-        acc = lts[0]
-        for lt in lts[1:]:
-            acc = add(acc, lt)
-        overall = scale(acc, 1.0 / len(lts))
+    overall = aggregate_overall(lts, weights if FEATURE_SITE in sites else None)
     if PREDICTION_SITE in sites:
         preds = weighted_local_logits(local_logits, weights, target=weight_target)
     else:

@@ -22,7 +22,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,43 +206,25 @@ class ModelParams:
         for _, t in self.head_parameters(scope):
             t.requires_grad = False
 
-    def head_frozen(self, scope: str = "head_all") -> bool:
-        return all(not t.requires_grad for _, t in self.head_parameters(scope))
-
     def copy(self) -> "ModelParams":
         """Bitwise copy; used to initialize the target model from the source."""
-        new = ModelParams(
-            k=self.k,
-            d_in=self.d_in,
-            d_enc=self.d_enc,
-            d=self.d,
-            d_b=self.d_b,
-            n_classes=self.n_classes,
-            m_max=self.m_max,
-            seed=self.seed,
-            aggregation=self.aggregation,
-            confidence_mode=self.confidence_mode,
-        )
-        new.enc_w1 = Tensor(self.enc_w1.data.copy(), requires_grad=True)
-        new.enc_b1 = Tensor(self.enc_b1.data.copy(), requires_grad=True)
-        new.enc_w2 = Tensor(self.enc_w2.data.copy(), requires_grad=True)
-        new.enc_b2 = Tensor(self.enc_b2.data.copy(), requires_grad=True)
-        new.relation = {
-            r: tuple(Tensor(t.data.copy(), requires_grad=True) for t in self.relation[r])
-            for r in self.relation
-        }
-        new.bot_w = Tensor(self.bot_w.data.copy(), requires_grad=True)
-        new.bot_b = Tensor(self.bot_b.data.copy(), requires_grad=True)
-        new.bn_gamma = Tensor(self.bn_gamma.data.copy(), requires_grad=True)
-        new.bn_beta = Tensor(self.bn_beta.data.copy(), requires_grad=True)
-        new.bn_mean = self.bn_mean.copy()
-        new.bn_var = self.bn_var.copy()
-        new.bn_initialized = self.bn_initialized
-        new.bn_momentum = self.bn_momentum
-        new.wn_v = Tensor(self.wn_v.data.copy(), requires_grad=True)
-        new.wn_g = Tensor(self.wn_g.data.copy(), requires_grad=True)
-        new.wn_b = Tensor(self.wn_b.data.copy(), requires_grad=True)
-        return new
+        tensors = dict(self.named_parameters())
+        new = replace(self, bn_mean=self.bn_mean.copy(), bn_var=self.bn_var.copy())
+        return new._with_parameters(lambda name: tensors[name].data.copy())
+
+    def _with_parameters(self, value_of) -> "ModelParams":
+        """Set every parameter that named_parameters() lists to a fresh
+        trainable tensor of ``value_of(name)``, in that order; returns self."""
+        self.relation = {r: (None,) * 4 for r in range(2, self.k + 1)}
+        relation: dict[int, list[Tensor]] = {r: [] for r in self.relation}
+        for name, _ in self.named_parameters():
+            t = Tensor(value_of(name), requires_grad=True)
+            if name.startswith("rel"):
+                relation[int(name[3 : name.index("_")])].append(t)
+            else:
+                setattr(self, name, t)
+        self.relation = {r: tuple(ts) for r, ts in relation.items()}
+        return self
 
 
 def init_model(
@@ -473,24 +455,7 @@ def load_checkpoint(path) -> ModelParams:
         confidence_mode=doc.get("confidence_mode", "normalized"),
     )
     raw = _field(doc, "parameters", path)
-
-    def param(name):
-        return Tensor(_field(raw, name, path, "parameters."), requires_grad=True)
-
-    params.enc_w1 = param("enc_w1")
-    params.enc_b1 = param("enc_b1")
-    params.enc_w2 = param("enc_w2")
-    params.enc_b2 = param("enc_b2")
-    params.relation = {}
-    for r in range(2, params.k + 1):
-        params.relation[r] = tuple(param(f"rel{r}_{part}") for part in ("w1", "b1", "w2", "b2"))
-    params.bot_w = param("bot_w")
-    params.bot_b = param("bot_b")
-    params.bn_gamma = param("bn_gamma")
-    params.bn_beta = param("bn_beta")
-    params.wn_v = param("wn_v")
-    params.wn_g = param("wn_g")
-    params.wn_b = param("wn_b")
+    params._with_parameters(lambda name: _field(raw, name, path, "parameters."))
     bn = _field(doc, "batch_norm", path)
 
     def stat(name):

@@ -9,13 +9,12 @@ bitwise after every run. All randomness derives from the config seed, so a
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lwm, pseudolabel
-from .config import RunConfig
+from .config import VARIANTS, RunConfig
 from .data import Dataset, batch_iterator
 from .losses import (
     information_maximization,
@@ -36,7 +35,7 @@ from .model import (
     local_temporal_features,
     sample_clips,
 )
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, add, no_grad, scale
 
 __all__ = [
     "SGD",
@@ -49,29 +48,7 @@ __all__ = [
     "export_embeddings",
     "write_metrics",
     "check_compatible",
-    "VARIANT_SITES",
-    "VARIANTS_WITH_PSEUDO_LABELS",
 ]
-
-# Which weighting sites each adaptation variant applies, and which variants
-# run information maximization + pseudo-labeling. The consistency-only
-# variants train unweighted: without the entropy-minimizing IM term, the
-# weight feedback (uncertain scale -> small weight -> flatter prediction ->
-# smaller weight) degenerates, so entropy weighting is only active alongside
-# the full objective.
-VARIANT_SITES = {
-    "full": frozenset({"feature", "prediction"}),
-    "fc": frozenset(),
-    "pc": frozenset(),
-    "pc_no_overall": frozenset(),
-    "tc": frozenset(),
-    "na": frozenset(),
-    "a_at_f": frozenset({"feature"}),
-    "a_at_p": frozenset({"prediction"}),
-    "shot_baseline": frozenset(),
-    "source_only": frozenset(),
-}
-VARIANTS_WITH_PSEUDO_LABELS = frozenset({"full", "na", "a_at_f", "a_at_p", "shot_baseline"})
 
 _SHUFFLE_SOURCE, _CLIPS_SOURCE, _SHUFFLE_ADAPT, _CLIPS_ADAPT = 101, 102, 201, 202
 
@@ -114,15 +91,13 @@ class MetricsRow:
     total: float = 0.0
     accuracy: float | None = None
     pl_accuracy: float | None = None
-    wall_time: float = 0.0
 
 
 METRICS_COLUMNS = ("epoch", "ce", "fc", "pc_local", "pc_overall", "im", "pl_ce", "total", "accuracy", "pl_accuracy")
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
-    """CSV, one row per epoch. Wall time stays in memory: byte-identical
-    metrics files across reruns are part of the contract."""
+    """CSV, one row per epoch; byte-identical across reruns."""
     with open(path, "w") as fh:
         fh.write(",".join(METRICS_COLUMNS) + "\n")
         for row in rows:
@@ -179,16 +154,20 @@ def _overall_eval_logits(model: ModelParams, lts):
     return overall, classify(overall, model, mode="eval")
 
 
+def _eval_local_features(model: ModelParams, picked) -> list[Tensor]:
+    """Local temporal features of a batch of samples with their eval clip sets."""
+    frames = np.stack([s.frames for s in picked], axis=0)
+    enc = encode_frames(frames, model)
+    clip_sets = [eval_clip_set(s.id, model.k, model.m_max) for s in picked]
+    return local_temporal_features(enc, clip_sets, model)
+
+
 def _full_eval_pass(model: ModelParams, ds: Dataset, batch_size: int = EVAL_BATCH):
     """Overall features and logits for every sample, in dataset order."""
     feats, logits = [], []
     with no_grad():
         for start in range(0, len(ds), batch_size):
-            picked = ds.samples[start : start + batch_size]
-            frames = np.stack([s.frames for s in picked], axis=0)
-            enc = encode_frames(frames, model)
-            clip_sets = [eval_clip_set(s.id, model.k, model.m_max) for s in picked]
-            lts = local_temporal_features(enc, clip_sets, model)
+            lts = _eval_local_features(model, ds.samples[start : start + batch_size])
             overall, out = _overall_eval_logits(model, lts)
             feats.append(overall.data)
             logits.append(out.data)
@@ -229,7 +208,6 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     rows: list[MetricsRow] = []
     best_acc, best_model = -1.0, None
     for epoch in range(1, cfg.epochs_source + 1):
-        started = time.perf_counter()
         ce_sum, n_batches = 0.0, 0
         shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_SOURCE, epoch))
         for b, batch in enumerate(batch_iterator(source, cfg.batch_size, shuffle_seed, train=True)):
@@ -249,15 +227,7 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
             n_batches += 1
         acc = evaluate(model, source).accuracy
         ce = ce_sum / max(1, n_batches)
-        rows.append(
-            MetricsRow(
-                epoch=epoch,
-                ce=ce,
-                total=ce,
-                accuracy=acc,
-                wall_time=time.perf_counter() - started,
-            )
-        )
+        rows.append(MetricsRow(epoch=epoch, ce=ce, total=ce, accuracy=acc))
         # ties prefer the later epoch: accuracy saturates early while the
         # smoothed objective keeps calibrating per-scale predictions
         if acc >= best_acc:
@@ -275,6 +245,26 @@ def _assert_unchanged(tensors: list[tuple[str, Tensor]], snap: dict[str, np.ndar
             raise RuntimeError(f"frozen parameter drift detected: {name}")
 
 
+def _leaf_coefficients(tree, weights, coeff: float = 1.0):
+    """(component, product of the weights on its path) per leaf, left to right."""
+    for name, child in tree:
+        c = coeff * getattr(weights, name)
+        if isinstance(child, str):
+            yield child, c
+        else:
+            yield from _leaf_coefficients(child, weights, c)
+
+
+def _weighted_sum(tree, components: dict[str, Tensor], weights) -> Tensor:
+    """The objective tree as nested weighted sums, folded left to right."""
+    total = None
+    for name, child in tree:
+        value = components[child] if isinstance(child, str) else _weighted_sum(child, components, weights)
+        term = scale(value, getattr(weights, name))
+        total = term if total is None else add(total, term)
+    return total
+
+
 def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
     """Source-free adaptation with the variant's objective; head stays frozen.
 
@@ -282,15 +272,16 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     variant uses them), then mini-batch steps on the variant's loss. Target
     labels feed only the diagnostic accuracy columns.
     """
-    if cfg.variant not in VARIANT_SITES:
+    if cfg.variant not in VARIANTS:
         raise ValueError(f"unknown variant {cfg.variant!r}")
     check_compatible(source_model, target)
     model = source_model.copy()
-    if cfg.variant == "source_only":
+    variant = VARIANTS[cfg.variant]
+    if not variant.objective:
         return model, []
     _check_batch_size(cfg.batch_size, target, "adapt_target")
 
-    sites = VARIANT_SITES[cfg.variant]
+    sites = variant.sites
     model.confidence_mode = cfg.confidence_mode
     model.freeze_head(cfg.freeze_scope)
     head_frozen_bn = cfg.freeze_scope == "head_all"
@@ -298,41 +289,17 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     frozen_snap = _snapshot(frozen_named)
     bn_snap = (model.bn_mean.copy(), model.bn_var.copy())
 
-    use_pl = cfg.variant in VARIANTS_WITH_PSEUDO_LABELS
     weights_cfg = cfg.loss_weights()
+    coeffs = dict(_leaf_coefficients(variant.objective, weights_cfg))
+    use_pl = "pl_ce" in coeffs
     labels = target.labels_array()
     id_to_index = {s.id: i for i, s in enumerate(target.samples)}
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
 
-    needs_fc = cfg.variant in ("full", "na", "a_at_f", "a_at_p", "fc", "tc")
-    needs_pc = cfg.variant in ("full", "na", "a_at_f", "a_at_p", "pc", "pc_no_overall", "tc")
-    needs_pc_overall = needs_pc and cfg.variant != "pc_no_overall"
-    needs_im = cfg.variant in ("full", "na", "a_at_f", "a_at_p", "shot_baseline")
-
-    # Effective coefficient on each component; a variant whose coefficients
-    # are all zero optimizes nothing and must leave the model untouched.
-    w = weights_cfg
-    if cfg.variant in ("full", "na", "a_at_f", "a_at_p"):
-        coeffs = (
-            w.beta_tc * w.beta_fc,
-            w.beta_tc * w.beta_pc * w.alpha_local,
-            w.beta_tc * w.beta_pc * w.alpha_overall,
-            w.beta_im,
-            w.beta_ce,
-        )
-    elif cfg.variant == "fc":
-        coeffs = (w.beta_fc,)
-    elif cfg.variant == "pc":
-        coeffs = (w.alpha_local, w.alpha_overall)
-    elif cfg.variant == "pc_no_overall":
-        coeffs = (w.alpha_local,)
-    elif cfg.variant == "tc":
-        coeffs = (w.beta_fc, w.beta_pc * w.alpha_local, w.beta_pc * w.alpha_overall)
-    else:  # shot_baseline
-        coeffs = (w.beta_im, w.beta_ce)
-    objective_active = any(c > 0.0 for c in coeffs)
-    # an all-zero objective must behave exactly like source_only, so the
-    # aggregation switch only happens when something will actually train
+    # a variant whose coefficients are all zero optimizes nothing and must
+    # behave exactly like source_only, so the aggregation switch only
+    # happens when something will actually train
+    objective_active = any(c > 0.0 for c in coeffs.values())
     if objective_active and "feature" in sites:
         model.aggregation = "entropy_weighted"
     else:
@@ -340,7 +307,6 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
 
     rows: list[MetricsRow] = []
     for epoch in range(1, cfg.epochs_adapt + 1):
-        started = time.perf_counter()
         pseudo, pl_acc = None, None
         if use_pl:
             feats, logits_all = _full_eval_pass(model, target)
@@ -348,7 +314,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if labels is not None:
                 pl_acc = float((pseudo == labels).mean())
 
-        sums = {"fc": 0.0, "pc_local": 0.0, "pc_overall": 0.0, "im": 0.0, "pl_ce": 0.0, "total": 0.0}
+        sums = dict.fromkeys(("fc", "pc_local", "pc_overall", "im", "pl_ce", "total"), 0.0)
         n_batches = 0
         shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_ADAPT, epoch))
         for b, batch in enumerate(batch_iterator(target, cfg.batch_size, shuffle_seed, train=True)):
@@ -366,48 +332,26 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
                 overall, pc_logits = aggregate_overall(lts), list(local_logits)
             overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
 
-            terms = []
-            fc_v = pcl_v = pco_v = im_v = ce_v = 0.0
-            if needs_fc:
-                fc = feature_consistency_total(lts, weights_cfg.lam, weights_cfg.eps_norm)
-                fc_v = fc.item()
-            if needs_pc:
-                if needs_pc_overall and not cfg.pc_overall_weighted and "feature" in sites:
+            components = {}
+            if "fc" in coeffs:
+                components["fc"] = feature_consistency_total(lts, weights_cfg.lam, weights_cfg.eps_norm)
+            if "pc_local" in coeffs:
+                if "pc_overall" in coeffs and not cfg.pc_overall_weighted and "feature" in sites:
                     plain_logits = classify(
                         aggregate_overall(lts), model, mode="train", frozen=head_frozen_bn
                     )
                     preds = make_prediction_set(pc_logits, plain_logits)
                 else:
                     preds = make_prediction_set(pc_logits, overall_logits)
-                pc_local = local_prediction_consistency(preds, literal=cfg.literal_eq8)
-                pcl_v = pc_local.item()
-                if needs_pc_overall:
-                    pc_over = overall_prediction_consistency(preds)
-                    pco_v = pc_over.item()
-            if needs_im:
-                im = information_maximization(overall_logits)
-                im_v = im.item()
+                components["pc_local"] = local_prediction_consistency(preds, literal=cfg.literal_eq8)
+                if "pc_overall" in coeffs:
+                    components["pc_overall"] = overall_prediction_consistency(preds)
+            if "im" in coeffs:
+                components["im"] = information_maximization(overall_logits)
             if use_pl:
                 batch_pseudo = pseudo[[id_to_index[i] for i in batch.ids]]
-                ce = pseudo_label_cross_entropy(overall_logits, batch_pseudo)
-                ce_v = ce.item()
-
-            # Assemble the variant objective from its active components.
-            if cfg.variant in ("full", "na", "a_at_f", "a_at_p"):
-                pc = pc_local * weights_cfg.alpha_local + pc_over * weights_cfg.alpha_overall
-                tc = fc * weights_cfg.beta_fc + pc * weights_cfg.beta_pc
-                loss = tc * weights_cfg.beta_tc + im * weights_cfg.beta_im + ce * weights_cfg.beta_ce
-            elif cfg.variant == "fc":
-                loss = fc * weights_cfg.beta_fc
-            elif cfg.variant == "pc":
-                loss = pc_local * weights_cfg.alpha_local + pc_over * weights_cfg.alpha_overall
-            elif cfg.variant == "pc_no_overall":
-                loss = pc_local * weights_cfg.alpha_local
-            elif cfg.variant == "tc":
-                pc = pc_local * weights_cfg.alpha_local + pc_over * weights_cfg.alpha_overall
-                loss = fc * weights_cfg.beta_fc + pc * weights_cfg.beta_pc
-            else:  # shot_baseline
-                loss = im * weights_cfg.beta_im + ce * weights_cfg.beta_ce
+                components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, batch_pseudo)
+            loss = _weighted_sum(variant.objective, components, weights_cfg)
 
             total_v = loss.item()
             if not np.isfinite(total_v):
@@ -417,11 +361,8 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
                 loss.backward(free_graph=True)
                 opt.step()
 
-            sums["fc"] += fc_v
-            sums["pc_local"] += pcl_v
-            sums["pc_overall"] += pco_v
-            sums["im"] += im_v
-            sums["pl_ce"] += ce_v
+            for name, value in components.items():
+                sums[name] += value.item()
             sums["total"] += total_v
             n_batches += 1
 
@@ -430,15 +371,9 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
         rows.append(
             MetricsRow(
                 epoch=epoch,
-                fc=sums["fc"] / denom,
-                pc_local=sums["pc_local"] / denom,
-                pc_overall=sums["pc_overall"] / denom,
-                im=sums["im"] / denom,
-                pl_ce=sums["pl_ce"] / denom,
-                total=sums["total"] / denom,
                 accuracy=acc,
                 pl_accuracy=pl_acc,
-                wall_time=time.perf_counter() - started,
+                **{name: value / denom for name, value in sums.items()},
             )
         )
 
@@ -461,10 +396,7 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
         with no_grad():
             for start in range(0, len(ds), EVAL_BATCH):
                 picked = ds.samples[start : start + EVAL_BATCH]
-                frames = np.stack([s.frames for s in picked], axis=0)
-                enc = encode_frames(frames, model)
-                clip_sets = [eval_clip_set(s.id, model.k, model.m_max) for s in picked]
-                lts = local_temporal_features(enc, clip_sets, model)
+                lts = _eval_local_features(model, picked)
                 if level == "local":
                     for row, sample in enumerate(picked):
                         label = "" if sample.label is None else str(sample.label)

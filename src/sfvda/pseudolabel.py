@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import softmax_rows
+
 __all__ = [
     "CentroidTable",
     "init_centroids",
@@ -41,12 +43,6 @@ class CentroidTable:
             raise ValueError("CentroidTable: centroids must be finite")
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def init_centroids(features: np.ndarray, logits: np.ndarray) -> CentroidTable:
     """Softmax-probability-weighted mean per class over the whole set."""
     features = np.asarray(features, dtype=np.float64)
@@ -55,7 +51,7 @@ def init_centroids(features: np.ndarray, logits: np.ndarray) -> CentroidTable:
         raise ValueError("init_centroids: features and logits disagree on sample count")
     if features.shape[0] < 1:
         raise ValueError("init_centroids: need at least one sample")
-    probs = _softmax_rows(logits)
+    probs = softmax_rows(logits)
     weighted = probs.T @ features
     mass = probs.sum(axis=0) + EPS
     return CentroidTable(generation=0, centroids=weighted / mass[:, None])

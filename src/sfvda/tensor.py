@@ -24,7 +24,7 @@ __all__ = [
     "Tensor",
     "Graph",
     "no_grad",
-    "is_grad_enabled",
+    "softmax_rows",
     "matmul",
     "add",
     "sub",
@@ -66,10 +66,6 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def _ensure_finite(data: np.ndarray, op: str) -> np.ndarray:
@@ -373,11 +369,15 @@ def relu(a: Tensor) -> Tensor:
     return Tensor._from_op(out, "relu", (a,), vjp)
 
 
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax of a plain array over the last axis, with max subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, computed with max subtraction."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = softmax_rows(a.data)
 
     def vjp(g):
         inner = (g * out).sum(axis=-1, keepdims=True)

@@ -95,6 +95,28 @@ def test_batch_size_larger_than_dataset_is_one_error_line(workspace):
     assert not (workspace / "never.json").exists()
 
 
+def test_unparsable_value_is_one_error_line_naming_the_key(workspace):
+    out = run_sfvda(
+        "gen-data", "--config", "tiny.config", "--set", "frames=abc", "--out", "never", cwd=workspace
+    )
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "'frames'" in lines[0] and "'abc'" in lines[0]
+    assert not (workspace / "never").exists()
+
+
+def test_ablate_bad_seed_names_the_flag(workspace):
+    out = run_sfvda(
+        "ablate", "--config", "tiny.config", "--variants", "full", "--seeds", "1,x",
+        "--out", "never.csv", cwd=workspace,
+    )
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "--seeds" in lines[0]
+
+
 def test_missing_file_errors(workspace):
     out = run_sfvda("eval", "--model", "nope.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode != 0

@@ -68,3 +68,24 @@ def test_apply_overrides_precedence():
     assert cfg.batch_size == 16
     with pytest.raises(ValueError, match="unknown config key"):
         apply_overrides(cfg, {"sed": "1"})
+
+
+def test_int_value_names_key_and_line():
+    with pytest.raises(ValueError, match=r"config line 2: config key 'frames': expected an integer, got '4.5'"):
+        parse_config("seed = 7\nframes = 4.5")
+    with pytest.raises(ValueError, match=r"config key 'frames': expected an integer, got 'abc'"):
+        apply_overrides(RunConfig(), {"frames": "abc"})
+
+
+def test_float_value_names_key_and_line():
+    with pytest.raises(ValueError, match=r"config line 1: config key 'lr_adapt': expected a number, got 'fast'"):
+        parse_config("lr_adapt = fast")
+    with pytest.raises(ValueError, match=r"config key 'lam': expected a number"):
+        apply_overrides(RunConfig(), {"lam": "1e-3x"})
+
+
+def test_m_max_below_one_rejected():
+    with pytest.raises(ValueError, match="m_max"):
+        parse_config("m_max = 0")
+    with pytest.raises(ValueError, match="m_max"):
+        RunConfig(m_max=-1)

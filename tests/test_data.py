@@ -94,6 +94,20 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="line 3"):
             D.read_dataset(path)
 
+    def test_non_finite_frames_name_file_and_line(self, tmp_path):
+        import json
+
+        source, _ = D.generate_domain_pair(small_spec())
+        path = tmp_path / "nan.jsonl"
+        D.write_dataset(source, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[3])
+        record["frames"][1][2] = float("nan")
+        lines[3] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"nan\.jsonl: line 4: frames contain non-finite"):
+            D.read_dataset(path)
+
     def test_null_label_in_source_rejected(self, tmp_path):
         source, _ = D.generate_domain_pair(small_spec())
         path = tmp_path / "bad.jsonl"

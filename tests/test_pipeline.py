@@ -8,7 +8,7 @@ from sfvda import losses, lwm
 from sfvda import model as M
 from sfvda import pipeline as P
 from sfvda import tensor as T
-from sfvda.config import RunConfig
+from sfvda.config import VARIANTS, RunConfig
 from sfvda.data import generate_domain_pair
 from sfvda.tensor import Tensor, concat, finite_diff_check
 
@@ -354,7 +354,7 @@ class TestWholeModelGradient:
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
         local_logits = [M.classify(lt, model, mode="train") for lt in lts]
-        overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, P.VARIANT_SITES["full"])
+        overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, VARIANTS["full"].sites)
         overall_logits = M.classify(overall, model, mode="train")
         preds = losses.make_prediction_set(pc_logits, overall_logits)
         fc = losses.feature_consistency_total(lts, w.lam, w.eps_norm)
