@@ -215,6 +215,7 @@ class ModelParams:
     def _with_parameters(self, value_of) -> "ModelParams":
         """Set every parameter that named_parameters() lists to a fresh
         trainable tensor of ``value_of(name)``, in that order; returns self."""
+        # placeholder slots, so that named_parameters() lists every scale's names
         self.relation = {r: (None,) * 4 for r in range(2, self.k + 1)}
         relation: dict[int, list[Tensor]] = {r: [] for r in self.relation}
         for name, _ in self.named_parameters():
