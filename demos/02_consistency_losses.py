@@ -21,18 +21,24 @@ print("feature consistency, identical scales :", f"{losses.feature_consistency_t
 print("feature consistency, independent ones :", f"{losses.feature_consistency_total(independent, 5e-3, 1e-5).item():.5f}")
 
 c = losses.cross_correlation(Tensor(shared), Tensor(shared), 1e-5)
-print("self cross-correlation diagonal       :", np.round(np.diag(c.matrix.data), 4))
+print("self cross-correlation diagonal       :", np.round(np.diag(c.data), 4))
+
+
+def prediction_consistency(preds):
+    """Local plus overall prediction consistency, both weighted 1."""
+    return losses.local_prediction_consistency(preds).item() + losses.overall_prediction_consistency(preds).item()
+
 
 # Prediction consistency vanishes when every scale agrees.
 agreeing = Tensor(rng.normal(size=(batch, n_classes)))
 preds = losses.make_prediction_set([agreeing, agreeing], agreeing)
-print("prediction consistency when agreeing  :", f"{losses.prediction_consistency(preds, 1.0, 1.0).item():.2e}")
+print("prediction consistency when agreeing  :", f"{prediction_consistency(preds):.2e}")
 
 disagreeing = losses.make_prediction_set(
     [Tensor(rng.normal(size=(batch, n_classes))) for _ in range(2)],
     Tensor(rng.normal(size=(batch, n_classes))),
 )
-print("prediction consistency when disagreeing:", f"{losses.prediction_consistency(disagreeing, 1.0, 1.0).item():.4f}")
+print("prediction consistency when disagreeing:", f"{prediction_consistency(disagreeing):.4f}")
 
 # Local weights: confident scales keep weight 1, uniform ones drop to 0.
 confident = np.zeros((1, n_classes)); confident[0, 2] = 40.0

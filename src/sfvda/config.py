@@ -7,10 +7,12 @@ Unknown keys are rejected, every key has a default, and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .data import DomainSpec
 from .losses import LossWeights
+from .model import HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
 
@@ -46,7 +48,7 @@ VARIANTS = {
     "shot_baseline": Variant(_FULL[1:]),
     "source_only": Variant(()),
 }
-FREEZE_SCOPES = ("head_all", "last_layer_only")
+FREEZE_SCOPES = tuple(HEAD_SCOPES)
 CONFIDENCE_MODES = ("normalized", "raw")
 WEIGHT_TARGETS = ("logits", "probabilities")
 
@@ -100,47 +102,31 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; expected one of {tuple(VARIANTS)}")
-        if self.freeze_scope not in FREEZE_SCOPES:
-            raise ValueError(f"unknown freeze_scope {self.freeze_scope!r}")
-        if self.confidence_mode not in CONFIDENCE_MODES:
-            raise ValueError(f"unknown confidence_mode {self.confidence_mode!r}")
-        if self.lwm_weight_target not in WEIGHT_TARGETS:
-            raise ValueError(f"unknown lwm_weight_target {self.lwm_weight_target!r}")
-        if self.epochs_source < 1 or self.epochs_adapt < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.pl_rounds < 1:
-            raise ValueError("pl_rounds must be >= 1")
-        if self.m_max < 1:
-            raise ValueError(f"config key 'm_max': must be >= 1, got {self.m_max}")
+        for key, choices in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in choices:
+                raise ValueError(f"config key {key!r}: unknown value {value!r}; expected one of {choices}")
+        for key in _AT_LEAST_ONE:
+            if getattr(self, key) < 1:
+                raise ValueError(f"config key {key!r}: must be >= 1, got {getattr(self, key)}")
 
     def domain_spec(self, seed: int | None = None) -> DomainSpec:
-        return DomainSpec(
-            classes=self.classes,
-            videos_per_class=self.videos_per_class,
-            frames=self.frames,
-            frame_dim=self.frame_dim,
-            shift_severity=self.shift_severity,
-            noise_std=self.noise_std,
-            seed=self.seed if seed is None else seed,
-        )
+        values = {f.name: getattr(self, f.name) for f in fields(DomainSpec)}
+        if seed is not None:
+            values["seed"] = seed
+        return DomainSpec(**values)
 
     def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lam=self.lam,
-            alpha_local=self.alpha_local,
-            alpha_overall=self.alpha_overall,
-            beta_fc=self.beta_fc,
-            beta_pc=self.beta_pc,
-            beta_tc=self.beta_tc,
-            beta_im=self.beta_im,
-            beta_ce=self.beta_ce,
-            eps_norm=self.eps_norm,
-            eps_smooth=self.eps_smooth,
-        )
+        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
 
 
+_CHOICES = {
+    "variant": tuple(VARIANTS),
+    "freeze_scope": FREEZE_SCOPES,
+    "confidence_mode": CONFIDENCE_MODES,
+    "lwm_weight_target": WEIGHT_TARGETS,
+}
+_AT_LEAST_ONE = ("epochs_source", "epochs_adapt", "pl_rounds", "m_max")
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
@@ -156,10 +142,13 @@ def _parse_value(key: str, raw: str):
     if kind not in ("int", "float"):
         return raw
     try:
-        return int(raw) if kind == "int" else float(raw)
+        value = int(raw) if kind == "int" else float(raw)
     except ValueError:
         expected = "an integer" if kind == "int" else "a number"
         raise ValueError(f"config key {key!r}: expected {expected}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"config key {key!r}: expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:

@@ -246,6 +246,11 @@ def _require_fields(obj, names, where: str) -> None:
             raise ValueError(f"{where}: missing field {name!r}")
 
 
+def _require_int(obj, name: str, where: str) -> None:
+    if not isinstance(obj[name], int) or isinstance(obj[name], bool):
+        raise ValueError(f"{where}: field {name!r} must be an integer, got {obj[name]!r}")
+
+
 def read_dataset(path) -> Dataset:
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -260,6 +265,8 @@ def read_dataset(path) -> Dataset:
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(f"{path}: line 1: unsupported format_version {version}")
     _require_fields(header, HEADER_FIELDS, f"{path}: line 1")
+    for name in ("C", "k", "d_in", "count"):
+        _require_int(header, name, f"{path}: line 1")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:
@@ -279,6 +286,8 @@ def read_dataset(path) -> Dataset:
                 f"header ({header['k']}, {header['d_in']})"
             )
         label = rec["label"]
+        if label is not None:
+            _require_int(rec, "label", f"{path}: line {lineno}")
         if header["domain"] == "source" and label is None:
             raise ValueError(f"{path}: line {lineno}: source requires labels")
         if label is not None and not 0 <= label < header["C"]:

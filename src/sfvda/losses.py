@@ -36,7 +36,6 @@ from .tensor import (
 
 __all__ = [
     "LossWeights",
-    "CrossCorrelationMatrix",
     "PredictionSet",
     "smoothed_cross_entropy",
     "pseudo_label_cross_entropy",
@@ -48,8 +47,6 @@ __all__ = [
     "make_prediction_set",
     "local_prediction_consistency",
     "overall_prediction_consistency",
-    "prediction_consistency",
-    "temporal_consistency",
     "information_maximization",
 ]
 
@@ -79,14 +76,6 @@ class LossWeights:
             raise ValueError("LossWeights.eps_norm must be > 0")
         if not 0.0 <= self.eps_smooth < 1.0:
             raise ValueError("LossWeights.eps_smooth must lie in [0, 1)")
-
-
-@dataclass
-class CrossCorrelationMatrix:
-    """Batch cross-correlation between two normalized local-feature scales."""
-
-    matrix: Tensor
-    scales: tuple[int, int] | None = None
 
 
 @dataclass
@@ -133,24 +122,20 @@ def normalize_features(lt: Tensor, eps_norm: float) -> Tensor:
     return div(centered, denom)
 
 
-def cross_correlation(
-    lt1: Tensor, lt2: Tensor, eps_norm: float, scales: tuple[int, int] | None = None
-) -> CrossCorrelationMatrix:
+def cross_correlation(lt1: Tensor, lt2: Tensor, eps_norm: float) -> Tensor:
     """(1/B) * normalize(lt1)^T normalize(lt2), a d x d matrix."""
     if lt1.shape != lt2.shape:
         raise ValueError(f"cross_correlation: shape mismatch {lt1.shape} vs {lt2.shape}")
-    batch = lt1.shape[0]
-    c = scale(matmul(transpose(normalize_features(lt1, eps_norm)), normalize_features(lt2, eps_norm)), 1.0 / batch)
-    return CrossCorrelationMatrix(c, scales)
+    z1, z2 = normalize_features(lt1, eps_norm), normalize_features(lt2, eps_norm)
+    return scale(matmul(transpose(z1), z2), 1.0 / lt1.shape[0])
 
 
-def feature_consistency_pair(c: CrossCorrelationMatrix | Tensor, lam: float) -> Tensor:
+def feature_consistency_pair(m: Tensor, lam: float) -> Tensor:
     """Penalty driving one cross-correlation matrix toward the identity.
 
     Sum of squared diagonal deviations from 1 plus lam times the sum of
     squared off-diagonal entries; zero iff the matrix is the identity.
     """
-    m = c.matrix if isinstance(c, CrossCorrelationMatrix) else c
     d0, d1 = m.shape
     if d0 != d1:
         raise ValueError(f"feature_consistency_pair: matrix must be square, got {m.shape}")
@@ -262,23 +247,6 @@ def overall_prediction_consistency(preds: PredictionSet) -> Tensor:
         )
     gap = absolute(sub(log_softmax(preds.overall), log_softmax(preds.average)))
     return mean(tensor_sum(gap, axis=1))
-
-
-def prediction_consistency(
-    preds: PredictionSet,
-    alpha_local: float,
-    alpha_overall: float,
-    literal: bool = False,
-) -> Tensor:
-    """alpha_local * local consistency + alpha_overall * overall consistency."""
-    local = local_prediction_consistency(preds, literal=literal)
-    overall = overall_prediction_consistency(preds)
-    return add(scale(local, alpha_local), scale(overall, alpha_overall))
-
-
-def temporal_consistency(fc: Tensor, pc: Tensor, beta_fc: float, beta_pc: float) -> Tensor:
-    """beta_fc * feature consistency + beta_pc * prediction consistency."""
-    return add(scale(fc, beta_fc), scale(pc, beta_pc))
 
 
 def information_maximization(logits: Tensor) -> Tensor:

@@ -128,16 +128,17 @@ def eval_clip_set(video_id: str, k: int, m_max: int) -> ClipIndexSet:
     return sample_clips(k, m_max, np.random.default_rng(np.random.SeedSequence(seed)))
 
 
-def _init_affine(rng: np.random.Generator, fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
-    bound = 1.0 / math.sqrt(fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=fan_out)
-    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+# head parameter name prefixes per freeze scope
+HEAD_SCOPES = {"head_all": ("bot_", "bn_", "wn_"), "last_layer_only": ("wn_",)}
 
 
 @dataclass
 class ModelParams:
-    """All parameters plus batch-norm state and forward-time configuration."""
+    """All parameters plus batch-norm state and forward-time configuration.
+
+    ``tensors`` maps each parameter name to its tensor in ``init_model``'s
+    draw order; copy, freeze, save and load all go through it.
+    """
 
     k: int
     d_in: int
@@ -147,53 +148,24 @@ class ModelParams:
     n_classes: int
     m_max: int
     seed: int
-    enc_w1: Tensor = field(repr=False, default=None)
-    enc_b1: Tensor = field(repr=False, default=None)
-    enc_w2: Tensor = field(repr=False, default=None)
-    enc_b2: Tensor = field(repr=False, default=None)
-    relation: dict[int, tuple[Tensor, Tensor, Tensor, Tensor]] = field(repr=False, default=None)
-    bot_w: Tensor = field(repr=False, default=None)
-    bot_b: Tensor = field(repr=False, default=None)
-    bn_gamma: Tensor = field(repr=False, default=None)
-    bn_beta: Tensor = field(repr=False, default=None)
-    bn_mean: np.ndarray = field(repr=False, default=None)
-    bn_var: np.ndarray = field(repr=False, default=None)
+    tensors: dict[str, Tensor] = field(repr=False)
+    bn_mean: np.ndarray = field(repr=False)
+    bn_var: np.ndarray = field(repr=False)
     bn_initialized: bool = False
     bn_momentum: float = 0.9
-    wn_v: Tensor = field(repr=False, default=None)
-    wn_g: Tensor = field(repr=False, default=None)
-    wn_b: Tensor = field(repr=False, default=None)
     aggregation: str = "mean"
     confidence_mode: str = "normalized"
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("enc_w1", self.enc_w1),
-            ("enc_b1", self.enc_b1),
-            ("enc_w2", self.enc_w2),
-            ("enc_b2", self.enc_b2),
-        ]
-        for r in sorted(self.relation):
-            w1, b1, w2, b2 = self.relation[r]
-            out += [(f"rel{r}_w1", w1), (f"rel{r}_b1", b1), (f"rel{r}_w2", w2), (f"rel{r}_b2", b2)]
-        out += self.head_parameters()
-        return out
+        return list(self.tensors.items())
 
     def head_parameters(self, scope: str = "head_all") -> list[tuple[str, Tensor]]:
-        last = [("wn_v", self.wn_v), ("wn_g", self.wn_g), ("wn_b", self.wn_b)]
-        if scope == "last_layer_only":
-            return last
-        if scope == "head_all":
-            return [
-                ("bot_w", self.bot_w),
-                ("bot_b", self.bot_b),
-                ("bn_gamma", self.bn_gamma),
-                ("bn_beta", self.bn_beta),
-            ] + last
-        raise ValueError(f"unknown freeze scope {scope!r}")
+        if scope not in HEAD_SCOPES:
+            raise ValueError(f"unknown freeze scope {scope!r}")
+        return [(name, t) for name, t in self.tensors.items() if name.startswith(HEAD_SCOPES[scope])]
 
     def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
+        return list(self.tensors.values())
 
     def trainable_parameters(self) -> list[Tensor]:
         return [t for t in self.parameters() if t.requires_grad]
@@ -208,24 +180,12 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Bitwise copy; used to initialize the target model from the source."""
-        tensors = dict(self.named_parameters())
-        new = replace(self, bn_mean=self.bn_mean.copy(), bn_var=self.bn_var.copy())
-        return new._with_parameters(lambda name: tensors[name].data.copy())
-
-    def _with_parameters(self, value_of) -> "ModelParams":
-        """Set every parameter that named_parameters() lists to a fresh
-        trainable tensor of ``value_of(name)``, in that order; returns self."""
-        # placeholder slots, so that named_parameters() lists every scale's names
-        self.relation = {r: (None,) * 4 for r in range(2, self.k + 1)}
-        relation: dict[int, list[Tensor]] = {r: [] for r in self.relation}
-        for name, _ in self.named_parameters():
-            t = Tensor(value_of(name), requires_grad=True)
-            if name.startswith("rel"):
-                relation[int(name[3 : name.index("_")])].append(t)
-            else:
-                setattr(self, name, t)
-        self.relation = {r: tuple(ts) for r, ts in relation.items()}
-        return self
+        return replace(
+            self,
+            tensors={name: Tensor(t.data.copy(), requires_grad=True) for name, t in self.tensors.items()},
+            bn_mean=self.bn_mean.copy(),
+            bn_var=self.bn_var.copy(),
+        )
 
 
 def init_model(
@@ -238,41 +198,49 @@ def init_model(
     m_max: int = 3,
     seed: int = 0,
 ) -> ModelParams:
-    """Uniform fan-in initialization of every layer from one seed."""
+    """Uniform fan-in initialization of every layer from one seed.
+
+    The only place that names parameters; the draw order fixes every seeded
+    byte.
+    """
     if k < 3:
         raise ValueError(f"init_model: need k >= 3, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params = ModelParams(
-        k=k, d_in=d_in, d_enc=d_enc, d=d, d_b=d_b, n_classes=n_classes, m_max=m_max, seed=seed
-    )
-    params.enc_w1, params.enc_b1 = _init_affine(rng, d_in, ENCODER_HIDDEN)
-    params.enc_w2, params.enc_b2 = _init_affine(rng, ENCODER_HIDDEN, d_enc)
-    params.relation = {}
+    tensors: dict[str, Tensor] = {}
+
+    def affine(prefix: str, layer, fan_in: int, fan_out: int, divisor: int = 1) -> None:
+        bound = 1.0 / math.sqrt(fan_in)
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        b = rng.uniform(-bound, bound, size=fan_out)
+        tensors[f"{prefix}_w{layer}"] = Tensor(w / divisor, requires_grad=True)
+        tensors[f"{prefix}_b{layer}"] = Tensor(b / divisor, requires_grad=True)
+
+    affine("enc", 1, d_in, ENCODER_HIDDEN)
+    affine("enc", 2, ENCODER_HIDDEN, d_enc)
     for r in range(2, k + 1):
-        w1, b1 = _init_affine(rng, r * d_enc, RELATION_HIDDEN)
-        w2, b2 = _init_affine(rng, RELATION_HIDDEN, d)
+        affine(f"rel{r}", 1, r * d_enc, RELATION_HIDDEN)
         # local features sum over min(m_max, C(k, r)) clips; scaling the
         # output layer by that count starts every scale at a comparable
         # magnitude, so the shared head reads all of them sensibly
-        clip_count = min(m_max, math.comb(k, r))
-        w2 = Tensor(w2.data / clip_count, requires_grad=True)
-        b2 = Tensor(b2.data / clip_count, requires_grad=True)
-        params.relation[r] = (w1, b1, w2, b2)
-    params.bot_w, params.bot_b = _init_affine(rng, d, d_b)
-    params.bn_gamma = Tensor(np.ones(d_b), requires_grad=True)
-    params.bn_beta = Tensor(np.zeros(d_b), requires_grad=True)
-    params.bn_mean = np.zeros(d_b)
-    params.bn_var = np.ones(d_b)
+        affine(f"rel{r}", 2, RELATION_HIDDEN, d, min(m_max, math.comb(k, r)))
+    affine("bot", "", d, d_b)
+    tensors["bn_gamma"] = Tensor(np.ones(d_b), requires_grad=True)
+    tensors["bn_beta"] = Tensor(np.zeros(d_b), requires_grad=True)
     bound = 1.0 / math.sqrt(d_b)
     v = rng.uniform(-bound, bound, size=(n_classes, d_b))
-    params.wn_v = Tensor(v, requires_grad=True)
-    params.wn_g = Tensor(np.linalg.norm(v, axis=1, keepdims=True), requires_grad=True)
-    params.wn_b = Tensor(np.zeros(n_classes), requires_grad=True)
-    return params
+    tensors["wn_v"] = Tensor(v, requires_grad=True)
+    tensors["wn_g"] = Tensor(np.linalg.norm(v, axis=1, keepdims=True), requires_grad=True)
+    tensors["wn_b"] = Tensor(np.zeros(n_classes), requires_grad=True)
+    return ModelParams(
+        k=k, d_in=d_in, d_enc=d_enc, d=d, d_b=d_b, n_classes=n_classes, m_max=m_max, seed=seed,
+        tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b),
+    )
 
 
-def _mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return add(matmul(relu(add(matmul(x, w1), b1)), w2), b2)
+def _mlp2(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
+    t = params.tensors
+    hidden = relu(add(matmul(x, t[f"{prefix}_w1"]), t[f"{prefix}_b1"]))
+    return add(matmul(hidden, t[f"{prefix}_w2"]), t[f"{prefix}_b2"])
 
 
 def encode_frames(frames: np.ndarray, params: ModelParams) -> list[Tensor]:
@@ -288,7 +256,7 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> list[Tensor]:
         )
     batch = frames.shape[0]
     stacked = Tensor(frames.transpose(1, 0, 2).reshape(params.k * batch, params.d_in))
-    enc = _mlp2(stacked, params.enc_w1, params.enc_b1, params.enc_w2, params.enc_b2)
+    enc = _mlp2(stacked, params, "enc")
     return [slice_rows(enc, j * batch, (j + 1) * batch) for j in range(params.k)]
 
 
@@ -324,7 +292,7 @@ def local_temporal_features(
     features = []
     for r in range(2, params.k + 1):
         idx = index_arrays[r]
-        per_clip = _mlp2(gather_concat(encodings, idx), *params.relation[r])
+        per_clip = _mlp2(gather_concat(encodings, idx), params, f"rel{r}")
         features.append(tensor_sum(reshape(per_clip, (batch, idx.shape[1], params.d)), axis=1))
     return features
 
@@ -353,9 +321,10 @@ def aggregate_overall(lts: list[Tensor], weights: np.ndarray | None = None) -> T
 
 
 def _weight_norm_logits(x: Tensor, params: ModelParams) -> Tensor:
-    norms = sqrt(tensor_sum(square(params.wn_v), axis=1, keepdims=True))
-    w_eff = mul(params.wn_v, div(params.wn_g, norms))
-    return add(matmul(x, transpose(w_eff)), params.wn_b)
+    t = params.tensors
+    norms = sqrt(tensor_sum(square(t["wn_v"]), axis=1, keepdims=True))
+    w_eff = mul(t["wn_v"], div(t["wn_g"], norms))
+    return add(matmul(x, transpose(w_eff)), t["wn_b"])
 
 
 def classify(
@@ -370,7 +339,7 @@ def classify(
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"classify: unknown mode {mode!r}")
-    h = add(matmul(features, params.bot_w), params.bot_b)
+    h = add(matmul(features, params.tensors["bot_w"]), params.tensors["bot_b"])
     use_batch_stats = mode == "train" and not frozen
     if use_batch_stats:
         mu = mean(h, axis=0, keepdims=True)
@@ -387,26 +356,24 @@ def classify(
             sub(h, Tensor(params.bn_mean[None, :])),
             Tensor(np.sqrt(params.bn_var + BN_EPS)[None, :]),
         )
-    normed = add(mul(hat, params.bn_gamma), params.bn_beta)
+    normed = add(mul(hat, params.tensors["bn_gamma"]), params.tensors["bn_beta"])
     return _weight_norm_logits(normed, params)
 
 
 # -- checkpoints --------------------------------------------------------------
+
+# ModelParams attribute -> checkpoint hyperparams key; init_model takes the
+# attributes as keyword arguments
+_HYPERPARAMS = {
+    "k": "k", "d_in": "d_in", "d_enc": "d_enc", "d": "d", "d_b": "d_b", "n_classes": "C", "m_max": "M_max"
+}
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a versioned JSON checkpoint; floats round-trip exactly."""
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "hyperparams": {
-            "k": params.k,
-            "d_in": params.d_in,
-            "d_enc": params.d_enc,
-            "d": params.d,
-            "d_b": params.d_b,
-            "C": params.n_classes,
-            "M_max": params.m_max,
-        },
+        "hyperparams": {key: getattr(params, attr) for attr, key in _HYPERPARAMS.items()},
         "aggregation": params.aggregation,
         "confidence_mode": params.confidence_mode,
         "rng_seed": params.seed,
@@ -429,7 +396,32 @@ def _field(mapping, name: str, path, where: str = ""):
     return mapping[name]
 
 
+def _int_field(mapping, name: str, path, where: str, least: int) -> int:
+    value = _field(mapping, name, path, where)
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(
+            f"{path}: checkpoint field {where + name!r} must be an integer >= {least}, got {value!r}"
+        )
+    return value
+
+
+def _array_field(mapping, name: str, path, where: str, shape: tuple) -> np.ndarray:
+    try:
+        arr = np.asarray(_field(mapping, name, path, where))
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "if":
+        raise ValueError(f"{path}: checkpoint field {where + name!r} is not numeric")
+    if arr.shape != shape:
+        raise ValueError(f"{path}: checkpoint field {where + name!r} has shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: checkpoint field {where + name!r} has non-finite values")
+    return np.asarray(arr, dtype=np.float64)
+
+
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint into an ``init_model`` template of its hyperparams;
+    every tensor must match the template's shape and be finite."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -439,31 +431,21 @@ def load_checkpoint(path) -> ModelParams:
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: checkpoint format_version {version} is not supported")
     hp = _field(doc, "hyperparams", path)
-
-    def hyper(name):
-        return _field(hp, name, path, "hyperparams.")
-
-    params = ModelParams(
-        k=hyper("k"),
-        d_in=hyper("d_in"),
-        d_enc=hyper("d_enc"),
-        d=hyper("d"),
-        d_b=hyper("d_b"),
-        n_classes=hyper("C"),
-        m_max=hyper("M_max"),
-        seed=_field(doc, "rng_seed", path),
-        aggregation=doc.get("aggregation", "mean"),
-        confidence_mode=doc.get("confidence_mode", "normalized"),
-    )
+    dims = {
+        attr: _int_field(hp, key, path, "hyperparams.", 3 if key == "k" else 1)
+        for attr, key in _HYPERPARAMS.items()
+    }
+    params = init_model(**dims, seed=_int_field(doc, "rng_seed", path, "", 0))
+    params.aggregation = doc.get("aggregation", "mean")
+    params.confidence_mode = doc.get("confidence_mode", "normalized")
     raw = _field(doc, "parameters", path)
-    params._with_parameters(lambda name: _field(raw, name, path, "parameters."))
+    for name, t in params.tensors.items():
+        t.data = _array_field(raw, name, path, "parameters.", t.data.shape)
     bn = _field(doc, "batch_norm", path)
-
-    def stat(name):
-        return _field(bn, name, path, "batch_norm.")
-
-    params.bn_mean = np.asarray(stat("running_mean"), dtype=np.float64)
-    params.bn_var = np.asarray(stat("running_var"), dtype=np.float64)
-    params.bn_initialized = bool(stat("initialized"))
-    params.bn_momentum = float(stat("momentum"))
+    params.bn_mean = _array_field(bn, "running_mean", path, "batch_norm.", (params.d_b,))
+    params.bn_var = _array_field(bn, "running_var", path, "batch_norm.", (params.d_b,))
+    params.bn_initialized = _field(bn, "initialized", path, "batch_norm.")
+    if not isinstance(params.bn_initialized, bool):
+        raise ValueError(f"{path}: checkpoint field 'batch_norm.initialized' must be true or false")
+    params.bn_momentum = float(_array_field(bn, "momentum", path, "batch_norm.", ()))
     return params

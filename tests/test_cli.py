@@ -172,3 +172,15 @@ def test_gen_data_deterministic_bytes(workspace):
     a = (workspace / "rerun1" / "target.jsonl").read_bytes()
     b = (workspace / "rerun2" / "target.jsonl").read_bytes()
     assert a == b
+
+
+def test_malformed_checkpoint_is_one_error_line_naming_file_and_field(workspace):
+    doc = json.loads((workspace / "source.ckpt.json").read_text())
+    doc["parameters"]["enc_b1"] = [0.0]
+    (workspace / "bad.ckpt.json").write_text(json.dumps(doc))
+    out = run_sfvda("eval", "--model", "bad.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "bad.ckpt.json" in lines[0] and "'parameters.enc_b1'" in lines[0]
+    assert out.stdout == ""

@@ -82,6 +82,11 @@ def test_float_value_names_key_and_line():
         parse_config("lr_adapt = fast")
     with pytest.raises(ValueError, match=r"config key 'lam': expected a number"):
         apply_overrides(RunConfig(), {"lam": "1e-3x"})
+    for raw in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match=r"config line 1: config key 'lr_source': expected a finite number"):
+            parse_config(f"lr_source = {raw}")
+    with pytest.raises(ValueError, match=r"config key 'lam': expected a finite number, got 'NaN'"):
+        apply_overrides(RunConfig(), {"lam": "NaN"})
 
 
 def test_m_max_below_one_rejected():
@@ -89,3 +94,22 @@ def test_m_max_below_one_rejected():
         parse_config("m_max = 0")
     with pytest.raises(ValueError, match="m_max"):
         RunConfig(m_max=-1)
+
+
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("epochs_source", "0"),
+        ("epochs_adapt", "-1"),
+        ("pl_rounds", "0"),
+        ("variant", "bogus"),
+        ("freeze_scope", "nothing"),
+        ("confidence_mode", "loud"),
+        ("lwm_weight_target", "features"),
+    ],
+)
+def test_invalid_value_names_the_key(key, raw):
+    with pytest.raises(ValueError, match=rf"config key '{key}': .*{raw}"):
+        apply_overrides(RunConfig(), {key: raw})
+    with pytest.raises(ValueError, match=rf"config key '{key}'"):
+        parse_config(f"{key} = {raw}")

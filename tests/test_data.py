@@ -2,6 +2,8 @@ import pytest
 
 from sfvda import data as D
 
+_DELETE = object()
+
 
 def small_spec(**kw):
     defaults = dict(classes=3, videos_per_class=4, frames=4, frame_dim=6, shift_severity=0.5, noise_std=0.05, seed=5)
@@ -132,9 +134,22 @@ class TestFileFormat:
             D.read_dataset(path)
 
     @pytest.mark.parametrize(
-        "line, field", [(0, "count"), (0, "k"), (1, "frames"), (2, "label")]
+        "line, field, value",
+        [
+            pytest.param(0, "count", _DELETE, id="0-count"),
+            pytest.param(0, "k", _DELETE, id="0-k"),
+            pytest.param(1, "frames", _DELETE, id="1-frames"),
+            pytest.param(2, "label", _DELETE, id="2-label"),
+            # mistyped values
+            pytest.param(0, "C", "3", id="0-C-string"),
+            pytest.param(0, "k", "4", id="0-k-string"),
+            pytest.param(0, "d_in", 6.0, id="0-d_in-float"),
+            pytest.param(0, "count", True, id="0-count-bool"),
+            pytest.param(2, "label", "1", id="2-label-string"),
+            pytest.param(2, "label", 1.0, id="2-label-float"),
+        ],
     )
-    def test_missing_field_names_file_line_and_field(self, tmp_path, line, field):
+    def test_missing_field_names_file_line_and_field(self, tmp_path, line, field, value):
         import json
 
         source, _ = D.generate_domain_pair(small_spec())
@@ -142,7 +157,10 @@ class TestFileFormat:
         D.write_dataset(source, path)
         lines = path.read_text().splitlines()
         doc = json.loads(lines[line])
-        del doc[field]
+        if value is _DELETE:
+            del doc[field]
+        else:
+            doc[field] = value
         lines[line] = json.dumps(doc, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sfvda import losses
+from sfvda.config import VARIANTS
 from sfvda.losses import LossWeights, make_prediction_set
+from sfvda.pipeline import _weighted_sum
 from sfvda.tensor import Tensor, finite_diff_check
 
 
@@ -66,21 +68,21 @@ class TestCrossCorrelation:
     def test_self_correlation_diagonal_is_one(self):
         rng = np.random.default_rng(0)
         lt = Tensor(rng.normal(0.0, 5.0, size=(64, 8)))
-        c = losses.cross_correlation(lt, lt, 1e-5).matrix
+        c = losses.cross_correlation(lt, lt, 1e-5)
         assert np.max(np.abs(np.diag(c.data) - 1.0)) < 1e-6
 
     def test_anti_correlation_diagonal(self):
         rng = np.random.default_rng(1)
         lt = Tensor(rng.normal(0.0, 5.0, size=(32, 4)))
         neg = Tensor(-lt.data)
-        c = losses.cross_correlation(lt, neg, 1e-5).matrix
+        c = losses.cross_correlation(lt, neg, 1e-5)
         assert np.max(np.abs(np.diag(c.data) + 1.0)) < 1e-6
 
     def test_scripted_value(self):
         rng = np.random.default_rng(20)
         x = rng.normal(0, 2.0, size=(4, 2))
         y = rng.normal(0, 2.0, size=(4, 2))
-        c = losses.cross_correlation(Tensor(x), Tensor(y), 1e-5).matrix
+        c = losses.cross_correlation(Tensor(x), Tensor(y), 1e-5)
         expected = [
             [0.9951322622839691, 0.10066994755945012],
             [0.19317235906572144, 0.9573168976609328],
@@ -202,11 +204,15 @@ class TestPredictionConsistency:
         p = Tensor(np.array([[0.5, -0.5]]))
         q = Tensor(np.array([[1.5, 0.5]]))
         preds = make_prediction_set([p, q], q)
-        local = losses.local_prediction_consistency(preds).item()
-        overall = losses.overall_prediction_consistency(preds).item()
-        combined = losses.prediction_consistency(preds, 2.0, 0.5).item()
+        components = {
+            "pc_local": losses.local_prediction_consistency(preds),
+            "pc_overall": losses.overall_prediction_consistency(preds),
+        }
+        local, overall = components["pc_local"].item(), components["pc_overall"].item()
+        pc = VARIANTS["pc"].objective
+        combined = _weighted_sum(pc, components, LossWeights(alpha_local=2.0, alpha_overall=0.5)).item()
         assert abs(combined - (2.0 * local + 0.5 * overall)) < 1e-12
-        assert losses.prediction_consistency(preds, 1.0, 0.0).item() == pytest.approx(local)
+        assert _weighted_sum(pc, components, LossWeights(alpha_overall=0.0)).item() == pytest.approx(local)
 
     def test_average_is_mean_of_local_rows(self):
         rng = np.random.default_rng(6)
@@ -217,11 +223,16 @@ class TestPredictionConsistency:
 
 
 def test_temporal_consistency_weighting():
-    fc = Tensor(np.array(0.2))
-    pc = Tensor(np.array(0.3))
-    assert losses.temporal_consistency(fc, pc, 1.0, 1.0).item() == pytest.approx(0.5)
-    assert losses.temporal_consistency(fc, pc, 0.0, 1.0).item() == pytest.approx(0.3)
-    assert losses.temporal_consistency(fc, pc, 2.0, 4.0).item() == pytest.approx(1.6)
+    # prediction consistency 0.1 + 0.2 = 0.3 at unit alphas
+    components = {"fc": Tensor(np.array(0.2)), "pc_local": Tensor(np.array(0.1)), "pc_overall": Tensor(np.array(0.2))}
+
+    def tc(beta_fc, beta_pc):
+        weights = LossWeights(beta_fc=beta_fc, beta_pc=beta_pc)
+        return _weighted_sum(VARIANTS["tc"].objective, components, weights).item()
+
+    assert tc(1.0, 1.0) == pytest.approx(0.5)
+    assert tc(0.0, 1.0) == pytest.approx(0.3)
+    assert tc(2.0, 4.0) == pytest.approx(1.6)
 
 
 class TestInformationMaximization:
@@ -313,7 +324,11 @@ class TestGradients:
 
         def f(x):
             preds = make_prediction_set([x, Tensor(other)], Tensor(overall))
-            return losses.prediction_consistency(preds, 1.0, 1.0)
+            components = {
+                "pc_local": losses.local_prediction_consistency(preds),
+                "pc_overall": losses.overall_prediction_consistency(preds),
+            }
+            return _weighted_sum(VARIANTS["pc"].objective, components, LossWeights())
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(5, 3))), rel_tol=1e-4).passed
 

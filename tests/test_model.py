@@ -7,6 +7,9 @@ from sfvda import model as M
 from sfvda.tensor import Tensor, no_grad
 
 
+_DELETE = object()
+
+
 def tiny_model(k=3, d_in=4, n_classes=3, seed=0, **kw):
     return M.init_model(k=k, d_in=d_in, n_classes=n_classes, seed=seed, **kw)
 
@@ -58,10 +61,10 @@ class TestEncoder:
         w1[:4, :4] = np.eye(4)
         w2 = np.zeros((M.ENCODER_HIDDEN, 4))
         w2[:4, :4] = np.eye(4)
-        params.enc_w1 = Tensor(w1, requires_grad=True)
-        params.enc_b1 = Tensor(np.zeros(M.ENCODER_HIDDEN), requires_grad=True)
-        params.enc_w2 = Tensor(w2, requires_grad=True)
-        params.enc_b2 = Tensor(np.zeros(4), requires_grad=True)
+        params.tensors["enc_w1"] = Tensor(w1, requires_grad=True)
+        params.tensors["enc_b1"] = Tensor(np.zeros(M.ENCODER_HIDDEN), requires_grad=True)
+        params.tensors["enc_w2"] = Tensor(w2, requires_grad=True)
+        params.tensors["enc_b2"] = Tensor(np.zeros(4), requires_grad=True)
         frames = np.abs(np.random.default_rng(0).normal(size=(2, 3, 4)))
         enc = M.encode_frames(frames, params)
         for j in range(3):
@@ -79,9 +82,10 @@ class TestEncoder:
         params = tiny_model(seed=9)
         frames = np.random.default_rng(2).normal(size=(3, 3, 4))
         enc = M.encode_frames(frames, params)
+        t = params.tensors
         for j in range(3):
-            h = np.maximum(frames[:, j] @ params.enc_w1.data + params.enc_b1.data, 0.0)
-            expected = h @ params.enc_w2.data + params.enc_b2.data
+            h = np.maximum(frames[:, j] @ t["enc_w1"].data + t["enc_b1"].data, 0.0)
+            expected = h @ t["enc_w2"].data + t["enc_b2"].data
             assert np.max(np.abs(enc[j].data - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
@@ -91,7 +95,7 @@ class TestEncoder:
 
 
 def scripted_relation(params, r, clip_input):
-    w1, b1, w2, b2 = params.relation[r]
+    w1, b1, w2, b2 = (params.tensors[f"rel{r}_{n}"] for n in ("w1", "b1", "w2", "b2"))
     h = np.maximum(clip_input @ w1.data + b1.data, 0.0)
     return h @ w2.data + b2.data
 
@@ -109,14 +113,9 @@ class TestLocalTemporalFeatures:
 
     def test_zero_relation_map_gives_zero(self):
         params = tiny_model()
-        for r in params.relation:
-            w1, b1, w2, b2 = params.relation[r]
-            params.relation[r] = (
-                w1,
-                b1,
-                Tensor(np.zeros_like(w2.data), requires_grad=True),
-                Tensor(np.zeros_like(b2.data), requires_grad=True),
-            )
+        for r in range(2, params.k + 1):
+            for name in (f"rel{r}_w2", f"rel{r}_b2"):
+                params.tensors[name] = Tensor(np.zeros_like(params.tensors[name].data), requires_grad=True)
         frames = np.random.default_rng(4).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         for lt in M.local_temporal_features(enc, M.sample_clips(3, 3, np.random.default_rng(0)), params):
@@ -175,7 +174,7 @@ class TestClassify:
 
     def test_zero_features_zero_bias_uniform(self):
         params = tiny_model()
-        params.bot_b = Tensor(np.zeros_like(params.bot_b.data), requires_grad=True)
+        params.tensors["bot_b"] = Tensor(np.zeros_like(params.tensors["bot_b"].data), requires_grad=True)
         params.bn_initialized = True  # fresh running stats: mean 0, var 1
         logits = M.classify(Tensor(np.zeros((2, params.d))), params, mode="eval")
         assert np.allclose(logits.data, logits.data[:, :1], atol=1e-12)
@@ -188,12 +187,13 @@ class TestClassify:
         params.bn_initialized = True
         x = rng.normal(size=(4, params.d))
         logits = M.classify(Tensor(x), params, mode="eval")
-        h = x @ params.bot_w.data + params.bot_b.data
+        t = params.tensors
+        h = x @ t["bot_w"].data + t["bot_b"].data
         hat = (h - params.bn_mean) / np.sqrt(params.bn_var + M.BN_EPS)
-        normed = hat * params.bn_gamma.data + params.bn_beta.data
-        v = params.wn_v.data
-        w_eff = v * (params.wn_g.data / np.linalg.norm(v, axis=1, keepdims=True))
-        expected = normed @ w_eff.T + params.wn_b.data
+        normed = hat * t["bn_gamma"].data + t["bn_beta"].data
+        v = t["wn_v"].data
+        w_eff = v * (t["wn_g"].data / np.linalg.norm(v, axis=1, keepdims=True))
+        expected = normed @ w_eff.T + t["wn_b"].data
         assert np.max(np.abs(logits.data - expected)) < 1e-12
 
     def test_train_mode_updates_running_stats_frozen_does_not(self):
@@ -208,9 +208,9 @@ class TestClassify:
 
     def test_weight_norm_row_norms_equal_magnitude(self):
         params = tiny_model(seed=13)
-        v = params.wn_v.data
-        w_eff = v * (params.wn_g.data / np.linalg.norm(v, axis=1, keepdims=True))
-        assert np.max(np.abs(np.linalg.norm(w_eff, axis=1) - params.wn_g.data.reshape(-1))) < 1e-10
+        v, g = params.tensors["wn_v"].data, params.tensors["wn_g"].data
+        w_eff = v * (g / np.linalg.norm(v, axis=1, keepdims=True))
+        assert np.max(np.abs(np.linalg.norm(w_eff, axis=1) - g.reshape(-1))) < 1e-10
 
 
 class TestModelState:
@@ -222,19 +222,19 @@ class TestModelState:
             assert name_a == name_b
             assert a.data.tobytes() == b.data.tobytes()
         assert params.bn_mean.tobytes() == clone.bn_mean.tobytes()
-        clone.enc_w1.data[0, 0] += 1.0
-        assert params.enc_w1.data[0, 0] != clone.enc_w1.data[0, 0]
+        clone.tensors["enc_w1"].data[0, 0] += 1.0
+        assert params.tensors["enc_w1"].data[0, 0] != clone.tensors["enc_w1"].data[0, 0]
 
     def test_freeze_scopes(self):
         params = tiny_model()
         params.freeze_head("last_layer_only")
-        assert not params.wn_v.requires_grad
-        assert params.bot_w.requires_grad
+        assert not params.tensors["wn_v"].requires_grad
+        assert params.tensors["bot_w"].requires_grad
         params = tiny_model()
         params.freeze_head("head_all")
         for _, t in params.head_parameters("head_all"):
             assert not t.requires_grad
-        assert params.enc_w1.requires_grad
+        assert params.tensors["enc_w1"].requires_grad
         with pytest.raises(ValueError):
             params.head_parameters("bogus")
 
@@ -256,16 +256,38 @@ class TestModelState:
         assert (tmp_path / "model.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "section, field",
-        [("parameters", "wn_g"), ("parameters", "rel3_b1"), ("hyperparams", "k"), ("batch_norm", "running_var"), (None, "rng_seed")],
+        "section, field, value",
+        [
+            pytest.param("parameters", "wn_g", _DELETE, id="parameters-wn_g"),
+            pytest.param("parameters", "rel3_b1", _DELETE, id="parameters-rel3_b1"),
+            pytest.param("hyperparams", "k", _DELETE, id="hyperparams-k"),
+            pytest.param("batch_norm", "running_var", _DELETE, id="batch_norm-running_var"),
+            pytest.param(None, "rng_seed", _DELETE, id="None-rng_seed"),
+            # values that used to broadcast, crash later or end in a traceback
+            pytest.param("parameters", "enc_b1", [0.0], id="parameters-enc_b1-broadcast"),
+            pytest.param("batch_norm", "running_var", [1.0], id="batch_norm-running_var-broadcast"),
+            pytest.param("parameters", "enc_w1", [[0.0, 0.0]], id="parameters-enc_w1-shape"),
+            pytest.param("parameters", "wn_b", ["x", 0.0, 0.0], id="parameters-wn_b-string"),
+            pytest.param("parameters", "wn_b", [float("nan"), 0.0, 0.0], id="parameters-wn_b-nan"),
+            pytest.param("hyperparams", "k", "4", id="hyperparams-k-string"),
+            pytest.param("hyperparams", "k", 2, id="hyperparams-k-too-small"),
+            pytest.param("hyperparams", "d", True, id="hyperparams-d-bool"),
+            pytest.param(None, "rng_seed", 1.5, id="None-rng_seed-float"),
+            pytest.param("batch_norm", "momentum", "fast", id="batch_norm-momentum-string"),
+            pytest.param("batch_norm", "initialized", None, id="batch_norm-initialized-null"),
+        ],
     )
-    def test_checkpoint_missing_field_names_file_and_field(self, tmp_path, section, field):
+    def test_checkpoint_missing_field_names_file_and_field(self, tmp_path, section, field, value):
         import json
 
         path = tmp_path / "model.json"
         M.save_checkpoint(tiny_model(), path)
         doc = json.loads(path.read_text())
-        del (doc[section] if section else doc)[field]
+        where = doc[section] if section else doc
+        if value is _DELETE:
+            del where[field]
+        else:
+            where[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as info:
             M.load_checkpoint(path)

@@ -118,7 +118,7 @@ class TestAdaptTarget:
         assert adapted.bn_mean.tobytes() == model.bn_mean.tobytes()
         assert adapted.bn_var.tobytes() == model.bn_var.tobytes()
         # the feature extractor did move
-        assert adapted.enc_w1.data.tobytes() != model.enc_w1.data.tobytes()
+        assert adapted.tensors["enc_w1"].data.tobytes() != model.tensors["enc_w1"].data.tobytes()
 
     def test_last_layer_only_scope(self, trained):
         cfg, _, target, model, _ = trained
@@ -127,7 +127,7 @@ class TestAdaptTarget:
             model.head_parameters("last_layer_only"), adapted.head_parameters("last_layer_only")
         ):
             assert a.data.tobytes() == b.data.tobytes(), name
-        assert adapted.bot_w.data.tobytes() != model.bot_w.data.tobytes()
+        assert adapted.tensors["bot_w"].data.tobytes() != model.tensors["bot_w"].data.tobytes()
 
     def test_unlabeled_target_gives_same_checkpoint(self, trained, tmp_path):
         cfg, _, target, model, _ = trained
@@ -357,12 +357,14 @@ class TestWholeModelGradient:
         overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, VARIANTS["full"].sites)
         overall_logits = M.classify(overall, model, mode="train")
         preds = losses.make_prediction_set(pc_logits, overall_logits)
-        fc = losses.feature_consistency_total(lts, w.lam, w.eps_norm)
-        pc = losses.prediction_consistency(preds, w.alpha_local, w.alpha_overall)
-        tc = losses.temporal_consistency(fc, pc, w.beta_fc, w.beta_pc)
-        im = losses.information_maximization(overall_logits)
-        ce = losses.pseudo_label_cross_entropy(overall_logits, pseudo)
-        return tc * w.beta_tc + im * w.beta_im + ce * w.beta_ce
+        components = {
+            "fc": losses.feature_consistency_total(lts, w.lam, w.eps_norm),
+            "pc_local": losses.local_prediction_consistency(preds),
+            "pc_overall": losses.overall_prediction_consistency(preds),
+            "im": losses.information_maximization(overall_logits),
+            "pl_ce": losses.pseudo_label_cross_entropy(overall_logits, pseudo),
+        }
+        return P._weighted_sum(VARIANTS["full"].objective, components, w)
 
     def test_full_variant_loss_gradients(self):
         model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
@@ -376,24 +378,17 @@ class TestWholeModelGradient:
         lts = M.local_temporal_features(enc, clips, model)
         weights = lwm.local_relevance_weight([M.classify(lt, model, mode="train") for lt in lts])
 
-        def slot(name):
-            if name.startswith("rel"):
-                r = int(name[3:-3])
-                w1, b1, w2, b2 = model.relation[r]
-                return w1, lambda t: model.relation.__setitem__(r, (t, b1, w2, b2))
-            return getattr(model, name), lambda t: setattr(model, name, t)
-
         names = ["enc_w1"] + [f"rel{r}_w1" for r in range(2, 5)] + ["wn_v"]
         for name in names:
-            original, put = slot(name)
+            original = model.tensors[name]
             # probe the first two columns; the rest of the matrix stays fixed
             rest = Tensor(original.data[:, 2:])
 
             def f(x):
-                put(concat([x, rest], axis=1))
+                model.tensors[name] = concat([x, rest], axis=1)
                 return self.full_variant_loss(model, frames, clips, weights, pseudo, w)
 
             report = finite_diff_check(f, Tensor(original.data[:, :2]), rel_tol=1e-4)
-            put(original)
+            model.tensors[name] = original
             assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
             assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
