@@ -8,6 +8,13 @@ maximization, and centroid pseudo-labels — all against a frozen source
 classifier.
 """
 
+import os
+
+# One BLAS thread: a second does not speed up matrices this small. It only takes effect
+# where sfvda loads before numpy (each CLI process, not pytest); a preset value is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .config import RunConfig, parse_config, emit_config, load_config
 from .data import Dataset, DomainSpec, VideoSample, batch_iterator, generate_domain_pair, read_dataset, write_dataset
 from .losses import LossWeights

@@ -3,8 +3,8 @@
 Every command exits 0 on success and prints one machine-parsable
 ``error: ...`` line to stderr otherwise. Config precedence is inline
 ``--set key=value`` overrides > ``--config`` file > defaults, and the
-effective config is echoed next to every output. Environment variables are
-never consulted.
+effective config is echoed next to every output. The environment counts only
+through OPENBLAS_NUM_THREADS and OMP_NUM_THREADS, which default to 1 (one BLAS thread).
 """
 
 from __future__ import annotations

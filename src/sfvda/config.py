@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 from .data import DomainSpec
 from .losses import LossWeights
-from .model import HEAD_SCOPES
+from .model import CONFIDENCE_MODES, HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
 
@@ -49,7 +49,6 @@ VARIANTS = {
     "source_only": Variant(()),
 }
 FREEZE_SCOPES = tuple(HEAD_SCOPES)
-CONFIDENCE_MODES = ("normalized", "raw")
 WEIGHT_TARGETS = ("logits", "probabilities")
 
 

@@ -80,20 +80,22 @@ class ClipIndexSet:
         for r, tuples in self.clips.items():
             if not tuples:
                 raise ValueError(f"ClipIndexSet: scale {r} has no clips")
-            if len(set(tuples)) != len(tuples):
+            distinct = set(tuples)
+            if len(distinct) != len(tuples):
                 raise ValueError(f"ClipIndexSet: duplicate clip at scale {r}")
-            for tup in tuples:
-                if len(tup) != r:
-                    raise ValueError(f"ClipIndexSet: tuple {tup} is not of length {r}")
-                if any(not 0 <= i < self.k for i in tup):
-                    raise ValueError(f"ClipIndexSet: index out of range in {tup}")
-                if any(b <= a for a, b in zip(tup, tup[1:])):
-                    raise ValueError(f"ClipIndexSet: tuple {tup} is not strictly increasing")
+            if not distinct <= _combination_set(self.k, r):
+                bad = next(tup for tup in tuples if tup not in _combination_set(self.k, r))
+                raise ValueError(f"ClipIndexSet: {bad} is not a strictly increasing {r}-tuple in [0, {self.k})")
 
 
 @functools.cache
 def _combinations(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(k), r))
+
+
+@functools.cache
+def _combination_set(k: int, r: int) -> frozenset:
+    return frozenset(_combinations(k, r))
 
 
 def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> ClipIndexSet:
@@ -130,6 +132,8 @@ def eval_clip_set(video_id: str, k: int, m_max: int) -> ClipIndexSet:
 
 # head parameter name prefixes per freeze scope
 HEAD_SCOPES = {"head_all": ("bot_", "bn_", "wn_"), "last_layer_only": ("wn_",)}
+AGGREGATIONS = ("mean", "entropy_weighted")
+CONFIDENCE_MODES = ("normalized", "raw")
 
 
 @dataclass
@@ -164,15 +168,8 @@ class ModelParams:
             raise ValueError(f"unknown freeze scope {scope!r}")
         return [(name, t) for name, t in self.tensors.items() if name.startswith(HEAD_SCOPES[scope])]
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.tensors.values())
-
     def trainable_parameters(self) -> list[Tensor]:
-        return [t for t in self.parameters() if t.requires_grad]
-
-    def zero_grad(self) -> None:
-        for t in self.parameters():
-            t.grad = None
+        return [t for t in self.tensors.values() if t.requires_grad]
 
     def freeze_head(self, scope: str = "head_all") -> None:
         for _, t in self.head_parameters(scope):
@@ -436,8 +433,11 @@ def load_checkpoint(path) -> ModelParams:
         for attr, key in _HYPERPARAMS.items()
     }
     params = init_model(**dims, seed=_int_field(doc, "rng_seed", path, "", 0))
-    params.aggregation = doc.get("aggregation", "mean")
-    params.confidence_mode = doc.get("confidence_mode", "normalized")
+    for attr, choices in (("aggregation", AGGREGATIONS), ("confidence_mode", CONFIDENCE_MODES)):
+        value = doc.get(attr, getattr(params, attr))
+        if value not in choices:
+            raise ValueError(f"{path}: checkpoint field {attr!r} must be one of {choices}, got {value!r}")
+        setattr(params, attr, value)
     raw = _field(doc, "parameters", path)
     for name, t in params.tensors.items():
         t.data = _array_field(raw, name, path, "parameters.", t.data.shape)

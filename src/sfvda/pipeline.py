@@ -9,7 +9,7 @@ bitwise after every run. All randomness derives from the config seed, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +73,11 @@ class SGD:
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
-            g = p.grad + self.weight_decay * p.data
+            g = self.weight_decay * p.data
+            g += p.grad
             v *= self.momentum
             v += g
-            p.data = p.data - self.lr * v
+            p.data -= np.multiply(v, self.lr, out=g)
 
 
 @dataclass
@@ -117,6 +118,7 @@ def write_metrics(rows: list[MetricsRow], path) -> None:
 class EvalResult:
     accuracy: float
     per_class: dict[int, tuple[int, int]]
+    eval_pass: tuple = field(repr=False)  # (overall features, logits), dataset order
 
 
 def check_compatible(params: ModelParams, ds: Dataset) -> None:
@@ -180,13 +182,13 @@ def evaluate(model: ModelParams, ds: Dataset, batch_size: int = EVAL_BATCH) -> E
     if labels is None:
         raise ValueError("evaluate: dataset has no labels")
     check_compatible(model, ds)
-    _, logits = _full_eval_pass(model, ds, batch_size)
-    predicted = np.argmax(logits, axis=1)
+    eval_pass = _full_eval_pass(model, ds, batch_size)
+    predicted = np.argmax(eval_pass[1], axis=1)
     per_class: dict[int, tuple[int, int]] = {}
     for c in range(ds.n_classes):
         mask = labels == c
         per_class[c] = (int((predicted[mask] == c).sum()), int(mask.sum()))
-    return EvalResult(accuracy=float((predicted == labels).mean()), per_class=per_class)
+    return EvalResult(float((predicted == labels).mean()), per_class, eval_pass)
 
 
 def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
@@ -306,10 +308,11 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
         model.aggregation = "mean"
 
     rows: list[MetricsRow] = []
+    last_eval = None  # the previous epoch's evaluation, of the model as it still is
     for epoch in range(1, cfg.epochs_adapt + 1):
         pseudo, pl_acc = None, None
         if use_pl:
-            feats, logits_all = _full_eval_pass(model, target)
+            feats, logits_all = _full_eval_pass(model, target) if last_eval is None else last_eval.eval_pass
             pseudo = pseudolabel.generate_pseudo_labels(feats, logits_all, rounds=cfg.pl_rounds)
             if labels is not None:
                 pl_acc = float((pseudo == labels).mean())
@@ -366,12 +369,12 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             sums["total"] += total_v
             n_batches += 1
 
-        acc = evaluate(model, target).accuracy if labels is not None else None
+        last_eval = evaluate(model, target) if labels is not None else None
         denom = max(1, n_batches)
         rows.append(
             MetricsRow(
                 epoch=epoch,
-                accuracy=acc,
+                accuracy=None if last_eval is None else last_eval.accuracy,
                 pl_accuracy=pl_acc,
                 **{name: value / denom for name, value in sums.items()},
             )
@@ -390,25 +393,20 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
     if level not in ("local", "overall"):
         raise ValueError(f"export_embeddings: unknown level {level!r}")
     check_compatible(model, ds)
-    dim = model.d
     with open(path, "w") as fh:
-        fh.write("id,scale,label," + ",".join(f"f{i}" for i in range(dim)) + "\n")
+        fh.write("id,scale,label," + ",".join(f"f{i}" for i in range(model.d)) + "\n")
         with no_grad():
             for start in range(0, len(ds), EVAL_BATCH):
                 picked = ds.samples[start : start + EVAL_BATCH]
                 lts = _eval_local_features(model, picked)
                 if level == "local":
-                    for row, sample in enumerate(picked):
-                        label = "" if sample.label is None else str(sample.label)
-                        for scale_idx, lt in enumerate(lts):
-                            values = ",".join(repr(float(x)) for x in lt.data[row])
-                            fh.write(f"{sample.id},{scale_idx + 2},{label},{values}\n")
+                    columns = [(str(r), lt.data.tolist()) for r, lt in enumerate(lts, start=2)]
                 else:
-                    overall, _ = _overall_eval_logits(model, lts)
-                    for row, sample in enumerate(picked):
-                        label = "" if sample.label is None else str(sample.label)
-                        values = ",".join(repr(float(x)) for x in overall.data[row])
-                        fh.write(f"{sample.id},overall,{label},{values}\n")
+                    columns = [("overall", _overall_eval_logits(model, lts)[0].data.tolist())]
+                for row, sample in enumerate(picked):
+                    label = "" if sample.label is None else str(sample.label)
+                    for scale_name, values in columns:
+                        fh.write(f"{sample.id},{scale_name},{label},{','.join(map(repr, values[row]))}\n")
 
 
 def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):
@@ -426,8 +424,9 @@ def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):
         source, target = generate_domain_pair(run_cfg.domain_spec())
         source_model, _ = train_source(source, run_cfg)
         for variant in variants:
-            adapted, _ = adapt_target(source_model, target, replace(run_cfg, variant=variant))
-            results[variant][seed] = evaluate(adapted, target).accuracy
+            adapted, rows = adapt_target(source_model, target, replace(run_cfg, variant=variant))
+            # the last epoch already evaluated the returned model on target
+            results[variant][seed] = rows[-1].accuracy if rows else evaluate(adapted, target).accuracy
     return results
 
 

@@ -521,8 +521,13 @@ def gather_concat(frames, idx: np.ndarray) -> Tensor:
     d = stacked.shape[-1]
 
     def vjp(g):
+        # per clip position, each (frame, row) gets one add, in np.add.at's order
+        g = g.reshape(picked.shape)
         buf = np.zeros_like(stacked)
-        np.add.at(buf, (idx, rows), g.reshape(picked.shape))
+        columns = np.arange(batch)
+        for pos in np.ndindex(idx.shape[1:]):
+            at = (slice(None), *pos)
+            buf[idx[at], columns] += g[at]
         return tuple(buf)
 
     return Tensor._from_op(picked.reshape(-1, r * d), "gather_concat", tuple(frames), vjp)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ class TestSampleClips:
             M.ClipIndexSet(k=3, clips={2: [(1, 0)], 3: [(0, 1, 2)]})
         with pytest.raises(ValueError):
             M.ClipIndexSet(k=3, clips={2: [(0, 1), (0, 1)], 3: [(0, 1, 2)]})
+
+    @pytest.mark.parametrize(
+        "bad", [(1, 0), (0, 3), (0,), (0, 1, 2), (-1, 1)], ids=["decreasing", "range", "short", "long", "negative"]
+    )
+    def test_invalid_tuple_is_named(self, bad):
+        with pytest.raises(ValueError, match=f"ClipIndexSet: {re.escape(str(bad))} is not"):
+            M.ClipIndexSet(k=3, clips={2: [(0, 1), bad, (0, 2)], 3: [(0, 1, 2)]})
 
     def test_eval_clip_set_per_video_determinism(self):
         a = M.eval_clip_set("target-c00-v0001", 5, 3)

@@ -139,6 +139,23 @@ class TestAdaptTarget:
         digest_b = hashlib.sha256((tmp_path / "b.json").read_bytes()).hexdigest()
         assert digest_a == digest_b
 
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_one_eval_pass_per_epoch(self, trained, monkeypatch, labeled):
+        # pseudo-labels reuse the previous epoch's evaluation; only the
+        # first epoch, or a target without labels, needs a pass of its own
+        cfg, _, target, model, _ = trained
+        calls = []
+        original = P._full_eval_pass
+        monkeypatch.setattr(P, "_full_eval_pass", lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        _, rows = P.adapt_target(model, target if labeled else target.without_labels(), cfg)
+        assert len(calls) == cfg.epochs_adapt + (1 if labeled else 0)
+        assert len(rows) == cfg.epochs_adapt
+
+    def test_last_row_accuracy_is_that_of_the_returned_model(self, trained):
+        cfg, _, target, model, _ = trained
+        adapted, rows = P.adapt_target(model, target, cfg)
+        assert rows[-1].accuracy == P.evaluate(adapted, target).accuracy
+
     def test_objective_decomposition(self, trained):
         cfg, _, target, model, _ = trained
         w = cfg.loss_weights()
@@ -229,6 +246,27 @@ class TestAdaptTarget:
         _, other_target = generate_domain_pair(other_cfg.domain_spec())
         with pytest.raises(ValueError, match="d_in"):
             P.adapt_target(model, other_target, cfg)
+
+
+class TestSGD:
+    def test_step_matches_the_update_formula_bitwise(self):
+        rng = np.random.default_rng(4)
+        p = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+        opt = P.SGD([p], lr=0.03, momentum=0.9, weight_decay=1e-3)
+        data, velocity = p.data.copy(), np.zeros_like(p.data)
+        for _ in range(4):
+            p.grad = rng.normal(size=p.shape)
+            velocity = 0.9 * velocity + (p.grad + 1e-3 * data)
+            data = data - 0.03 * velocity
+            opt.step()
+            assert p.data.tobytes() == data.tobytes()
+            assert opt.velocity[0].tobytes() == velocity.tobytes()
+
+    def test_parameter_without_gradient_is_skipped(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        opt = P.SGD([p], lr=0.1, weight_decay=0.5)
+        opt.step()
+        assert np.array_equal(p.data, np.ones(3))
 
 
 class TestEvaluate:
