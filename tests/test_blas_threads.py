@@ -83,3 +83,14 @@ def test_thread_count_changes_no_output_byte(tmp_path):
     two = run_flow(tmp_path / "two", {**UNSET, "OPENBLAS_NUM_THREADS": "2"})
     for name in FLOW_OUTPUTS:
         assert one[name] == two[name], f"{name} differs between one and two BLAS threads"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_pytest_process_runs_numpy_on_one_thread():
+    # tests/conftest.py sets the variables before any test module loads
+    # numpy, so the in-process tests (the criterion-5 grid among them) do
+    # not pay for a second BLAS thread spinning on small matrices
+    import numpy as np
+
+    np.ones((64, 64)) @ np.ones((64, 64))
+    assert len(os.listdir("/proc/self/task")) == 1
