@@ -37,7 +37,6 @@ from .tensor import (
     relu,
     reshape,
     scale,
-    slice_rows,
     sqrt,
     square,
     sub,
@@ -240,11 +239,11 @@ def _mlp2(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     return add(matmul(hidden, t[f"{prefix}_w2"]), t[f"{prefix}_b2"])
 
 
-def encode_frames(frames: np.ndarray, params: ModelParams) -> list[Tensor]:
-    """Encode a (B, k, d_in) batch into k per-frame (B, d_enc) tensors.
+def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
+    """Encode a (B, k, d_in) batch as one frame-major (k*B, d_enc) tensor.
 
-    All B*k frames go through the encoder as one frame-major matrix, whose
-    row block j is frame j of every video.
+    All B*k frames go through the encoder as one matrix, whose row j*B + b
+    is frame j of video b.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1] != params.k or frames.shape[2] != params.d_in:
@@ -253,8 +252,7 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> list[Tensor]:
         )
     batch = frames.shape[0]
     stacked = Tensor(frames.transpose(1, 0, 2).reshape(params.k * batch, params.d_in))
-    enc = _mlp2(stacked, params, "enc")
-    return [slice_rows(enc, j * batch, (j + 1) * batch) for j in range(params.k)]
+    return _mlp2(stacked, params, "enc")
 
 
 def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
@@ -272,11 +270,10 @@ def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
     return {r: np.array([c.clips[r] for c in clip_list]) for r in range(2, k + 1)}
 
 
-def local_temporal_features(
-    encodings: list[Tensor], clips, params: ModelParams
-) -> list[Tensor]:
+def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> list[Tensor]:
     """One local temporal feature per scale: sum over the scale's clips of the
     relation MLP applied to the clip's frame encodings in temporal order.
+    ``encodings`` is the frame-major output of ``encode_frames``.
 
     ``clips`` is either one ClipIndexSet shared by the batch (training) or a
     sequence with one ClipIndexSet per video (evaluation). Returns a list of
@@ -284,7 +281,7 @@ def local_temporal_features(
     gathers all B*M_r clip inputs into one matrix and runs its relation MLP
     once.
     """
-    batch = encodings[0].shape[0]
+    batch = encodings.shape[0] // params.k
     index_arrays = _clip_index_arrays(clips, batch, params.k)
     features = []
     for r in range(2, params.k + 1):

@@ -44,7 +44,6 @@ __all__ = [
     "tensor_sum",
     "transpose",
     "reshape",
-    "slice_rows",
     "gather_concat",
     "GradCheckReport",
     "finite_diff_check",
@@ -486,51 +485,37 @@ def reshape(a: Tensor, shape) -> Tensor:
     return Tensor._from_op(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows ``start:stop`` of ``a``; the gradient lands in those rows only."""
-    if not 0 <= start < stop <= a.shape[0]:
-        raise ValueError(f"slice_rows: rows {start}:{stop} out of range for shape {a.shape}")
+def gather_concat(a: Tensor, idx: np.ndarray) -> Tensor:
+    """Concatenate per-row frame selections from a frame-major tensor.
 
-    def vjp(g):
-        buf = np.zeros_like(a.data)
-        buf[start:stop] = g
-        return (buf,)
-
-    return Tensor._from_op(a.data[start:stop], "slice_rows", (a,), vjp)
-
-
-def gather_concat(frames, idx: np.ndarray) -> Tensor:
-    """Concatenate per-row selections from a list of equally shaped tensors.
-
-    ``frames`` is a sequence of (B, d) tensors (one per frame position).
-    With ``idx`` an int array (B, r), row b of the result is the
-    concatenation frames[idx[b,0]][b], ..., frames[idx[b,r-1]][b], giving
-    shape (B, r*d). With ``idx`` of shape (B, M, r) every video contributes
-    M such rows, row b*M + m built from idx[b, m], giving shape (B*M, r*d).
+    ``a`` is (n_frames*B, d) with row j*B + b holding frame j of row b. With
+    ``idx`` an int array (B, r), row b of the result is the concatenation
+    of frames idx[b,0], ..., idx[b,r-1] of row b, giving shape (B, r*d).
+    With ``idx`` of shape (B, M, r) every row contributes M such rows, row
+    b*M + m built from idx[b, m], giving shape (B*M, r*d).
     """
-    frames = list(frames)
     idx = np.asarray(idx)
     if idx.ndim not in (2, 3):
         raise ValueError(f"gather_concat: expected (B, r) or (B, M, r) indices, got {idx.shape}")
     batch, r = idx.shape[0], idx.shape[-1]
-    stacked = np.stack([f.data for f in frames], axis=0)
-    if idx.min() < 0 or idx.max() >= len(frames):
+    if a.data.ndim != 2 or a.shape[0] % batch:
+        raise ValueError(f"gather_concat: shape {a.shape} is not frame-major for a batch of {batch}")
+    if idx.min() < 0 or idx.max() >= a.shape[0] // batch:
         raise ValueError("gather_concat: frame index out of range")
-    rows = np.arange(batch).reshape((batch,) + (1,) * (idx.ndim - 1))
-    picked = stacked[idx, rows]  # idx.shape + (d,)
-    d = stacked.shape[-1]
+    rows = idx * batch + np.arange(batch).reshape((batch,) + (1,) * (idx.ndim - 1))
+    picked = a.data[rows]  # idx.shape + (d,)
+    d = a.shape[1]
 
     def vjp(g):
-        # per clip position, each (frame, row) gets one add, in np.add.at's order
+        # per clip position, each source row gets one add, in np.add.at's order
         g = g.reshape(picked.shape)
-        buf = np.zeros_like(stacked)
-        columns = np.arange(batch)
+        buf = np.zeros_like(a.data)
         for pos in np.ndindex(idx.shape[1:]):
             at = (slice(None), *pos)
-            buf[idx[at], columns] += g[at]
-        return tuple(buf)
+            buf[rows[at]] += g[at]
+        return (buf,)
 
-    return Tensor._from_op(picked.reshape(-1, r * d), "gather_concat", tuple(frames), vjp)
+    return Tensor._from_op(picked.reshape(-1, r * d), "gather_concat", (a,), vjp)
 
 
 # -- gradient checking ---------------------------------------------------------------

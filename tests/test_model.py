@@ -15,6 +15,11 @@ def tiny_model(k=3, d_in=4, n_classes=3, seed=0, **kw):
     return M.init_model(k=k, d_in=d_in, n_classes=n_classes, seed=seed, **kw)
 
 
+def per_frame(enc, k=3):
+    """The frame-major (k*B, d) encoder output as k per-frame (B, d) arrays."""
+    return enc.data.reshape(k, -1, enc.shape[1])
+
+
 class TestSampleClips:
     def test_k3_is_exhaustive_at_top_scale(self):
         clips = M.sample_clips(3, 3, np.random.default_rng(0))
@@ -74,27 +79,27 @@ class TestEncoder:
         params.tensors["enc_w2"] = Tensor(w2, requires_grad=True)
         params.tensors["enc_b2"] = Tensor(np.zeros(4), requires_grad=True)
         frames = np.abs(np.random.default_rng(0).normal(size=(2, 3, 4)))
-        enc = M.encode_frames(frames, params)
+        enc = per_frame(M.encode_frames(frames, params))
         for j in range(3):
-            assert np.allclose(enc[j].data, frames[:, j], atol=1e-12)
+            assert np.allclose(enc[j], frames[:, j], atol=1e-12)
 
     def test_equal_frames_equal_encodings(self):
         params = tiny_model()
         frame = np.random.default_rng(1).normal(size=4)
         frames = np.stack([np.stack([frame, frame, frame])])
-        enc = M.encode_frames(frames, params)
-        assert np.array_equal(enc[0].data, enc[1].data)
-        assert np.array_equal(enc[1].data, enc[2].data)
+        enc = per_frame(M.encode_frames(frames, params))
+        assert np.array_equal(enc[0], enc[1])
+        assert np.array_equal(enc[1], enc[2])
 
     def test_matches_scripted_forward(self):
         params = tiny_model(seed=9)
         frames = np.random.default_rng(2).normal(size=(3, 3, 4))
-        enc = M.encode_frames(frames, params)
+        enc = per_frame(M.encode_frames(frames, params))
         t = params.tensors
         for j in range(3):
             h = np.maximum(frames[:, j] @ t["enc_w1"].data + t["enc_b1"].data, 0.0)
             expected = h @ t["enc_w2"].data + t["enc_b2"].data
-            assert np.max(np.abs(enc[j].data - expected)) < 1e-12
+            assert np.max(np.abs(enc[j] - expected)) < 1e-12
 
     def test_dimension_mismatch(self):
         params = tiny_model()
@@ -115,7 +120,7 @@ class TestLocalTemporalFeatures:
         frames = np.random.default_rng(3).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         lts = M.local_temporal_features(enc, clips, params)
-        enc_np = np.stack([e.data for e in enc], axis=1)
+        enc_np = per_frame(enc).transpose(1, 0, 2)
         clip_in = np.concatenate([enc_np[:, 0], enc_np[:, 2]], axis=1)
         assert np.max(np.abs(lts[0].data - scripted_relation(params, 2, clip_in))) < 1e-12
 
@@ -135,7 +140,7 @@ class TestLocalTemporalFeatures:
         frames = np.random.default_rng(5).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         lts = M.local_temporal_features(enc, clips, params)
-        enc_np = np.stack([e.data for e in enc], axis=1)
+        enc_np = per_frame(enc).transpose(1, 0, 2)
         first = scripted_relation(params, 2, np.concatenate([enc_np[:, 0], enc_np[:, 1]], axis=1))
         second = scripted_relation(params, 2, np.concatenate([enc_np[:, 1], enc_np[:, 2]], axis=1))
         assert np.max(np.abs(lts[0].data - (first + second))) < 1e-12
@@ -149,7 +154,7 @@ class TestLocalTemporalFeatures:
             M.ClipIndexSet(k=3, clips={2: [(1, 2)], 3: [(0, 1, 2)]}),
         ]
         lts = M.local_temporal_features(enc, per_video, params)
-        enc_np = np.stack([e.data for e in enc], axis=1)
+        enc_np = per_frame(enc).transpose(1, 0, 2)
         want0 = scripted_relation(params, 2, np.concatenate([enc_np[:1, 0], enc_np[:1, 1]], axis=1))
         want1 = scripted_relation(params, 2, np.concatenate([enc_np[1:, 1], enc_np[1:, 2]], axis=1))
         assert np.max(np.abs(lts[0].data[0] - want0[0])) < 1e-12
