@@ -364,14 +364,19 @@ _HYPERPARAMS = {
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a versioned JSON checkpoint; floats round-trip exactly."""
+    """Write a versioned JSON checkpoint; floats round-trip exactly.
+
+    The bytes are ``json.dumps(doc, sort_keys=True)`` plus a newline, written
+    one top-level field and one parameter at a time, so only one parameter's
+    list of floats is alive at once.
+    """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "hyperparams": {key: getattr(params, attr) for attr, key in _HYPERPARAMS.items()},
         "aggregation": params.aggregation,
         "confidence_mode": params.confidence_mode,
         "rng_seed": params.seed,
-        "parameters": {name: t.data.tolist() for name, t in params.named_parameters()},
+        "parameters": params.tensors,
         "batch_norm": {
             "running_mean": params.bn_mean.tolist(),
             "running_var": params.bn_var.tolist(),
@@ -380,8 +385,16 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        for i, key in enumerate(sorted(doc)):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if key != "parameters":
+                fh.write(json.dumps(doc[key], sort_keys=True))
+                continue
+            for j, name in enumerate(sorted(params.tensors)):
+                values = json.dumps(params.tensors[name].data.tolist())
+                fh.write(("{" if j == 0 else ", ") + json.dumps(name) + ": " + values)
+            fh.write("}")
+        fh.write("}\n")
 
 
 def _field(mapping, name: str, path, where: str = ""):

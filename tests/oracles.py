@@ -4,7 +4,13 @@ Written with plain Python loops and math so they share no code path with
 the library implementations they check.
 """
 
+import json
 import math
+
+
+def json_checkpoint_text(doc):
+    """The checkpoint bytes as the one-shot encoder writes them."""
+    return json.dumps(doc, sort_keys=True) + "\n"
 
 
 def brute_force_pseudo_labels(features, logits, rounds=1, eps=1e-8):

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import json_checkpoint_text
 from sfvda import model as M
 from sfvda.tensor import Tensor, no_grad
 
@@ -307,6 +308,28 @@ class TestModelState:
         message = str(info.value)
         assert str(path) in message
         assert (f"{section}.{field}" if section else field) in message
+
+    def test_checkpoint_bytes_equal_the_one_shot_encoder(self, tmp_path):
+        params = tiny_model(k=4, d_in=5, n_classes=3, seed=8)
+        M.classify(Tensor(np.random.default_rng(3).normal(size=(4, params.d))), params, mode="train")
+        doc = {
+            "format_version": M.CHECKPOINT_FORMAT_VERSION,
+            "hyperparams": {"k": 4, "d_in": 5, "d_enc": params.d_enc, "d": params.d, "d_b": params.d_b,
+                            "C": 3, "M_max": params.m_max},
+            "aggregation": params.aggregation,
+            "confidence_mode": params.confidence_mode,
+            "rng_seed": 8,
+            "parameters": {name: t.data.tolist() for name, t in params.named_parameters()},
+            "batch_norm": {
+                "running_mean": params.bn_mean.tolist(),
+                "running_var": params.bn_var.tolist(),
+                "initialized": True,
+                "momentum": params.bn_momentum,
+            },
+        }
+        path = tmp_path / "model.json"
+        M.save_checkpoint(params, path)
+        assert path.read_text() == json_checkpoint_text(doc)
 
     def test_checkpoint_version_check(self, tmp_path):
         params = tiny_model()
