@@ -48,6 +48,7 @@ from .tensor import (
 __all__ = [
     "ClipIndexSet",
     "ModelParams",
+    "parameter_layout",
     "init_model",
     "sample_clips",
     "eval_clip_set",
@@ -184,6 +185,39 @@ class ModelParams:
         )
 
 
+def parameter_layout(
+    k: int, d_in: int, n_classes: int, d_enc: int, d: int, d_b: int, m_max: int
+):
+    """Yield (name, shape, init) for every parameter in ``init_model``'s draw order.
+
+    The only place that names parameters. ``init`` is (bound, divisor) for a
+    uniform draw in [-bound, bound] divided by divisor, or a fill: "ones",
+    "zeros", or "row_norm" (the row norms of ``wn_v``). A generator, so a
+    reader comparing a checkpoint against it stops at the first mismatch
+    without listing, let alone allocating, the rest.
+    """
+
+    def affine(prefix: str, layer, fan_in: int, fan_out: int, divisor: int = 1):
+        bound = 1.0 / math.sqrt(fan_in)
+        yield f"{prefix}_w{layer}", (fan_in, fan_out), (bound, divisor)
+        yield f"{prefix}_b{layer}", (fan_out,), (bound, divisor)
+
+    yield from affine("enc", 1, d_in, ENCODER_HIDDEN)
+    yield from affine("enc", 2, ENCODER_HIDDEN, d_enc)
+    for r in range(2, k + 1):
+        yield from affine(f"rel{r}", 1, r * d_enc, RELATION_HIDDEN)
+        # local features sum over min(m_max, C(k, r)) clips; scaling the
+        # output layer by that count starts every scale at a comparable
+        # magnitude, so the shared head reads all of them sensibly
+        yield from affine(f"rel{r}", 2, RELATION_HIDDEN, d, min(m_max, math.comb(k, r)))
+    yield from affine("bot", "", d, d_b)
+    yield "bn_gamma", (d_b,), "ones"
+    yield "bn_beta", (d_b,), "zeros"
+    yield "wn_v", (n_classes, d_b), (1.0 / math.sqrt(d_b), 1)
+    yield "wn_g", (n_classes, 1), "row_norm"
+    yield "wn_b", (n_classes,), "zeros"
+
+
 def init_model(
     k: int,
     d_in: int,
@@ -194,43 +228,25 @@ def init_model(
     m_max: int = 3,
     seed: int = 0,
 ) -> ModelParams:
-    """Uniform fan-in initialization of every layer from one seed.
-
-    The only place that names parameters; the draw order fixes every seeded
-    byte.
-    """
+    """Uniform fan-in initialization of every layer from one seed, drawn in
+    ``parameter_layout`` order, which fixes every seeded byte."""
     if k < 3:
         raise ValueError(f"init_model: need k >= 3, got {k}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    dims = dict(k=k, d_in=d_in, n_classes=n_classes, d_enc=d_enc, d=d, d_b=d_b, m_max=m_max)
     tensors: dict[str, Tensor] = {}
-
-    def affine(prefix: str, layer, fan_in: int, fan_out: int, divisor: int = 1) -> None:
-        bound = 1.0 / math.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-        b = rng.uniform(-bound, bound, size=fan_out)
-        tensors[f"{prefix}_w{layer}"] = Tensor(w / divisor, requires_grad=True)
-        tensors[f"{prefix}_b{layer}"] = Tensor(b / divisor, requires_grad=True)
-
-    affine("enc", 1, d_in, ENCODER_HIDDEN)
-    affine("enc", 2, ENCODER_HIDDEN, d_enc)
-    for r in range(2, k + 1):
-        affine(f"rel{r}", 1, r * d_enc, RELATION_HIDDEN)
-        # local features sum over min(m_max, C(k, r)) clips; scaling the
-        # output layer by that count starts every scale at a comparable
-        # magnitude, so the shared head reads all of them sensibly
-        affine(f"rel{r}", 2, RELATION_HIDDEN, d, min(m_max, math.comb(k, r)))
-    affine("bot", "", d, d_b)
-    tensors["bn_gamma"] = Tensor(np.ones(d_b), requires_grad=True)
-    tensors["bn_beta"] = Tensor(np.zeros(d_b), requires_grad=True)
-    bound = 1.0 / math.sqrt(d_b)
-    v = rng.uniform(-bound, bound, size=(n_classes, d_b))
-    tensors["wn_v"] = Tensor(v, requires_grad=True)
-    tensors["wn_g"] = Tensor(np.linalg.norm(v, axis=1, keepdims=True), requires_grad=True)
-    tensors["wn_b"] = Tensor(np.zeros(n_classes), requires_grad=True)
-    return ModelParams(
-        k=k, d_in=d_in, d_enc=d_enc, d=d, d_b=d_b, n_classes=n_classes, m_max=m_max, seed=seed,
-        tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b),
-    )
+    for name, shape, init in parameter_layout(**dims):
+        if init == "ones":
+            data = np.ones(shape)
+        elif init == "zeros":
+            data = np.zeros(shape)
+        elif init == "row_norm":
+            data = np.linalg.norm(tensors["wn_v"].data, axis=1, keepdims=True)
+        else:
+            bound, divisor = init
+            data = rng.uniform(-bound, bound, size=shape) / divisor
+        tensors[name] = Tensor(data, requires_grad=True)
+    return ModelParams(**dims, seed=seed, tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b))
 
 
 def _mlp2(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
@@ -427,8 +443,9 @@ def _array_field(mapping, name: str, path, where: str, shape: tuple) -> np.ndarr
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint into an ``init_model`` template of its hyperparams;
-    every tensor must match the template's shape and be finite."""
+    """Read a checkpoint, comparing each stored parameter against the name and
+    shape its hyperparams give in ``parameter_layout`` before converting it;
+    nothing is drawn, and every tensor must be finite."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -442,20 +459,29 @@ def load_checkpoint(path) -> ModelParams:
         attr: _int_field(hp, key, path, "hyperparams.", 3 if key == "k" else 1)
         for attr, key in _HYPERPARAMS.items()
     }
-    params = init_model(**dims, seed=_int_field(doc, "rng_seed", path, "", 0))
+    seed = _int_field(doc, "rng_seed", path, "", 0)
+    strings = {}
     for attr, choices in (("aggregation", AGGREGATIONS), ("confidence_mode", CONFIDENCE_MODES)):
-        value = doc.get(attr, getattr(params, attr))
-        if value not in choices:
-            raise ValueError(f"{path}: checkpoint field {attr!r} must be one of {choices}, got {value!r}")
-        setattr(params, attr, value)
+        strings[attr] = doc.get(attr, choices[0])
+        if strings[attr] not in choices:
+            raise ValueError(f"{path}: checkpoint field {attr!r} must be one of {choices}, got {strings[attr]!r}")
     raw = _field(doc, "parameters", path)
-    for name, t in params.tensors.items():
-        t.data = _array_field(raw, name, path, "parameters.", t.data.shape)
+    tensors = {
+        name: Tensor(_array_field(raw, name, path, "parameters.", shape), requires_grad=True)
+        for name, shape, _ in parameter_layout(**dims)
+    }
+    extra = sorted(set(raw) - set(tensors))
+    if extra:
+        raise ValueError(f"{path}: checkpoint field 'parameters.{extra[0]}' is not a parameter of its hyperparams")
     bn = _field(doc, "batch_norm", path)
-    params.bn_mean = _array_field(bn, "running_mean", path, "batch_norm.", (params.d_b,))
-    params.bn_var = _array_field(bn, "running_var", path, "batch_norm.", (params.d_b,))
-    params.bn_initialized = _field(bn, "initialized", path, "batch_norm.")
-    if not isinstance(params.bn_initialized, bool):
+    running = {
+        f"bn_{stat}": _array_field(bn, f"running_{stat}", path, "batch_norm.", (dims["d_b"],))
+        for stat in ("mean", "var")
+    }
+    initialized = _field(bn, "initialized", path, "batch_norm.")
+    if not isinstance(initialized, bool):
         raise ValueError(f"{path}: checkpoint field 'batch_norm.initialized' must be true or false")
-    params.bn_momentum = float(_array_field(bn, "momentum", path, "batch_norm.", ()))
-    return params
+    momentum = float(_array_field(bn, "momentum", path, "batch_norm.", ()))
+    return ModelParams(
+        **dims, seed=seed, tensors=tensors, **running, bn_initialized=initialized, bn_momentum=momentum, **strings
+    )

@@ -197,3 +197,28 @@ def test_unknown_checkpoint_string_is_one_error_line_naming_file_and_field(works
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
     assert f"bad-{field}.ckpt.json" in lines[0] and f"'{field}'" in lines[0] and "'bogus'" in lines[0]
     assert out.stdout == ""
+
+
+def test_checkpoint_with_raised_k_is_one_error_line_before_any_model_is_drawn(workspace, monkeypatch, capsys):
+    # shapes only: the stored names and shapes are compared against the
+    # hyperparams before anything is allocated, so an edited dimension
+    # never reaches init_model (a large one would exhaust memory there)
+    from sfvda import cli
+    from sfvda import model as M
+
+    doc = json.loads((workspace / "source.ckpt.json").read_text())
+    doc["hyperparams"]["k"] += 1
+    path = workspace / "raised-k.ckpt.json"
+    path.write_text(json.dumps(doc))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew a model")
+
+    monkeypatch.setattr(M, "init_model", no_draw)
+    code = cli.main(["eval", "--model", str(path), "--data", str(workspace / "data" / "source.jsonl")])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "raised-k.ckpt.json" in lines[0] and f"'parameters.rel{doc['hyperparams']['k']}_w1'" in lines[0]
+    assert captured.out == ""

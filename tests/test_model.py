@@ -331,6 +331,17 @@ class TestModelState:
         M.save_checkpoint(params, path)
         assert path.read_text() == json_checkpoint_text(doc)
 
+    def test_checkpoint_parameter_of_other_hyperparams_is_named(self, tmp_path):
+        import json
+
+        path = tmp_path / "model.json"
+        M.save_checkpoint(tiny_model(k=4), path)
+        doc = json.loads(path.read_text())
+        doc["hyperparams"]["k"] = 3  # rel4_* now belong to no scale
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint field 'parameters.rel4_b1'")):
+            M.load_checkpoint(path)
+
     def test_checkpoint_version_check(self, tmp_path):
         params = tiny_model()
         path = tmp_path / "model.json"
