@@ -14,11 +14,12 @@ rng = np.random.default_rng(1)
 batch, dim, n_classes = 64, 8, 4
 
 # Feature consistency: identical scales score ~0, independent scales do not.
+# Scales travel as one scale-major (S*B, d) stack, scale s in rows s*B...
 shared = rng.normal(0.0, 3.0, size=(batch, dim))
-consistent = [Tensor(shared), Tensor(shared), Tensor(shared)]
-independent = [Tensor(rng.normal(0.0, 3.0, size=(batch, dim))) for _ in range(3)]
-print("feature consistency, identical scales :", f"{losses.feature_consistency_total(consistent, 5e-3, 1e-5).item():.5f}")
-print("feature consistency, independent ones :", f"{losses.feature_consistency_total(independent, 5e-3, 1e-5).item():.5f}")
+consistent = Tensor(np.concatenate([shared, shared, shared]))
+independent = Tensor(rng.normal(0.0, 3.0, size=(3 * batch, dim)))
+print("feature consistency, identical scales :", f"{losses.feature_consistency_total(consistent, 3, 5e-3, 1e-5).item():.5f}")
+print("feature consistency, independent ones :", f"{losses.feature_consistency_total(independent, 3, 5e-3, 1e-5).item():.5f}")
 
 c = losses.cross_correlation(Tensor(shared), Tensor(shared), 1e-5)
 print("self cross-correlation diagonal       :", np.round(np.diag(c.data), 4))
@@ -31,11 +32,11 @@ def prediction_consistency(preds):
 
 # Prediction consistency vanishes when every scale agrees.
 agreeing = Tensor(rng.normal(size=(batch, n_classes)))
-preds = losses.make_prediction_set([agreeing, agreeing], agreeing)
+preds = losses.make_prediction_set(Tensor(np.concatenate([agreeing.data, agreeing.data])), agreeing)
 print("prediction consistency when agreeing  :", f"{prediction_consistency(preds):.2e}")
 
 disagreeing = losses.make_prediction_set(
-    [Tensor(rng.normal(size=(batch, n_classes))) for _ in range(2)],
+    Tensor(rng.normal(size=(2 * batch, n_classes))),
     Tensor(rng.normal(size=(batch, n_classes))),
 )
 print("prediction consistency when disagreeing:", f"{prediction_consistency(disagreeing):.4f}")
@@ -43,7 +44,7 @@ print("prediction consistency when disagreeing:", f"{prediction_consistency(disa
 # Local weights: confident scales keep weight 1, uniform ones drop to 0.
 confident = np.zeros((1, n_classes)); confident[0, 2] = 40.0
 uniform = np.zeros((1, n_classes))
-w = lwm.local_relevance_weight([Tensor(confident), Tensor(uniform)], mode="normalized")
+w = lwm.local_relevance_weight(Tensor(np.concatenate([confident, uniform])), 2, mode="normalized")
 print("weights [confident, uniform] scales    :", np.round(w[0], 4))
 
 # Information maximization: log C for a uniform batch, ~0 for a balanced

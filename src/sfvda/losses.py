@@ -24,6 +24,7 @@ from .tensor import (
     matmul,
     mean,
     mul,
+    reshape,
     scale,
     softmax,
     sqrt,
@@ -80,9 +81,10 @@ class LossWeights:
 
 @dataclass
 class PredictionSet:
-    """Per-scale local logits, their logit average, and the overall logits."""
+    """Scale-major (S*B, C) local logits, their (B, C) logit average over
+    scales, and the (B, C) overall logits."""
 
-    local: list[Tensor]
+    local: Tensor
     average: Tensor
     overall: Tensor
 
@@ -151,35 +153,33 @@ def ordered_scale_pairs(k: int) -> list[tuple[int, int]]:
     return [(r1, r2) for r1 in scales for r2 in scales if r2 != r1]
 
 
-def feature_consistency_total(lts: list[Tensor], lam: float, eps_norm: float) -> Tensor:
+def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: float) -> Tensor:
     """Mean pair penalty over all ordered pairs of local-feature scales.
 
-    ``lts`` holds one (B, d) tensor per scale, index 0 being scale 2; the
-    pair count is (k-1)(k-2). One fused op: the scales are stacked side by
-    side as Z (B, S, d) and normalized together. With K_s = Z_s Z_s^T the
-    per-scale B x B Gram, the cross-correlation C_st = Z_s^T Z_t / B has
-    diagonal D[s,t,i] = sum_b Z[b,s,i] Z[b,t,i] / B and squared Frobenius
-    norm <K_s, K_t> / B^2, so the off-diagonal mass of all pairs together is
+    ``lts`` is the scale-major (S*B, d) stack of local features with
+    S = ``n_scales``, rows s*B ... (s+1)*B - 1 holding scale s+2; the pair
+    count is S(S-1). One fused op: the stack is viewed as Z (S, B, d) and
+    normalized over the batch. With K_s = Z_s Z_s^T the per-scale B x B
+    Gram, the cross-correlation C_st = Z_s^T Z_t / B has diagonal
+    D[s,t,i] = sum_b Z[s,b,i] Z[t,b,i] / B and squared Frobenius norm
+    <K_s, K_t> / B^2, so the off-diagonal mass of all pairs together is
     (||sum_s K_s||^2 - sum_s ||K_s||^2) / B^2 - sum_{s != t} ||D[s,t]||^2.
     No pair loop and no d x d matrix is formed; the VJP is closed form.
     """
-    n_scales = len(lts)
     if n_scales < 2:
         raise ValueError("feature_consistency_total: need at least two scales")
-    shape = lts[0].shape
-    for lt in lts[1:]:
-        if lt.shape != shape:
-            raise ValueError(f"feature_consistency_total: shape mismatch {shape} vs {lt.shape}")
-    batch = shape[0]
+    rows, d = lts.shape
+    if rows % n_scales:
+        raise ValueError(f"feature_consistency_total: {rows} rows do not split into {n_scales} scales")
+    batch = rows // n_scales
     if batch < 2:
         raise ValueError("feature_consistency_total: need a batch of at least 2")
-    x = np.stack([lt.data for lt in lts], axis=1)  # (B, S, d)
-    centered = x - x.mean(axis=0)
-    sigma = np.sqrt((centered * centered).mean(axis=0) + eps_norm)
-    z = centered / sigma
-    by_scale = z.transpose(1, 0, 2)  # (S, B, d)
-    by_dim = z.transpose(2, 1, 0)  # (d, S, B)
-    grams = by_scale @ by_scale.transpose(0, 2, 1)  # (S, B, B)
+    x = lts.data.reshape(n_scales, batch, d)
+    centered = x - x.mean(axis=1, keepdims=True)
+    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps_norm)
+    z = centered / sigma  # (S, B, d)
+    by_dim = z.transpose(2, 0, 1)  # (d, S, B)
+    grams = z @ z.transpose(0, 2, 1)  # (S, B, B)
     gram_sum = grams.sum(axis=0)
     diag = by_dim @ by_dim.transpose(0, 2, 1) / batch  # (d, S, S): D[s,t,i] at [i,s,t]
     pairs = 1.0 - np.eye(n_scales)
@@ -196,46 +196,46 @@ def feature_consistency_total(lts: list[Tensor], lam: float, eps_norm: float) ->
         # entry reaches Z_s and Z_t alike and the pair sum doubles it
         g_diag = -2.0 * g * (diag_dev + lam * pairs * diag)
         dz_by_dim = (2.0 / batch) * (g_diag @ by_dim)  # (d, S, B)
-        dz_by_scale = (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ by_scale)  # (S, B, d)
-        dz = dz_by_dim.transpose(2, 1, 0) + dz_by_scale.transpose(1, 0, 2)  # (B, S, d)
+        dz = dz_by_dim.transpose(1, 2, 0) + (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ z)
         # back through z = (x - mean) / sigma, both taken over the batch
-        dx = (dz - dz.mean(axis=0) - z * (dz * z).mean(axis=0)) / sigma
-        return tuple(dx[:, s] for s in range(n_scales))
+        dx = (dz - dz.mean(axis=1, keepdims=True) - z * (dz * z).mean(axis=1, keepdims=True)) / sigma
+        return (dx.reshape(rows, d),)
 
-    return Tensor._from_op(np.asarray(value), "feature_consistency_total", tuple(lts), vjp)
+    return Tensor._from_op(np.asarray(value), "feature_consistency_total", (lts,), vjp)
 
 
-def make_prediction_set(local: list[Tensor], overall: Tensor) -> PredictionSet:
-    """Bundle local logits with their arithmetic logit mean and the overall logits."""
-    if not local:
-        raise ValueError("make_prediction_set: need at least one local prediction")
-    acc = local[0]
-    for p in local[1:]:
-        acc = add(acc, p)
-    return PredictionSet(local=list(local), average=scale(acc, 1.0 / len(local)), overall=overall)
+def make_prediction_set(local: Tensor, overall: Tensor) -> PredictionSet:
+    """Bundle the scale-major (S*B, C) local logits with their per-video
+    logit mean over scales and the (B, C) overall logits."""
+    batch, n_classes = overall.shape
+    rows = local.shape[0]
+    if rows == 0 or rows % batch or local.shape[1:] != overall.shape[1:]:
+        raise ValueError(
+            f"make_prediction_set: local logits {local.shape} are not whole scale blocks of {overall.shape}"
+        )
+    n_scales = rows // batch
+    average = scale(tensor_sum(reshape(local, (n_scales, batch, n_classes)), axis=0), 1.0 / n_scales)
+    return PredictionSet(local=local, average=average, overall=overall)
 
 
 def local_prediction_consistency(preds: PredictionSet, literal: bool = False) -> Tensor:
     """Divergence of each scale's prediction from the scales' average.
 
-    Default: mean over scales and batch of KL(softmax(p_r) || softmax(p_avg)).
-    ``literal=True`` instead feeds the raw log-probability vectors through
-    the KL arithmetic (comparison mode; not a divergence between
+    Default: mean over scales and batch of KL(softmax(p_r) || softmax(p_avg)),
+    taken over the (S, B, C) view of the stack against the broadcast
+    average. ``literal=True`` instead feeds the raw log-probability vectors
+    through the KL arithmetic (comparison mode; not a divergence between
     distributions and unsafe when any class probability reaches 1).
     """
+    batch, n_classes = preds.average.shape
+    local = reshape(preds.local, (preds.local.shape[0] // batch, batch, n_classes))
     lq = log_softmax(preds.average)
-    terms = []
-    for p_r in preds.local:
-        lp = log_softmax(p_r)
-        if literal:
-            per_video = tensor_sum(mul(lp, log(div(lp, lq))), axis=1)
-        else:
-            per_video = tensor_sum(mul(softmax(p_r), sub(lp, lq)), axis=1)
-        terms.append(mean(per_video))
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return scale(total, 1.0 / len(terms))
+    lp = log_softmax(local)
+    if literal:
+        per_video = tensor_sum(mul(lp, log(div(lp, lq))), axis=2)
+    else:
+        per_video = tensor_sum(mul(softmax(local), sub(lp, lq)), axis=2)
+    return mean(per_video)
 
 
 def overall_prediction_consistency(preds: PredictionSet) -> Tensor:

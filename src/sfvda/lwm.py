@@ -45,47 +45,43 @@ def confidence(logits, mode: str = "normalized"):
     raise ValueError(f"confidence: unknown mode {mode!r}")
 
 
-def local_relevance_weight(local_logits, mode: str = "normalized") -> np.ndarray:
+def local_relevance_weight(local_logits, n_scales: int, mode: str = "normalized") -> np.ndarray:
     """Residual weights 1 + C(p), one per (video, scale), gradient-detached.
 
-    ``local_logits`` is a sequence of (B, C) logit tensors, one per scale;
-    the result is a (B, n_scales) float array.
+    ``local_logits`` is the scale-major (S*B, C) stack of local logits with
+    S = ``n_scales``; the result is a (B, S) float array.
     """
-    cols = [confidence(p, mode=mode) for p in local_logits]
-    return 1.0 + np.stack(cols, axis=1)
+    return 1.0 + confidence(local_logits, mode=mode).reshape(n_scales, -1).T
 
 
-def weighted_local_logits(local_logits, weights: np.ndarray, target: str = "logits") -> list[Tensor]:
-    """Scale each scale's prediction by its relevance weight.
+def weighted_local_logits(local_logits: Tensor, weights: np.ndarray, target: str = "logits") -> Tensor:
+    """Scale each scale's prediction in the (S*B, C) stack by its relevance
+    weight from the (B, S) ``weights``.
 
     ``target`` picks whether the weight multiplies the logits (default) or
     the softmax probabilities; the probability form re-expresses the scaled
     probabilities as logits via log.
     """
-    out = []
-    for i, p in enumerate(local_logits):
-        w = Tensor(weights[:, i : i + 1])
-        if target == "logits":
-            out.append(mul(p, w))
-        elif target == "probabilities":
-            out.append(log(add(mul(softmax(p), w), Tensor(np.full(p.shape, 1e-12)))))
-        else:
-            raise ValueError(f"weighted_local_logits: unknown target {target!r}")
-    return out
+    column = Tensor(np.asarray(weights).T.reshape(-1, 1))
+    if target == "logits":
+        return mul(local_logits, column)
+    if target == "probabilities":
+        return log(add(mul(softmax(local_logits), column), Tensor(np.full(local_logits.shape, 1e-12))))
+    raise ValueError(f"weighted_local_logits: unknown target {target!r}")
 
 
 def apply_weights(
-    lts: list[Tensor],
-    local_logits: list[Tensor],
+    lts: Tensor,
+    local_logits: Tensor,
     weights: np.ndarray,
     sites,
     weight_target: str = "logits",
-) -> tuple[Tensor, list[Tensor]]:
-    """Apply relevance weights at the requested sites.
+) -> tuple[Tensor, Tensor]:
+    """Apply (B, S) relevance weights at the requested sites.
 
     Returns the overall temporal feature (weighted when ``feature`` is in
-    ``sites``, plain mean otherwise) and the local logits (scaled when
-    ``prediction`` is in ``sites``, passed through otherwise).
+    ``sites``, plain mean otherwise) and the stacked local logits (scaled
+    when ``prediction`` is in ``sites``, passed through otherwise).
     """
     sites = set(sites)
     if not sites:
@@ -93,9 +89,8 @@ def apply_weights(
     unknown = sites - {FEATURE_SITE, PREDICTION_SITE}
     if unknown:
         raise ValueError(f"apply_weights: unknown sites {sorted(unknown)}")
-    overall = aggregate_overall(lts, weights if FEATURE_SITE in sites else None)
+    weights = np.asarray(weights, dtype=np.float64)
+    overall = aggregate_overall(lts, weights.shape[1], weights if FEATURE_SITE in sites else None)
     if PREDICTION_SITE in sites:
-        preds = weighted_local_logits(local_logits, weights, target=weight_target)
-    else:
-        preds = list(local_logits)
-    return overall, preds
+        return overall, weighted_local_logits(local_logits, weights, target=weight_target)
+    return overall, local_logits

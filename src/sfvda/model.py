@@ -9,10 +9,14 @@ weight normalization on the final affine. Weights are stored (fan_in,
 fan_out) except the weight-normalized direction matrix, which keeps one row
 per class so the per-row norm invariant is directly checkable.
 
-Each layer runs on stacked rows: the encoder sees all B*k frames of a batch
-as one (B*k, d_in) matrix, and scale r gathers its M_r clips of every video
-into one (B*M_r, r*d_enc) matrix, so the relation MLP runs once per scale
-and the clip sum is one reduction.
+Each layer runs on stacked rows. The encoder sees all B*k frames of a batch
+as one frame-major (k*B, d_in) matrix, and scale r gathers its M_r clips of
+every video from that output into one (B*M_r, r*d_enc) matrix, so the
+relation MLP runs once per scale and the clip sum is one reduction. The
+S = k-1 local features of a batch travel as one scale-major (S*B, d) stack,
+rows s*B ... (s+1)*B - 1 holding scale s+2: the head classifies the whole
+stack in one pass, and the aggregation, the local weights and the
+consistency losses each act on it as one operation.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
+    concat,
     div,
     gather_concat,
     matmul,
@@ -286,16 +291,16 @@ def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
     return {r: np.array([c.clips[r] for c in clip_list]) for r in range(2, k + 1)}
 
 
-def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> list[Tensor]:
-    """One local temporal feature per scale: sum over the scale's clips of the
-    relation MLP applied to the clip's frame encodings in temporal order.
-    ``encodings`` is the frame-major output of ``encode_frames``.
+def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> Tensor:
+    """The local temporal features of a batch as one scale-major (S*B, d)
+    stack, S = k-1: rows s*B ... (s+1)*B - 1 hold scale s+2. A scale's
+    feature sums, over its clips, the relation MLP applied to the clip's
+    frame encodings in temporal order.
 
-    ``clips`` is either one ClipIndexSet shared by the batch (training) or a
-    sequence with one ClipIndexSet per video (evaluation). Returns a list of
-    (B, d) tensors ordered by scale, index 0 being scale 2. Each scale
-    gathers all B*M_r clip inputs into one matrix and runs its relation MLP
-    once.
+    ``encodings`` is the frame-major output of ``encode_frames``. ``clips``
+    is either one ClipIndexSet shared by the batch (training) or a sequence
+    with one ClipIndexSet per video (evaluation). Each scale gathers all
+    B*M_r clip inputs into one matrix and runs its relation MLP once.
     """
     batch = encodings.shape[0] // params.k
     index_arrays = _clip_index_arrays(clips, batch, params.k)
@@ -304,30 +309,29 @@ def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> li
         idx = index_arrays[r]
         per_clip = _mlp2(gather_concat(encodings, idx), params, f"rel{r}")
         features.append(tensor_sum(reshape(per_clip, (batch, idx.shape[1], params.d)), axis=1))
-    return features
+    return concat(features)
 
 
-def aggregate_overall(lts: list[Tensor], weights: np.ndarray | None = None) -> Tensor:
-    """Mean of the local features over scales, optionally per-scale weighted.
+def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = None) -> Tensor:
+    """Mean over scales of the scale-major (S*B, d) local features,
+    optionally per-scale weighted.
 
-    With weights w of shape (B, k-1): (1/(k-1)) * sum_r w_r * lt_r.
+    With weights w of shape (B, S): (1/S) * sum_s w[:, s] * lt_s, as one
+    weight column, one reshape and one sum over the scale axis.
     """
-    if weights is None:
-        acc = lts[0]
-        for lt in lts[1:]:
-            acc = add(acc, lt)
-        return scale(acc, 1.0 / len(lts))
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (lts[0].shape[0], len(lts)):
-        raise ValueError(
-            f"aggregate_overall: weights shape {weights.shape} does not match "
-            f"batch {lts[0].shape[0]} x scales {len(lts)}"
-        )
-    acc = None
-    for i, lt in enumerate(lts):
-        term = mul(lt, Tensor(weights[:, i : i + 1]))
-        acc = term if acc is None else add(acc, term)
-    return scale(acc, 1.0 / len(lts))
+    rows, d = lts.shape
+    if n_scales < 1 or rows % n_scales:
+        raise ValueError(f"aggregate_overall: {rows} rows do not split into {n_scales} scales")
+    batch = rows // n_scales
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (batch, n_scales):
+            raise ValueError(
+                f"aggregate_overall: weights shape {weights.shape} does not match "
+                f"batch {batch} x scales {n_scales}"
+            )
+        lts = mul(lts, Tensor(weights.T.reshape(rows, 1)))
+    return scale(tensor_sum(reshape(lts, (n_scales, batch, d)), axis=0), 1.0 / n_scales)
 
 
 def _weight_norm_logits(x: Tensor, params: ModelParams) -> Tensor:
@@ -338,26 +342,35 @@ def _weight_norm_logits(x: Tensor, params: ModelParams) -> Tensor:
 
 
 def classify(
-    features: Tensor, params: ModelParams, mode: str = "train", frozen: bool = False
+    features: Tensor, params: ModelParams, mode: str = "train", frozen: bool = False, blocks: int = 1
 ) -> Tensor:
     """Logits from bottleneck -> batch norm -> weight-normalized affine.
 
-    ``mode="train"`` normalizes with batch statistics and updates the running
-    ones; ``mode="eval"`` uses the running statistics. A frozen head always
-    uses running statistics and never updates them (the classifier is a fixed
-    function regardless of mode), but gradients still flow to ``features``.
+    ``features`` holds ``blocks`` equal row blocks (the scale-major local
+    stack has S), and all of them go through one head pass: one bottleneck
+    GEMM and one weight-norm matrix. ``mode="train"`` normalizes each block
+    with its own batch statistics and updates the running ones once per
+    block, in block order; ``mode="eval"`` uses the running statistics. A
+    frozen head always uses running statistics and never updates them (the
+    classifier is a fixed function regardless of mode), but gradients still
+    flow to ``features``.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"classify: unknown mode {mode!r}")
+    rows = features.shape[0]
+    if blocks < 1 or rows % blocks:
+        raise ValueError(f"classify: {rows} rows do not split into {blocks} blocks")
     h = add(matmul(features, params.tensors["bot_w"]), params.tensors["bot_b"])
     use_batch_stats = mode == "train" and not frozen
     if use_batch_stats:
-        mu = mean(h, axis=0, keepdims=True)
-        var = variance(h, axis=0, keepdims=True)
-        hat = div(sub(h, mu), sqrt(add(var, Tensor(np.array([[BN_EPS]])))))
+        grouped = reshape(h, (blocks, rows // blocks, params.d_b))
+        mu = mean(grouped, axis=1, keepdims=True)
+        var = variance(grouped, axis=1, keepdims=True)
+        hat = reshape(div(sub(grouped, mu), sqrt(add(var, Tensor(np.array([[[BN_EPS]]]))))), (rows, params.d_b))
         m = params.bn_momentum
-        params.bn_mean = m * params.bn_mean + (1.0 - m) * mu.data.reshape(-1)
-        params.bn_var = m * params.bn_var + (1.0 - m) * var.data.reshape(-1)
+        for block_mu, block_var in zip(mu.data, var.data):
+            params.bn_mean = m * params.bn_mean + (1.0 - m) * block_mu.reshape(-1)
+            params.bn_var = m * params.bn_var + (1.0 - m) * block_var.reshape(-1)
         params.bn_initialized = True
     else:
         if not params.bn_initialized:

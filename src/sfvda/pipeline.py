@@ -145,19 +145,19 @@ def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *key)))
 
 
-def _overall_eval_logits(model: ModelParams, lts):
+def _overall_eval_logits(model: ModelParams, lts: Tensor):
     """Overall feature and logits with the model's aggregation, eval mode."""
+    n_scales = model.k - 1
+    weights = None
     if model.aggregation == "entropy_weighted":
-        local_logits = [classify(lt, model, mode="eval") for lt in lts]
-        weights = lwm.local_relevance_weight(local_logits, model.confidence_mode)
-        overall = aggregate_overall(lts, weights)
-    else:
-        overall = aggregate_overall(lts)
+        local_logits = classify(lts, model, mode="eval")
+        weights = lwm.local_relevance_weight(local_logits, n_scales, model.confidence_mode)
+    overall = aggregate_overall(lts, n_scales, weights)
     return overall, classify(overall, model, mode="eval")
 
 
-def _eval_local_features(model: ModelParams, picked) -> list[Tensor]:
-    """Local temporal features of a batch of samples with their eval clip sets."""
+def _eval_local_features(model: ModelParams, picked) -> Tensor:
+    """Scale-major local features of a batch of samples with their eval clip sets."""
     frames = np.stack([s.frames for s in picked], axis=0)
     enc = encode_frames(frames, model)
     clip_sets = [eval_clip_set(s.id, model.k, model.m_max) for s in picked]
@@ -216,7 +216,7 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
             clips = sample_clips(source.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_SOURCE, epoch, b))
             enc = encode_frames(batch.frames, model)
             lts = local_temporal_features(enc, clips, model)
-            overall = aggregate_overall(lts)
+            overall = aggregate_overall(lts, model.k - 1)
             logits = classify(overall, model, mode="train")
             loss = smoothed_cross_entropy(logits, batch.labels, cfg.eps_smooth)
             value = loss.item()
@@ -284,6 +284,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     _check_batch_size(cfg.batch_size, target, "adapt_target")
 
     sites = variant.sites
+    n_scales = model.k - 1
     model.confidence_mode = cfg.confidence_mode
     model.freeze_head(cfg.freeze_scope)
     head_frozen_bn = cfg.freeze_scope == "head_all"
@@ -324,24 +325,24 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             clips = sample_clips(target.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_ADAPT, epoch, b))
             enc = encode_frames(batch.frames, model)
             lts = local_temporal_features(enc, clips, model)
-            local_logits = [classify(lt, model, mode="train", frozen=head_frozen_bn) for lt in lts]
+            local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
 
             if sites:
-                weights = lwm.local_relevance_weight(local_logits, cfg.confidence_mode)
+                weights = lwm.local_relevance_weight(local_logits, n_scales, cfg.confidence_mode)
                 overall, pc_logits = lwm.apply_weights(
                     lts, local_logits, weights, sites, weight_target=cfg.lwm_weight_target
                 )
             else:
-                overall, pc_logits = aggregate_overall(lts), list(local_logits)
+                overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
             overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
 
             components = {}
             if "fc" in coeffs:
-                components["fc"] = feature_consistency_total(lts, weights_cfg.lam, weights_cfg.eps_norm)
+                components["fc"] = feature_consistency_total(lts, n_scales, weights_cfg.lam, weights_cfg.eps_norm)
             if "pc_local" in coeffs:
                 if "pc_overall" in coeffs and not cfg.pc_overall_weighted and "feature" in sites:
                     plain_logits = classify(
-                        aggregate_overall(lts), model, mode="train", frozen=head_frozen_bn
+                        aggregate_overall(lts, n_scales), model, mode="train", frozen=head_frozen_bn
                     )
                     preds = make_prediction_set(pc_logits, plain_logits)
                 else:
@@ -400,7 +401,8 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
                 picked = ds.samples[start : start + EVAL_BATCH]
                 lts = _eval_local_features(model, picked)
                 if level == "local":
-                    columns = [(str(r), lt.data.tolist()) for r, lt in enumerate(lts, start=2)]
+                    per_scale = lts.data.reshape(model.k - 1, len(picked), model.d)
+                    columns = [(str(r), block.tolist()) for r, block in enumerate(per_scale, start=2)]
                 else:
                     columns = [("overall", _overall_eval_logits(model, lts)[0].data.tolist())]
                 for row, sample in enumerate(picked):

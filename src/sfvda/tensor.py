@@ -135,44 +135,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # -- operator sugar ---------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-    def abs(self):
-        return absolute(self)
-
-    @property
-    def T(self):
-        return transpose(self)
-
     # -- backward ----------------------------------------------------------------
 
     def backward(self, free_graph: bool = False) -> None:
@@ -188,12 +150,6 @@ class Tensor:
         graph.run(np.ones_like(self.data))
         if free_graph:
             graph.free()
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
 
 
 class Graph:

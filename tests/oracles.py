@@ -66,3 +66,68 @@ def brute_force_pseudo_labels(features, logits, rounds=1, eps=1e-8):
         centroids = new_centroids
         labels = assign(centroids)
     return labels
+
+
+def _log_softmax(row):
+    top = max(row)
+    lse = top + math.log(sum(math.exp(x - top) for x in row))
+    return [x - lse for x in row]
+
+
+def per_scale_prediction_consistency(local_blocks, literal=False):
+    """Mean over scales of each scale's mean KL to the logit average, one
+    scale and one video at a time. ``local_blocks[s][b]`` is the logit row
+    of video b at scale s; ``literal`` feeds the log-probabilities through
+    the KL arithmetic instead."""
+    n_scales, batch = len(local_blocks), len(local_blocks[0])
+    n_classes = len(local_blocks[0][0])
+    average = [
+        [sum(block[b][c] for block in local_blocks) / n_scales for c in range(n_classes)] for b in range(batch)
+    ]
+    per_scale = []
+    for block in local_blocks:
+        total = 0.0
+        for b in range(batch):
+            lp, lq = _log_softmax(block[b]), _log_softmax(average[b])
+            if literal:
+                total += sum(p * math.log(p / q) for p, q in zip(lp, lq))
+            else:
+                total += sum(math.exp(p) * (p - q) for p, q in zip(lp, lq))
+        per_scale.append(total / batch)
+    return sum(per_scale) / n_scales
+
+
+def per_scale_head(local_blocks, head, running, batch_stats, eps=1e-5):
+    """Reference classifier head, one scale block at a time: bottleneck,
+    batch norm, weight-normalized affine.
+
+    ``head`` maps bot_w, bot_b, bn_gamma, bn_beta, wn_v, wn_g, wn_b to
+    nested lists. ``running`` is [mean, var, momentum]; with
+    ``batch_stats`` each block is normalized by its own statistics and the
+    running ones are updated in place, block by block, otherwise the running
+    statistics normalize. Returns the logit rows of every block in order."""
+    bot_w, bot_b = head["bot_w"], head["bot_b"]
+    d, d_b = len(bot_w), len(bot_b)
+    w_eff = []
+    for v_row, (g,) in zip(head["wn_v"], head["wn_g"]):
+        norm = math.sqrt(sum(v * v for v in v_row))
+        w_eff.append([v * g / norm for v in v_row])
+    logits = []
+    for block in local_blocks:
+        h = [[bot_b[j] + sum(row[i] * bot_w[i][j] for i in range(d)) for j in range(d_b)] for row in block]
+        if batch_stats:
+            n = len(h)
+            mu = [sum(r[j] for r in h) / n for j in range(d_b)]
+            var = [sum((r[j] - mu[j]) ** 2 for r in h) / n for j in range(d_b)]
+            m = running[2]
+            running[0] = [m * a + (1.0 - m) * b for a, b in zip(running[0], mu)]
+            running[1] = [m * a + (1.0 - m) * b for a, b in zip(running[1], var)]
+        else:
+            mu, var = running[0], running[1]
+        for r in h:
+            normed = [
+                (r[j] - mu[j]) / math.sqrt(var[j] + eps) * head["bn_gamma"][j] + head["bn_beta"][j]
+                for j in range(d_b)
+            ]
+            logits.append([sum(x * w for x, w in zip(normed, w_row)) + b for w_row, b in zip(w_eff, head["wn_b"])])
+    return logits

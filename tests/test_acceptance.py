@@ -20,7 +20,7 @@ from sfvda import pseudolabel as PL
 from sfvda.config import RunConfig
 from sfvda.data import generate_domain_pair
 from sfvda.losses import make_prediction_set
-from sfvda.tensor import Tensor, finite_diff_check
+from sfvda.tensor import Tensor, concat, finite_diff_check
 
 from cli_runner import run_sfvda
 from oracles import brute_force_pseudo_labels
@@ -55,14 +55,14 @@ def _loss_cases(rng):
         )
 
     def fc_total(x):
-        return losses.feature_consistency_total([x] + [Tensor(s) for s in fixed_scales], 5e-3, 1e-5)
+        return losses.feature_consistency_total(concat([x] + [Tensor(s) for s in fixed_scales]), k - 1, 5e-3, 1e-5)
 
     def pc_local(x):
-        preds = make_prediction_set([x] + [Tensor(p) for p in fixed_logits], Tensor(overall))
+        preds = make_prediction_set(concat([x] + [Tensor(p) for p in fixed_logits]), Tensor(overall))
         return losses.local_prediction_consistency(preds)
 
     def pc_overall(x):
-        preds = make_prediction_set([Tensor(p) for p in fixed_logits] + [Tensor(overall)], x)
+        preds = make_prediction_set(concat([Tensor(p) for p in fixed_logits] + [Tensor(overall)]), x)
         return losses.overall_prediction_consistency(preds)
 
     def im(x):
@@ -114,7 +114,7 @@ def test_criterion_2_loss_identities():
     assert np.max(np.abs(diag - 1.0)) <= 1e-6
 
     p = Tensor(rng.normal(size=(8, 4)))
-    preds = make_prediction_set([p, p, p], p)
+    preds = make_prediction_set(concat([p, p, p]), p)
     assert abs(losses.local_prediction_consistency(preds).item()) <= 1e-10
     assert abs(losses.overall_prediction_consistency(preds).item()) <= 1e-10
     pc_sum = losses.local_prediction_consistency(preds).item() + losses.overall_prediction_consistency(preds).item()
@@ -140,10 +140,10 @@ def test_criterion_3_lwm_identities():
 
     confident = np.zeros((5, 6))
     confident[:, 2] = 40.0
-    w = lwm.local_relevance_weight([Tensor(confident)], mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(confident)]), 1, mode="normalized")
     assert np.max(np.abs(w - 1.0)) < 1e-10
 
-    uniform = lwm.local_relevance_weight([Tensor(np.zeros((5, 6)))], mode="normalized")
+    uniform = lwm.local_relevance_weight(concat([Tensor(np.zeros((5, 6)))]), 1, mode="normalized")
     assert np.max(np.abs(uniform)) < 1e-10
 
     violations = 0
@@ -156,7 +156,7 @@ def test_criterion_3_lwm_identities():
             e = np.exp(x - x.max())
             prob = e / e.sum()
             entropies.append(float(-(prob * np.log(prob)).sum()))
-        w = lwm.local_relevance_weight([Tensor(a[None, :]), Tensor(b[None, :])], mode="normalized")
+        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2, mode="normalized")
         if entropies[0] < entropies[1] and not w[0, 0] > w[0, 1]:
             violations += 1
         if entropies[0] > entropies[1] and not w[0, 0] < w[0, 1]:

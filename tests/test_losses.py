@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import per_scale_prediction_consistency
 from sfvda import losses
 from sfvda.config import VARIANTS
 from sfvda.losses import LossWeights, make_prediction_set
 from sfvda.pipeline import _weighted_sum
-from sfvda.tensor import Tensor, finite_diff_check
+from sfvda.tensor import Tensor, concat, finite_diff_check
 
 
 def test_loss_weights_validation():
@@ -108,21 +109,21 @@ class TestFeatureConsistency:
     def test_identical_decorrelated_scales_near_zero(self):
         rng = np.random.default_rng(2)
         lt = rng.normal(0.0, 5.0, size=(512, 3))
-        total = losses.feature_consistency_total([Tensor(lt)] * 4, 5e-3, 1e-5)
+        total = losses.feature_consistency_total(concat([Tensor(lt)] * 4), 4, 5e-3, 1e-5)
         assert total.item() < 5e-3
 
     def test_k3_matches_scripted_mean_of_both_orders(self):
         rng = np.random.default_rng(21)
         lt2 = rng.normal(0, 3.0, size=(6, 4))
         lt3 = rng.normal(0, 3.0, size=(6, 4))
-        total = losses.feature_consistency_total([Tensor(lt2), Tensor(lt3)], 5e-3, 1e-5)
+        total = losses.feature_consistency_total(concat([Tensor(lt2), Tensor(lt3)]), 2, 5e-3, 1e-5)
         assert abs(total.item() - 1.6389019778958684) < 1e-12
 
     def test_nonnegative_and_zero_iff_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             lts = [Tensor(rng.normal(size=(8, 4))) for _ in range(3)]
-            assert losses.feature_consistency_total(lts, 5e-3, 1e-5).item() >= 0.0
+            assert losses.feature_consistency_total(concat(lts), 3, 5e-3, 1e-5).item() >= 0.0
 
 
 class TestFusedFeatureConsistency:
@@ -147,7 +148,7 @@ class TestFusedFeatureConsistency:
             ).item()
             for r1, r2 in pairs
         ) / len(pairs)
-        fused = losses.feature_consistency_total(lts, lam, eps).item()
+        fused = losses.feature_consistency_total(concat(lts), k - 1, lam, eps).item()
         assert abs(fused - reference) <= 1e-12 * abs(reference)
 
     def test_gradient_at_k8(self):
@@ -156,7 +157,7 @@ class TestFusedFeatureConsistency:
         # a large lam weights the Gram (off-diagonal) path as much as the
         # diagonal one, so an error in either shows in the gradient
         def f(x):
-            return losses.feature_consistency_total(others[:3] + [x] + others[4:], 0.5, 1e-5)
+            return losses.feature_consistency_total(concat(others[:3] + [x] + others[4:]), 7, 0.5, 1e-5)
 
         point = Tensor(np.random.default_rng(41).normal(size=(12, 5)))
         assert finite_diff_check(f, point, rel_tol=1e-4).passed
@@ -165,7 +166,7 @@ class TestFusedFeatureConsistency:
 class TestPredictionConsistency:
     def test_equal_logits_give_zero(self):
         p = Tensor(np.array([[0.3, -0.2, 1.0]] * 4))
-        preds = make_prediction_set([p, p, p], p)
+        preds = make_prediction_set(concat([p, p, p]), p)
         # the logit average reintroduces ~1 ulp of rounding noise
         assert abs(losses.local_prediction_consistency(preds).item()) < 1e-12
         assert abs(losses.overall_prediction_consistency(preds).item()) < 1e-12
@@ -173,7 +174,7 @@ class TestPredictionConsistency:
     def test_scripted_two_scale_value(self):
         p2 = Tensor([[math.log(2.0), 0.0]])
         p3 = Tensor([[0.0, math.log(2.0)]])
-        preds = make_prediction_set([p2, p3], p2)
+        preds = make_prediction_set(concat([p2, p3]), p2)
         value = losses.local_prediction_consistency(preds).item()
         assert abs(value - 0.0566330122651324) < 1e-12
 
@@ -181,11 +182,11 @@ class TestPredictionConsistency:
         rng = np.random.default_rng(4)
         for _ in range(50):
             local = [Tensor(rng.normal(size=(5, 3))) for _ in range(4)]
-            preds = make_prediction_set(local, local[0])
+            preds = make_prediction_set(concat(local), local[0])
             assert losses.local_prediction_consistency(preds).item() >= 0.0
 
     def test_overall_scripted_value(self):
-        preds = make_prediction_set([Tensor([[1.0, 0.0]])], Tensor([[1.0, 0.0]]))
+        preds = make_prediction_set(concat([Tensor([[1.0, 0.0]])]), Tensor([[1.0, 0.0]]))
         preds.average = Tensor([[0.0, 1.0]])
         assert abs(losses.overall_prediction_consistency(preds).item() - 2.0) < 1e-12
 
@@ -193,9 +194,9 @@ class TestPredictionConsistency:
         rng = np.random.default_rng(5)
         local = [rng.normal(size=(3, 4)) for _ in range(3)]
         overall = rng.normal(size=(3, 4))
-        base = make_prediction_set([Tensor(p) for p in local], Tensor(overall))
+        base = make_prediction_set(concat([Tensor(p) for p in local]), Tensor(overall))
         shifted = make_prediction_set(
-            [Tensor(p + 2.5) for p in local], Tensor(overall + 2.5)
+            concat([Tensor(p + 2.5) for p in local]), Tensor(overall + 2.5)
         )
         for fn in (losses.local_prediction_consistency, losses.overall_prediction_consistency):
             assert abs(fn(base).item() - fn(shifted).item()) < 1e-9
@@ -203,7 +204,7 @@ class TestPredictionConsistency:
     def test_weighted_sum(self):
         p = Tensor(np.array([[0.5, -0.5]]))
         q = Tensor(np.array([[1.5, 0.5]]))
-        preds = make_prediction_set([p, q], q)
+        preds = make_prediction_set(concat([p, q]), q)
         components = {
             "pc_local": losses.local_prediction_consistency(preds),
             "pc_overall": losses.overall_prediction_consistency(preds),
@@ -217,9 +218,19 @@ class TestPredictionConsistency:
     def test_average_is_mean_of_local_rows(self):
         rng = np.random.default_rng(6)
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(5)]
-        preds = make_prediction_set(local, local[0])
+        preds = make_prediction_set(concat(local), local[0])
         manual = np.mean([p.data for p in local], axis=0)
         assert np.max(np.abs(preds.average.data - manual)) < 1e-10
+
+
+@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal_eq8"])
+def test_stacked_local_consistency_is_mean_of_per_scale_kls(literal):
+    rng = np.random.default_rng(22)
+    blocks = [rng.normal(size=(6, 4)) for _ in range(5)]
+    preds = make_prediction_set(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4))))
+    stacked = losses.local_prediction_consistency(preds, literal=literal).item()
+    reference = per_scale_prediction_consistency([b.tolist() for b in blocks], literal=literal)
+    assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 def test_temporal_consistency_weighting():
@@ -313,7 +324,7 @@ class TestGradients:
 
         def f(x):
             lts = [x] + [Tensor(o) for o in others]
-            return losses.feature_consistency_total(lts, 5e-3, 1e-5)
+            return losses.feature_consistency_total(concat(lts), 3, 5e-3, 1e-5)
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(8, 4))), rel_tol=1e-4).passed
 
@@ -323,7 +334,7 @@ class TestGradients:
         overall = rng.normal(size=(5, 3))
 
         def f(x):
-            preds = make_prediction_set([x, Tensor(other)], Tensor(overall))
+            preds = make_prediction_set(concat([x, Tensor(other)]), Tensor(overall))
             components = {
                 "pc_local": losses.local_prediction_consistency(preds),
                 "pc_overall": losses.overall_prediction_consistency(preds),
@@ -337,7 +348,7 @@ class TestGradients:
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
 
         def f(x):
-            preds = make_prediction_set(local, x)
+            preds = make_prediction_set(concat(local), x)
             return losses.overall_prediction_consistency(preds)
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(4, 3))), rel_tol=1e-4).passed
@@ -363,7 +374,7 @@ class TestGradients:
 def test_literal_divergence_mode_differs_from_default():
     rng = np.random.default_rng(16)
     local = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]
-    preds = make_prediction_set(local, local[0])
+    preds = make_prediction_set(concat(local), local[0])
     standard = losses.local_prediction_consistency(preds, literal=False).item()
     literal = losses.local_prediction_consistency(preds, literal=True).item()
     assert standard >= 0.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfvda import lwm
-from sfvda.tensor import Tensor
+from sfvda.tensor import Tensor, concat
 
 
 def test_confidence_one_hot_is_near_zero():
@@ -30,17 +30,17 @@ def test_confidence_needs_two_classes():
 def test_weight_one_hot_is_one():
     logits = np.zeros((3, 4))
     logits[:, 1] = 40.0
-    w = lwm.local_relevance_weight([Tensor(logits)], mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(logits)]), 1, mode="normalized")
     assert np.allclose(w, 1.0, atol=1e-12)
 
 
 def test_weight_uniform_normalized_is_zero():
-    w = lwm.local_relevance_weight([Tensor(np.zeros((2, 4)))], mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((2, 4)))]), 1, mode="normalized")
     assert np.allclose(w, 0.0, atol=1e-12)
 
 
 def test_weight_uniform_raw_c12():
-    w = lwm.local_relevance_weight([Tensor(np.zeros((1, 12)))], mode="raw")
+    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((1, 12)))]), 1, mode="raw")
     assert w[0, 0] == pytest.approx(1.0 - math.log(12.0), abs=1e-12)
     assert w[0, 0] == pytest.approx(-1.4849066497880004, abs=1e-10)
 
@@ -50,8 +50,8 @@ def test_weight_ranges():
     for _ in range(100):
         n_classes = int(rng.integers(2, 9))
         logits = [Tensor(rng.normal(size=(4, n_classes)) * 5.0)]
-        w_norm = lwm.local_relevance_weight(logits, mode="normalized")
-        w_raw = lwm.local_relevance_weight(logits, mode="raw")
+        w_norm = lwm.local_relevance_weight(concat(logits), 1, mode="normalized")
+        w_raw = lwm.local_relevance_weight(concat(logits), 1, mode="raw")
         assert np.all((w_norm >= 0.0) & (w_norm <= 1.0))
         assert np.all((w_raw >= 1.0 - math.log(n_classes) - 1e-12) & (w_raw <= 1.0))
 
@@ -68,7 +68,7 @@ def test_monotonicity_in_entropy():
                 e = np.exp(x - x.max())
                 p = e / e.sum()
                 ent.append(float(-(p * np.log(p)).sum()))
-            w = lwm.local_relevance_weight([Tensor(a[None, :]), Tensor(b[None, :])], mode=mode)
+            w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2, mode=mode)
             if ent[0] < ent[1]:
                 assert w[0, 0] > w[0, 1]
             elif ent[0] > ent[1]:
@@ -88,27 +88,26 @@ def test_apply_weights_identity_when_all_one():
     lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
     logits = [Tensor(rng.normal(size=(3, 5))) for _ in range(2)]
     ones = np.ones((3, 2))
-    overall, preds = lwm.apply_weights(lts, logits, ones, {"feature", "prediction"})
+    overall, preds = lwm.apply_weights(concat(lts), concat(logits), ones, {"feature", "prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall.data - plain)) < 1e-12
-    for got, want in zip(preds, logits):
-        assert np.array_equal(got.data, want.data)
+    assert np.array_equal(preds.data, concat(logits).data)
 
 
 def test_apply_weights_zero_scale():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
     logits = [Tensor([[1.0, -1.0]]), Tensor([[0.5, 0.5]])]
     w = np.array([[1.0, 0.0]])
-    overall, preds = lwm.apply_weights(lts, logits, w, {"feature", "prediction"})
+    overall, preds = lwm.apply_weights(concat(lts), concat(logits), w, {"feature", "prediction"})
     assert np.allclose(overall.data, [[1.0, 0.0]])
-    assert np.array_equal(preds[1].data, [[0.0, 0.0]])
+    assert np.array_equal(preds.data[1:], [[0.0, 0.0]])  # scale 1 of the one video
 
 
 def test_apply_weights_scripted_feature_site():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
     logits = [Tensor([[0.0, 0.0]]), Tensor([[0.0, 0.0]])]
     w = np.array([[1.0, 0.5]])
-    overall, _ = lwm.apply_weights(lts, logits, w, {"feature"})
+    overall, _ = lwm.apply_weights(concat(lts), concat(logits), w, {"feature"})
     assert np.allclose(overall.data, [[1.0, 1.0]])
 
 
@@ -117,20 +116,20 @@ def test_apply_weights_site_selection():
     lts = [Tensor(rng.normal(size=(2, 3))) for _ in range(2)]
     logits = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
     w = rng.uniform(0.2, 0.9, size=(2, 2))
-    overall_p, preds_p = lwm.apply_weights(lts, logits, w, {"prediction"})
+    overall_p, preds_p = lwm.apply_weights(concat(lts), concat(logits), w, {"prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall_p.data - plain)) < 1e-12
-    assert not np.array_equal(preds_p[0].data, logits[0].data)
+    assert not np.array_equal(preds_p.data[:2], logits[0].data)  # scale 0 block
     with pytest.raises(ValueError, match="nonempty"):
-        lwm.apply_weights(lts, logits, w, set())
+        lwm.apply_weights(concat(lts), concat(logits), w, set())
     with pytest.raises(ValueError, match="unknown"):
-        lwm.apply_weights(lts, logits, w, {"bogus"})
+        lwm.apply_weights(concat(lts), concat(logits), w, {"bogus"})
 
 
 def test_weights_are_detached():
     rng = np.random.default_rng(5)
     logits = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)]
-    w = lwm.local_relevance_weight(logits, mode="normalized")
+    w = lwm.local_relevance_weight(concat(logits), 1, mode="normalized")
     assert isinstance(w, np.ndarray)
 
 
@@ -142,7 +141,7 @@ def test_one_hot_confident_weighting_equals_plain_mean():
         block = np.zeros((3, 5))
         block[np.arange(3), rng.integers(0, 5, size=3)] = 40.0
         logits.append(Tensor(block))
-    w = lwm.local_relevance_weight(logits, mode="normalized")
-    overall, _ = lwm.apply_weights(lts, logits, w, {"feature"})
+    w = lwm.local_relevance_weight(concat(logits), 3, mode="normalized")
+    overall, _ = lwm.apply_weights(concat(lts), concat(logits), w, {"feature"})
     plain = np.mean([lt.data for lt in lts], axis=0)
     assert np.max(np.abs(overall.data - plain)) < 1e-12

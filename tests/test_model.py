@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import json_checkpoint_text
+from oracles import json_checkpoint_text, per_scale_head
 from sfvda import model as M
-from sfvda.tensor import Tensor, no_grad
+from sfvda.tensor import Tensor, concat, no_grad
 
 
 _DELETE = object()
@@ -123,7 +123,7 @@ class TestLocalTemporalFeatures:
         lts = M.local_temporal_features(enc, clips, params)
         enc_np = per_frame(enc).transpose(1, 0, 2)
         clip_in = np.concatenate([enc_np[:, 0], enc_np[:, 2]], axis=1)
-        assert np.max(np.abs(lts[0].data - scripted_relation(params, 2, clip_in))) < 1e-12
+        assert np.max(np.abs(lts.data[:2] - scripted_relation(params, 2, clip_in))) < 1e-12
 
     def test_zero_relation_map_gives_zero(self):
         params = tiny_model()
@@ -132,8 +132,9 @@ class TestLocalTemporalFeatures:
                 params.tensors[name] = Tensor(np.zeros_like(params.tensors[name].data), requires_grad=True)
         frames = np.random.default_rng(4).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
-        for lt in M.local_temporal_features(enc, M.sample_clips(3, 3, np.random.default_rng(0)), params):
-            assert np.allclose(lt.data, 0.0, atol=0)
+        lts = M.local_temporal_features(enc, M.sample_clips(3, 3, np.random.default_rng(0)), params)
+        assert lts.shape == (2 * 2, params.d)
+        assert np.allclose(lts.data, 0.0, atol=0)
 
     def test_two_clips_sum(self):
         params = tiny_model()
@@ -144,7 +145,7 @@ class TestLocalTemporalFeatures:
         enc_np = per_frame(enc).transpose(1, 0, 2)
         first = scripted_relation(params, 2, np.concatenate([enc_np[:, 0], enc_np[:, 1]], axis=1))
         second = scripted_relation(params, 2, np.concatenate([enc_np[:, 1], enc_np[:, 2]], axis=1))
-        assert np.max(np.abs(lts[0].data - (first + second))) < 1e-12
+        assert np.max(np.abs(lts.data[:2] - (first + second))) < 1e-12
 
     def test_per_video_clip_sets(self):
         params = tiny_model()
@@ -158,25 +159,25 @@ class TestLocalTemporalFeatures:
         enc_np = per_frame(enc).transpose(1, 0, 2)
         want0 = scripted_relation(params, 2, np.concatenate([enc_np[:1, 0], enc_np[:1, 1]], axis=1))
         want1 = scripted_relation(params, 2, np.concatenate([enc_np[1:, 1], enc_np[1:, 2]], axis=1))
-        assert np.max(np.abs(lts[0].data[0] - want0[0])) < 1e-12
-        assert np.max(np.abs(lts[0].data[1] - want1[0])) < 1e-12
+        assert np.max(np.abs(lts.data[0] - want0[0])) < 1e-12
+        assert np.max(np.abs(lts.data[1] - want1[0])) < 1e-12
 
 
 class TestAggregate:
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(7)
         lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-        plain = M.aggregate_overall(lts)
-        weighted = M.aggregate_overall(lts, np.ones((3, 2)))
+        plain = M.aggregate_overall(concat(lts), 2)
+        weighted = M.aggregate_overall(concat(lts), 2, np.ones((3, 2)))
         assert np.max(np.abs(plain.data - weighted.data)) < 1e-12
 
     def test_mean_example(self):
         lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])]
-        assert np.allclose(M.aggregate_overall(lts).data, [[1.0, 1.0]])
+        assert np.allclose(M.aggregate_overall(concat(lts), 2).data, [[1.0, 1.0]])
 
     def test_weighted_example(self):
         lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])]
-        out = M.aggregate_overall(lts, np.array([[2.0, 0.0]]))
+        out = M.aggregate_overall(concat(lts), 2, np.array([[2.0, 0.0]]))
         assert np.allclose(out.data, [[2.0, 0.0]])
 
 
@@ -225,6 +226,34 @@ class TestClassify:
         v, g = params.tensors["wn_v"].data, params.tensors["wn_g"].data
         w_eff = v * (g / np.linalg.norm(v, axis=1, keepdims=True))
         assert np.max(np.abs(np.linalg.norm(w_eff, axis=1) - g.reshape(-1))) < 1e-10
+
+
+class TestStackedClassify:
+    """One head pass over the scale-major stack against the head run on each
+    scale block by itself."""
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["head_all", "last_layer_only"])
+    def test_equals_per_scale_reference(self, frozen):
+        params = tiny_model(k=4, d_in=5, n_classes=3, d=6, d_b=5, seed=19)
+        rng = np.random.default_rng(20)
+        params.bn_mean = rng.normal(size=params.d_b)
+        params.bn_var = rng.uniform(0.5, 2.0, size=params.d_b)
+        params.bn_initialized = True
+        blocks = [rng.normal(size=(4, params.d)) for _ in range(params.k - 1)]
+        head = {name: t.data.tolist() for name, t in params.head_parameters("head_all")}
+        running = [params.bn_mean.tolist(), params.bn_var.tolist(), params.bn_momentum]
+        want = per_scale_head([b.tolist() for b in blocks], head, running, batch_stats=not frozen)
+        logits = M.classify(Tensor(np.concatenate(blocks)), params, mode="train", frozen=frozen, blocks=params.k - 1)
+        assert np.max(np.abs(logits.data - np.array(want))) < 1e-12
+        # last_layer_only updates the running statistics once per scale, in
+        # scale order; head_all leaves them as they were
+        assert np.max(np.abs(params.bn_mean - running[0])) < 1e-12
+        assert np.max(np.abs(params.bn_var - running[1])) < 1e-12
+
+    def test_rows_must_split_into_blocks(self):
+        params = tiny_model()
+        with pytest.raises(ValueError, match="do not split into 3 blocks"):
+            M.classify(Tensor(np.zeros((4, params.d))), params, mode="train", blocks=3)
 
 
 class TestModelState:
@@ -364,7 +393,7 @@ def test_eval_forward_is_permutation_invariant():
             enc = M.encode_frames(frames, params)
             clip_sets = [M.eval_clip_set(i, params.k, params.m_max) for i in ids]
             lts = M.local_temporal_features(enc, clip_sets, params)
-            overall = M.aggregate_overall(lts)
+            overall = M.aggregate_overall(lts, params.k - 1)
             return M.classify(overall, params, mode="eval").data
 
     base = forward(frames, ids)

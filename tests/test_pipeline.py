@@ -240,6 +240,39 @@ class TestAdaptTarget:
         assert len(sizes) == 1
         assert sizes[0] < 400
 
+    def test_one_step_graph_of_the_stacked_scales(self, monkeypatch):
+        # the scales travel as one (S*B, d) stack through the head, the local
+        # weights and the consistency losses: 277 nodes when each of those
+        # looped over the 7 scales
+        cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
+        source, target = generate_domain_pair(cfg.domain_spec())
+        model, _ = P.train_source(source, cfg)
+        sizes = []
+        trace = T.Graph.trace
+
+        def counting_trace(root):
+            graph = trace(root)
+            sizes.append(len(graph.nodes))
+            return graph
+
+        monkeypatch.setattr(T.Graph, "trace", staticmethod(counting_trace))
+        P.adapt_target(model, target, cfg)
+        assert len(sizes) == 1
+        assert sizes[0] <= 180
+
+    @pytest.mark.parametrize("variant", ["pc", "tc", "na", "full"])
+    def test_pc_overall_vanishes_without_a_weighting_site(self, trained, variant):
+        # under head_all batch norm uses running statistics, so the frozen
+        # head is affine: classifying the mean local feature gives the mean
+        # of the local logits, which is the average pc_overall compares with
+        cfg, _, target, model, _ = trained
+        _, rows = P.adapt_target(model, target, replace(cfg, variant=variant))
+        largest = max(abs(row.pc_overall) for row in rows)
+        if VARIANTS[variant].sites:
+            assert largest > 0.0
+        else:
+            assert largest <= 1e-12
+
     def test_mismatched_dataset_rejected(self, trained):
         cfg, _, _, model, _ = trained
         other_cfg = tiny_cfg(frame_dim=9)
@@ -391,12 +424,12 @@ class TestWholeModelGradient:
     def full_variant_loss(model, frames, clips, weights, pseudo, w):
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
-        local_logits = [M.classify(lt, model, mode="train") for lt in lts]
+        local_logits = M.classify(lts, model, mode="train", blocks=model.k - 1)
         overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, VARIANTS["full"].sites)
         overall_logits = M.classify(overall, model, mode="train")
         preds = losses.make_prediction_set(pc_logits, overall_logits)
         components = {
-            "fc": losses.feature_consistency_total(lts, w.lam, w.eps_norm),
+            "fc": losses.feature_consistency_total(lts, model.k - 1, w.lam, w.eps_norm),
             "pc_local": losses.local_prediction_consistency(preds),
             "pc_overall": losses.overall_prediction_consistency(preds),
             "im": losses.information_maximization(overall_logits),
@@ -414,7 +447,7 @@ class TestWholeModelGradient:
         w = tiny_cfg().loss_weights()
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
-        weights = lwm.local_relevance_weight([M.classify(lt, model, mode="train") for lt in lts])
+        weights = lwm.local_relevance_weight(M.classify(lts, model, mode="train", blocks=3), 3)
 
         names = ["enc_w1"] + [f"rel{r}_w1" for r in range(2, 5)] + ["wn_v"]
         for name in names:
