@@ -21,9 +21,6 @@ independent = Tensor(rng.normal(0.0, 3.0, size=(3 * batch, dim)))
 print("feature consistency, identical scales :", f"{losses.feature_consistency_total(consistent, 3, 5e-3, 1e-5).item():.5f}")
 print("feature consistency, independent ones :", f"{losses.feature_consistency_total(independent, 3, 5e-3, 1e-5).item():.5f}")
 
-c = losses.cross_correlation(Tensor(shared), Tensor(shared), 1e-5)
-print("self cross-correlation diagonal       :", np.round(np.diag(c.data), 4))
-
 
 def prediction_consistency(preds):
     """Local plus overall prediction consistency, both weighted 1."""

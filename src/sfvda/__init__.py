@@ -17,7 +17,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from .config import RunConfig, parse_config, emit_config, load_config
 from .data import Dataset, DomainSpec, VideoSample, batch_iterator, generate_domain_pair, read_dataset, write_dataset
-from .losses import LossWeights
 from .model import ModelParams, init_model, load_checkpoint, sample_clips, save_checkpoint
 from .pipeline import adapt_target, evaluate, export_embeddings, run_ablation, train_source
 from .tensor import Tensor, finite_diff_check, no_grad
@@ -36,7 +35,6 @@ __all__ = [
     "generate_domain_pair",
     "read_dataset",
     "write_dataset",
-    "LossWeights",
     "ModelParams",
     "init_model",
     "load_checkpoint",

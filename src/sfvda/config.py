@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .data import DomainSpec
-from .losses import LossWeights
 from .model import CONFIDENCE_MODES, HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
@@ -19,7 +18,7 @@ __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", 
 # Each adaptation variant is a subtree of the full objective
 #   beta_tc*(beta_fc*fc + beta_pc*(alpha_local*pc_local + alpha_overall*pc_overall))
 #     + beta_im*im + beta_ce*pl_ce
-# written as a tuple of (LossWeights field, child) terms, where a child is a
+# written as a tuple of (RunConfig weight field, child) terms, where a child is a
 # nested tuple or a component name (a metrics column). A variant's sites say
 # where it applies the entropy weights. The consistency-only variants train
 # unweighted: without the entropy-minimizing IM term, the weight feedback
@@ -49,7 +48,6 @@ VARIANTS = {
     "source_only": Variant(()),
 }
 FREEZE_SCOPES = tuple(HEAD_SCOPES)
-WEIGHT_TARGETS = ("logits", "probabilities")
 
 
 @dataclass
@@ -92,7 +90,6 @@ class RunConfig:
     variant: str = "full"
     freeze_scope: str = "head_all"
     confidence_mode: str = "normalized"
-    lwm_weight_target: str = "logits"
     literal_eq8: bool = False
     pc_overall_weighted: bool = True
     pl_rounds: int = 1
@@ -108,6 +105,14 @@ class RunConfig:
         for key in _AT_LEAST_ONE:
             if getattr(self, key) < 1:
                 raise ValueError(f"config key {key!r}: must be >= 1, got {getattr(self, key)}")
+        for key in (*_WEIGHTS, "eps_norm", "eps_smooth"):
+            value = getattr(self, key)
+            if not math.isfinite(value) or value < 0.0:
+                raise ValueError(f"config key {key!r}: must be finite and >= 0, got {value}")
+        if self.eps_norm == 0.0:
+            raise ValueError(f"config key 'eps_norm': must be > 0, got {self.eps_norm}")
+        if self.eps_smooth >= 1.0:
+            raise ValueError(f"config key 'eps_smooth': must lie in [0, 1), got {self.eps_smooth}")
 
     def domain_spec(self, seed: int | None = None) -> DomainSpec:
         values = {f.name: getattr(self, f.name) for f in fields(DomainSpec)}
@@ -115,17 +120,14 @@ class RunConfig:
             values["seed"] = seed
         return DomainSpec(**values)
 
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(**{f.name: getattr(self, f.name) for f in fields(LossWeights)})
-
 
 _CHOICES = {
     "variant": tuple(VARIANTS),
     "freeze_scope": FREEZE_SCOPES,
     "confidence_mode": CONFIDENCE_MODES,
-    "lwm_weight_target": WEIGHT_TARGETS,
 }
-_AT_LEAST_ONE = ("epochs_source", "epochs_adapt", "pl_rounds", "m_max")
+_AT_LEAST_ONE = ("epochs_source", "epochs_adapt", "pl_rounds", "m_max", "frame_dim", "d_enc", "d", "d_b")
+_WEIGHTS = ("lam", "alpha_local", "alpha_overall", "beta_fc", "beta_pc", "beta_tc", "beta_im", "beta_ce")
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 

@@ -265,8 +265,10 @@ def read_dataset(path) -> Dataset:
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(f"{path}: line 1: unsupported format_version {version}")
     _require_fields(header, HEADER_FIELDS, f"{path}: line 1")
-    for name in ("C", "k", "d_in", "count"):
+    for name, least in (("C", 2), ("k", 3), ("d_in", 1), ("count", 1)):
         _require_int(header, name, f"{path}: line 1")
+        if header[name] < least:
+            raise ValueError(f"{path}: line 1: field {name!r} must be >= {least}, got {header[name]}")
     samples = []
     for lineno, line in enumerate(lines[1:], start=2):
         try:

@@ -10,7 +10,7 @@ and reduce over the batch with an arithmetic mean. Cross-correlation uses a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,62 +21,25 @@ from .tensor import (
     div,
     log,
     log_softmax,
-    matmul,
     mean,
     mul,
     reshape,
     scale,
     softmax,
-    sqrt,
-    square,
     sub,
     tensor_sum,
-    transpose,
-    variance,
 )
 
 __all__ = [
-    "LossWeights",
     "PredictionSet",
     "smoothed_cross_entropy",
     "pseudo_label_cross_entropy",
-    "normalize_features",
-    "cross_correlation",
-    "feature_consistency_pair",
     "feature_consistency_total",
-    "ordered_scale_pairs",
     "make_prediction_set",
     "local_prediction_consistency",
     "overall_prediction_consistency",
     "information_maximization",
 ]
-
-
-@dataclass
-class LossWeights:
-    """Tradeoff constants and numerical guards for every objective."""
-
-    lam: float = 5e-3
-    alpha_local: float = 1.0
-    alpha_overall: float = 1.0
-    beta_fc: float = 1.0
-    beta_pc: float = 1.0
-    beta_tc: float = 1.0
-    beta_im: float = 1.0
-    beta_ce: float = 1.0
-    eps_norm: float = 1e-5
-    eps_smooth: float = 0.1
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = float(getattr(self, f.name))
-            if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"LossWeights.{f.name} must be finite and >= 0, got {v}")
-            setattr(self, f.name, v)
-        if self.eps_norm <= 0.0:
-            raise ValueError("LossWeights.eps_norm must be > 0")
-        if not 0.0 <= self.eps_smooth < 1.0:
-            raise ValueError("LossWeights.eps_smooth must lie in [0, 1)")
 
 
 @dataclass
@@ -109,48 +72,6 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, eps_smooth: float
 def pseudo_label_cross_entropy(logits: Tensor, pseudo: np.ndarray) -> Tensor:
     """Unsmoothed mean cross-entropy against pseudo-labels."""
     return smoothed_cross_entropy(logits, pseudo, 0.0)
-
-
-def normalize_features(lt: Tensor, eps_norm: float) -> Tensor:
-    """Standardize each feature dimension across the batch.
-
-    Mean and population variance are taken over axis 0; eps_norm keeps
-    constant dimensions at zero instead of dividing by zero.
-    """
-    if lt.shape[0] < 2:
-        raise ValueError("normalize_features: need a batch of at least 2")
-    centered = sub(lt, mean(lt, axis=0, keepdims=True))
-    denom = sqrt(add(variance(lt, axis=0, keepdims=True), Tensor(np.array([[eps_norm]]))))
-    return div(centered, denom)
-
-
-def cross_correlation(lt1: Tensor, lt2: Tensor, eps_norm: float) -> Tensor:
-    """(1/B) * normalize(lt1)^T normalize(lt2), a d x d matrix."""
-    if lt1.shape != lt2.shape:
-        raise ValueError(f"cross_correlation: shape mismatch {lt1.shape} vs {lt2.shape}")
-    z1, z2 = normalize_features(lt1, eps_norm), normalize_features(lt2, eps_norm)
-    return scale(matmul(transpose(z1), z2), 1.0 / lt1.shape[0])
-
-
-def feature_consistency_pair(m: Tensor, lam: float) -> Tensor:
-    """Penalty driving one cross-correlation matrix toward the identity.
-
-    Sum of squared diagonal deviations from 1 plus lam times the sum of
-    squared off-diagonal entries; zero iff the matrix is the identity.
-    """
-    d0, d1 = m.shape
-    if d0 != d1:
-        raise ValueError(f"feature_consistency_pair: matrix must be square, got {m.shape}")
-    eye = np.eye(d0)
-    diag_term = tensor_sum(mul(square(sub(Tensor(eye), m)), Tensor(eye)))
-    off_term = tensor_sum(mul(square(m), Tensor(1.0 - eye)))
-    return add(diag_term, scale(off_term, lam))
-
-
-def ordered_scale_pairs(k: int) -> list[tuple[int, int]]:
-    """All ordered pairs of distinct scales (r1, r2), r in [2, k]."""
-    scales = range(2, k + 1)
-    return [(r1, r2) for r1 in scales for r2 in scales if r2 != r1]
 
 
 def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: float) -> Tensor:

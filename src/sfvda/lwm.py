@@ -12,12 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from .model import aggregate_overall
-from .tensor import Tensor, add, log, mul, softmax, softmax_rows
+from .tensor import Tensor, mul, softmax_rows
 
 __all__ = [
     "confidence",
     "local_relevance_weight",
-    "weighted_local_logits",
     "apply_weights",
 ]
 
@@ -54,29 +53,7 @@ def local_relevance_weight(local_logits, n_scales: int, mode: str = "normalized"
     return 1.0 + confidence(local_logits, mode=mode).reshape(n_scales, -1).T
 
 
-def weighted_local_logits(local_logits: Tensor, weights: np.ndarray, target: str = "logits") -> Tensor:
-    """Scale each scale's prediction in the (S*B, C) stack by its relevance
-    weight from the (B, S) ``weights``.
-
-    ``target`` picks whether the weight multiplies the logits (default) or
-    the softmax probabilities; the probability form re-expresses the scaled
-    probabilities as logits via log.
-    """
-    column = Tensor(np.asarray(weights).T.reshape(-1, 1))
-    if target == "logits":
-        return mul(local_logits, column)
-    if target == "probabilities":
-        return log(add(mul(softmax(local_logits), column), Tensor(np.full(local_logits.shape, 1e-12))))
-    raise ValueError(f"weighted_local_logits: unknown target {target!r}")
-
-
-def apply_weights(
-    lts: Tensor,
-    local_logits: Tensor,
-    weights: np.ndarray,
-    sites,
-    weight_target: str = "logits",
-) -> tuple[Tensor, Tensor]:
+def apply_weights(lts: Tensor, local_logits: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, Tensor]:
     """Apply (B, S) relevance weights at the requested sites.
 
     Returns the overall temporal feature (weighted when ``feature`` is in
@@ -92,5 +69,5 @@ def apply_weights(
     weights = np.asarray(weights, dtype=np.float64)
     overall = aggregate_overall(lts, weights.shape[1], weights if FEATURE_SITE in sites else None)
     if PREDICTION_SITE in sites:
-        return overall, weighted_local_logits(local_logits, weights, target=weight_target)
+        return overall, mul(local_logits, Tensor(weights.T.reshape(-1, 1)))
     return overall, local_logits

@@ -247,22 +247,22 @@ def _assert_unchanged(tensors: list[tuple[str, Tensor]], snap: dict[str, np.ndar
             raise RuntimeError(f"frozen parameter drift detected: {name}")
 
 
-def _leaf_coefficients(tree, weights, coeff: float = 1.0):
+def _leaf_coefficients(tree, cfg: RunConfig, coeff: float = 1.0):
     """(component, product of the weights on its path) per leaf, left to right."""
     for name, child in tree:
-        c = coeff * getattr(weights, name)
+        c = coeff * getattr(cfg, name)
         if isinstance(child, str):
             yield child, c
         else:
-            yield from _leaf_coefficients(child, weights, c)
+            yield from _leaf_coefficients(child, cfg, c)
 
 
-def _weighted_sum(tree, components: dict[str, Tensor], weights) -> Tensor:
+def _weighted_sum(tree, components: dict[str, Tensor], cfg: RunConfig) -> Tensor:
     """The objective tree as nested weighted sums, folded left to right."""
     total = None
     for name, child in tree:
-        value = components[child] if isinstance(child, str) else _weighted_sum(child, components, weights)
-        term = scale(value, getattr(weights, name))
+        value = components[child] if isinstance(child, str) else _weighted_sum(child, components, cfg)
+        term = scale(value, getattr(cfg, name))
         total = term if total is None else add(total, term)
     return total
 
@@ -292,8 +292,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     frozen_snap = _snapshot(frozen_named)
     bn_snap = (model.bn_mean.copy(), model.bn_var.copy())
 
-    weights_cfg = cfg.loss_weights()
-    coeffs = dict(_leaf_coefficients(variant.objective, weights_cfg))
+    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     use_pl = "pl_ce" in coeffs
     labels = target.labels_array()
     id_to_index = {s.id: i for i, s in enumerate(target.samples)}
@@ -329,16 +328,14 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
 
             if sites:
                 weights = lwm.local_relevance_weight(local_logits, n_scales, cfg.confidence_mode)
-                overall, pc_logits = lwm.apply_weights(
-                    lts, local_logits, weights, sites, weight_target=cfg.lwm_weight_target
-                )
+                overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, sites)
             else:
                 overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
             overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
 
             components = {}
             if "fc" in coeffs:
-                components["fc"] = feature_consistency_total(lts, n_scales, weights_cfg.lam, weights_cfg.eps_norm)
+                components["fc"] = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
             if "pc_local" in coeffs:
                 if "pc_overall" in coeffs and not cfg.pc_overall_weighted and "feature" in sites:
                     plain_logits = classify(
@@ -355,7 +352,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if use_pl:
                 batch_pseudo = pseudo[[id_to_index[i] for i in batch.ids]]
                 components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, batch_pseudo)
-            loss = _weighted_sum(variant.objective, components, weights_cfg)
+            loss = _weighted_sum(variant.objective, components, cfg)
 
             total_v = loss.item()
             if not np.isfinite(total_v):

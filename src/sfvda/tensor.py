@@ -116,20 +116,10 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self._vjp is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

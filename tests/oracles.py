@@ -131,3 +131,43 @@ def per_scale_head(local_blocks, head, running, batch_stats, eps=1e-5):
             ]
             logits.append([sum(x * w for x, w in zip(normed, w_row)) + b for w_row, b in zip(w_eff, head["wn_b"])])
     return logits
+
+
+
+def normalize_features(rows, eps_norm):
+    """Standardize each column over the batch: population variance, with
+    eps_norm under the square root so a constant column becomes zero."""
+    columns = []
+    for column in zip(*rows):
+        mu = sum(column) / len(column)
+        sd = math.sqrt(sum((x - mu) ** 2 for x in column) / len(column) + eps_norm)
+        columns.append([(x - mu) / sd for x in column])
+    return [list(row) for row in zip(*columns)]
+
+
+def cross_correlation(a, b, eps_norm):
+    """(1/B) normalize(a)^T normalize(b), a d x d matrix as rows."""
+    za, zb = normalize_features(a, eps_norm), normalize_features(b, eps_norm)
+    return [[sum(x * y for x, y in zip(ca, cb)) / len(za) for cb in zip(*zb)] for ca in zip(*za)]
+
+
+def feature_consistency_pair(m, lam):
+    """Squared diagonal deviations of one cross-correlation matrix from 1
+    plus lam times its squared off-diagonal entries."""
+    d = len(m)
+    diag = sum((1.0 - m[i][i]) ** 2 for i in range(d))
+    off = sum(m[i][j] ** 2 for i in range(d) for j in range(d) if i != j)
+    return diag + lam * off
+
+
+def ordered_scale_pairs(k):
+    """All ordered pairs of distinct scales (r1, r2), r in [2, k]."""
+    return [(r1, r2) for r1 in range(2, k + 1) for r2 in range(2, k + 1) if r1 != r2]
+
+
+def per_pair_feature_consistency(scales, lam, eps_norm):
+    """Mean pair penalty over every ordered pair of scales; ``scales[s]`` is
+    the (B, d) batch of scale s + 2 as rows."""
+    pairs = ordered_scale_pairs(len(scales) + 1)
+    cross = [cross_correlation(scales[i - 2], scales[j - 2], eps_norm) for i, j in pairs]
+    return sum(feature_consistency_pair(m, lam) for m in cross) / len(pairs)

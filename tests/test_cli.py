@@ -83,6 +83,16 @@ def test_unknown_config_key_names_the_key(workspace):
     assert len(out.stderr.strip().splitlines()) == 1
 
 
+def test_bad_weight_fails_before_any_file_is_read(tmp_path, capsys):
+    from sfvda import cli
+
+    args = ["--source-model", "none.json", "--target-data", "none.jsonl", "--out", str(tmp_path / "z.json")]
+    code = cli.main(["adapt", "--set", "lam=-1", *args])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert code == 1 and len(lines) == 1
+    assert lines[0].startswith("error: config key 'lam': must be finite and >= 0"), lines
+
+
 def test_batch_size_larger_than_dataset_is_one_error_line(workspace):
     out = run_sfvda(
         "train-source", "--config", "tiny.config", "--set", "batch_size=100",

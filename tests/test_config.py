@@ -105,7 +105,14 @@ def test_m_max_below_one_rejected():
         ("variant", "bogus"),
         ("freeze_scope", "nothing"),
         ("confidence_mode", "loud"),
-        ("lwm_weight_target", "features"),
+        ("frame_dim", "0"),
+        ("d_enc", "0"),
+        ("d", "0"),
+        ("d_b", "0"),
+        ("lam", "-1"),
+        ("beta_fc", "-1"),
+        ("eps_norm", "0"),
+        ("eps_smooth", "1.0"),
     ],
 )
 def test_invalid_value_names_the_key(key, raw):

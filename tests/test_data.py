@@ -147,6 +147,11 @@ class TestFileFormat:
             pytest.param(0, "count", True, id="0-count-bool"),
             pytest.param(2, "label", "1", id="2-label-string"),
             pytest.param(2, "label", 1.0, id="2-label-float"),
+            # header sizes below what a model can use
+            pytest.param(0, "C", 1, id="0-C-one"),
+            pytest.param(0, "k", 2, id="0-k-two"),
+            pytest.param(0, "d_in", 0, id="0-d_in-zero"),
+            pytest.param(0, "count", 0, id="0-count-zero"),
         ],
     )
     def test_missing_field_names_file_line_and_field(self, tmp_path, line, field, value):

@@ -3,22 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from oracles import per_scale_prediction_consistency
+import oracles
 from sfvda import losses
-from sfvda.config import VARIANTS
-from sfvda.losses import LossWeights, make_prediction_set
+from sfvda.config import VARIANTS, RunConfig
+from sfvda.losses import make_prediction_set
 from sfvda.pipeline import _weighted_sum
 from sfvda.tensor import Tensor, concat, finite_diff_check
 
 
 def test_loss_weights_validation():
-    LossWeights()
-    with pytest.raises(ValueError):
-        LossWeights(beta_fc=-1.0)
-    with pytest.raises(ValueError):
-        LossWeights(eps_norm=0.0)
-    with pytest.raises(ValueError):
-        LossWeights(eps_smooth=1.0)
+    RunConfig()
+    with pytest.raises(ValueError, match="beta_fc"):
+        RunConfig(beta_fc=-1.0)
+    with pytest.raises(ValueError, match="eps_norm"):
+        RunConfig(eps_norm=0.0)
+    with pytest.raises(ValueError, match="eps_smooth"):
+        RunConfig(eps_smooth=1.0)
 
 
 class TestSmoothedCrossEntropy:
@@ -46,65 +46,66 @@ class TestSmoothedCrossEntropy:
 
 
 class TestNormalizeFeatures:
+    """The per-pair reference in tests/oracles.py, pinned to scripted values."""
+
     def test_constant_column_goes_to_zero(self):
-        lt = Tensor(np.full((4, 3), 7.0))
-        out = losses.normalize_features(lt, 1e-5)
-        assert np.allclose(out.data, 0.0, atol=0)
+        out = oracles.normalize_features(np.full((4, 3), 7.0).tolist(), 1e-5)
+        assert np.allclose(out, 0.0, atol=0)
 
     def test_already_standardized(self):
-        out = losses.normalize_features(Tensor([[-1.0], [1.0]]), 1e-12)
-        assert np.allclose(out.data, [[-1.0], [1.0]], atol=1e-6)
+        out = oracles.normalize_features([[-1.0], [1.0]], 1e-12)
+        assert np.allclose(out, [[-1.0], [1.0]], atol=1e-6)
 
     def test_scripted_column(self):
-        out = losses.normalize_features(Tensor([[0.0], [2.0], [4.0]]), 1e-5)
+        out = oracles.normalize_features([[0.0], [2.0], [4.0]], 1e-5)
         expected = [-1.2247425750014138, 0.0, 1.2247425750014138]
-        assert np.allclose(out.data.reshape(-1), expected, atol=1e-12)
+        assert np.allclose(np.reshape(out, -1), expected, atol=1e-12)
 
     def test_needs_batch(self):
+        # the fused op standardizes each scale over the batch
         with pytest.raises(ValueError, match="batch"):
-            losses.normalize_features(Tensor(np.ones((1, 3))), 1e-5)
+            losses.feature_consistency_total(Tensor(np.ones((2, 3))), 2, 5e-3, 1e-5)
 
 
 class TestCrossCorrelation:
     def test_self_correlation_diagonal_is_one(self):
         rng = np.random.default_rng(0)
-        lt = Tensor(rng.normal(0.0, 5.0, size=(64, 8)))
-        c = losses.cross_correlation(lt, lt, 1e-5)
-        assert np.max(np.abs(np.diag(c.data) - 1.0)) < 1e-6
+        lt = rng.normal(0.0, 5.0, size=(64, 8)).tolist()
+        c = oracles.cross_correlation(lt, lt, 1e-5)
+        assert np.max(np.abs(np.diag(c) - 1.0)) < 1e-6
 
     def test_anti_correlation_diagonal(self):
         rng = np.random.default_rng(1)
-        lt = Tensor(rng.normal(0.0, 5.0, size=(32, 4)))
-        neg = Tensor(-lt.data)
-        c = losses.cross_correlation(lt, neg, 1e-5)
-        assert np.max(np.abs(np.diag(c.data) + 1.0)) < 1e-6
+        lt = rng.normal(0.0, 5.0, size=(32, 4))
+        c = oracles.cross_correlation(lt.tolist(), (-lt).tolist(), 1e-5)
+        assert np.max(np.abs(np.diag(c) + 1.0)) < 1e-6
 
     def test_scripted_value(self):
         rng = np.random.default_rng(20)
         x = rng.normal(0, 2.0, size=(4, 2))
         y = rng.normal(0, 2.0, size=(4, 2))
-        c = losses.cross_correlation(Tensor(x), Tensor(y), 1e-5)
+        c = oracles.cross_correlation(x.tolist(), y.tolist(), 1e-5)
         expected = [
             [0.9951322622839691, 0.10066994755945012],
             [0.19317235906572144, 0.9573168976609328],
         ]
-        assert np.allclose(c.data, expected, atol=1e-12)
+        assert np.allclose(c, expected, atol=1e-12)
 
 
 class TestFeatureConsistency:
     def test_identity_matrix_gives_zero(self):
-        assert losses.feature_consistency_pair(Tensor(np.eye(5)), 5e-3).item() == 0.0
+        assert oracles.feature_consistency_pair(np.eye(5).tolist(), 5e-3) == 0.0
 
     def test_zero_matrix_diagonal_only(self):
-        assert losses.feature_consistency_pair(Tensor(np.zeros((3, 3))), 1.0).item() == 3.0
+        assert oracles.feature_consistency_pair(np.zeros((3, 3)).tolist(), 1.0) == 3.0
 
     def test_offdiagonal_term(self):
-        c = Tensor([[1.0, 0.5], [0.5, 1.0]])
-        assert abs(losses.feature_consistency_pair(c, 5e-3).item() - 2.5e-3) < 1e-15
+        c = [[1.0, 0.5], [0.5, 1.0]]
+        assert abs(oracles.feature_consistency_pair(c, 5e-3) - 2.5e-3) < 1e-15
 
     def test_pair_count(self):
-        assert len(losses.ordered_scale_pairs(5)) == 12
-        assert len(losses.ordered_scale_pairs(3)) == 2
+        assert len(oracles.ordered_scale_pairs(5)) == 12
+        assert len(oracles.ordered_scale_pairs(3)) == 2
 
     def test_identical_decorrelated_scales_near_zero(self):
         rng = np.random.default_rng(2)
@@ -127,8 +128,9 @@ class TestFeatureConsistency:
 
 
 class TestFusedFeatureConsistency:
-    """The fused op against the definition: one cross-correlation matrix and
-    one pair penalty per ordered scale pair, averaged."""
+    """The fused op against the definition in tests/oracles.py: one
+    cross-correlation matrix and one pair penalty per ordered scale pair,
+    averaged."""
 
     @staticmethod
     def scales(k, seed):
@@ -140,15 +142,9 @@ class TestFusedFeatureConsistency:
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_equals_mean_of_pair_penalties(self, k):
         lam, eps = 5e-3, 1e-5
-        lts = [Tensor(lt) for lt in self.scales(k, 30 + k)]
-        pairs = losses.ordered_scale_pairs(k)
-        reference = sum(
-            losses.feature_consistency_pair(
-                losses.cross_correlation(lts[r1 - 2], lts[r2 - 2], eps), lam
-            ).item()
-            for r1, r2 in pairs
-        ) / len(pairs)
-        fused = losses.feature_consistency_total(concat(lts), k - 1, lam, eps).item()
+        lts = self.scales(k, 30 + k)
+        reference = oracles.per_pair_feature_consistency([lt.tolist() for lt in lts], lam, eps)
+        fused = losses.feature_consistency_total(concat([Tensor(lt) for lt in lts]), k - 1, lam, eps).item()
         assert abs(fused - reference) <= 1e-12 * abs(reference)
 
     def test_gradient_at_k8(self):
@@ -211,9 +207,9 @@ class TestPredictionConsistency:
         }
         local, overall = components["pc_local"].item(), components["pc_overall"].item()
         pc = VARIANTS["pc"].objective
-        combined = _weighted_sum(pc, components, LossWeights(alpha_local=2.0, alpha_overall=0.5)).item()
+        combined = _weighted_sum(pc, components, RunConfig(alpha_local=2.0, alpha_overall=0.5)).item()
         assert abs(combined - (2.0 * local + 0.5 * overall)) < 1e-12
-        assert _weighted_sum(pc, components, LossWeights(alpha_overall=0.0)).item() == pytest.approx(local)
+        assert _weighted_sum(pc, components, RunConfig(alpha_overall=0.0)).item() == pytest.approx(local)
 
     def test_average_is_mean_of_local_rows(self):
         rng = np.random.default_rng(6)
@@ -229,7 +225,7 @@ def test_stacked_local_consistency_is_mean_of_per_scale_kls(literal):
     blocks = [rng.normal(size=(6, 4)) for _ in range(5)]
     preds = make_prediction_set(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4))))
     stacked = losses.local_prediction_consistency(preds, literal=literal).item()
-    reference = per_scale_prediction_consistency([b.tolist() for b in blocks], literal=literal)
+    reference = oracles.per_scale_prediction_consistency([b.tolist() for b in blocks], literal=literal)
     assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
@@ -238,8 +234,8 @@ def test_temporal_consistency_weighting():
     components = {"fc": Tensor(np.array(0.2)), "pc_local": Tensor(np.array(0.1)), "pc_overall": Tensor(np.array(0.2))}
 
     def tc(beta_fc, beta_pc):
-        weights = LossWeights(beta_fc=beta_fc, beta_pc=beta_pc)
-        return _weighted_sum(VARIANTS["tc"].objective, components, weights).item()
+        cfg = RunConfig(beta_fc=beta_fc, beta_pc=beta_pc)
+        return _weighted_sum(VARIANTS["tc"].objective, components, cfg).item()
 
     assert tc(1.0, 1.0) == pytest.approx(0.5)
     assert tc(0.0, 1.0) == pytest.approx(0.3)
@@ -339,7 +335,7 @@ class TestGradients:
                 "pc_local": losses.local_prediction_consistency(preds),
                 "pc_overall": losses.overall_prediction_consistency(preds),
             }
-            return _weighted_sum(VARIANTS["pc"].objective, components, LossWeights())
+            return _weighted_sum(VARIANTS["pc"].objective, components, RunConfig())
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(5, 3))), rel_tol=1e-4).passed
 

@@ -84,7 +84,7 @@ class TestAdaptTarget:
         assert params_bytes(adapted) == params_bytes(model)
         assert rows == []
 
-    # The LossWeights fields that, set to zero, zero every term of a
+    # The RunConfig weights that, set to zero, zero every term of a
     # variant's objective.
     ZEROED_WEIGHTS = {
         "full": ("beta_tc", "beta_im", "beta_ce"),
@@ -158,12 +158,11 @@ class TestAdaptTarget:
 
     def test_objective_decomposition(self, trained):
         cfg, _, target, model, _ = trained
-        w = cfg.loss_weights()
         _, rows = P.adapt_target(model, target, cfg)
         for r in rows:
-            pc = r.pc_local * w.alpha_local + r.pc_overall * w.alpha_overall
-            tc = r.fc * w.beta_fc + pc * w.beta_pc
-            total = tc * w.beta_tc + r.im * w.beta_im + r.pl_ce * w.beta_ce
+            pc = r.pc_local * cfg.alpha_local + r.pc_overall * cfg.alpha_overall
+            tc = r.fc * cfg.beta_fc + pc * cfg.beta_pc
+            total = tc * cfg.beta_tc + r.im * cfg.beta_im + r.pl_ce * cfg.beta_ce
             assert abs(total - r.total) < 1e-10
 
     def test_determinism(self, trained):
@@ -421,7 +420,7 @@ class TestWholeModelGradient:
     taken once at the base point and held fixed."""
 
     @staticmethod
-    def full_variant_loss(model, frames, clips, weights, pseudo, w):
+    def full_variant_loss(model, frames, clips, weights, pseudo, cfg):
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
         local_logits = M.classify(lts, model, mode="train", blocks=model.k - 1)
@@ -429,13 +428,13 @@ class TestWholeModelGradient:
         overall_logits = M.classify(overall, model, mode="train")
         preds = losses.make_prediction_set(pc_logits, overall_logits)
         components = {
-            "fc": losses.feature_consistency_total(lts, model.k - 1, w.lam, w.eps_norm),
+            "fc": losses.feature_consistency_total(lts, model.k - 1, cfg.lam, cfg.eps_norm),
             "pc_local": losses.local_prediction_consistency(preds),
             "pc_overall": losses.overall_prediction_consistency(preds),
             "im": losses.information_maximization(overall_logits),
             "pl_ce": losses.pseudo_label_cross_entropy(overall_logits, pseudo),
         }
-        return P._weighted_sum(VARIANTS["full"].objective, components, w)
+        return P._weighted_sum(VARIANTS["full"].objective, components, cfg)
 
     def test_full_variant_loss_gradients(self):
         model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
@@ -444,7 +443,7 @@ class TestWholeModelGradient:
         frames = rng.normal(size=(6, 4, 5))
         pseudo = rng.integers(0, 3, size=6)
         clips = M.sample_clips(4, model.m_max, rng)
-        w = tiny_cfg().loss_weights()
+        cfg = tiny_cfg()
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
         weights = lwm.local_relevance_weight(M.classify(lts, model, mode="train", blocks=3), 3)
@@ -457,7 +456,7 @@ class TestWholeModelGradient:
 
             def f(x):
                 model.tensors[name] = concat([x, rest], axis=1)
-                return self.full_variant_loss(model, frames, clips, weights, pseudo, w)
+                return self.full_variant_loss(model, frames, clips, weights, pseudo, cfg)
 
             report = finite_diff_check(f, Tensor(original.data[:, :2]), rel_tol=1e-4)
             model.tensors[name] = original

@@ -1,0 +1,63 @@
+"""Hash every output of every adaptation variant under every comparison setting.
+
+A change that claims to keep every output byte runs this on the parent and on
+the change, and the two listings must be identical:
+
+    PYTHONPATH=src python tests/variant_hashes.py > change.txt
+    PYTHONPATH=<parent checkout>/src python tests/variant_hashes.py > parent.txt
+
+One source model is trained for two epochs on a 3-class, 5-frame, 120-video
+domain pair (longer training drives some class probabilities to 1, where
+``literal_eq8`` stops on a non-finite log), then adapted with each of the 10
+variants under each of the 5 settings. Each run prints the sha256 of the
+checkpoint, its re-save after a load, the metrics CSV and both export levels.
+pytest does not collect this file.
+"""
+
+import hashlib
+import pathlib
+import tempfile
+from dataclasses import replace
+
+from sfvda import model as M
+from sfvda import pipeline as P
+from sfvda.config import VARIANTS, RunConfig
+from sfvda.data import generate_domain_pair
+
+BASE = RunConfig(classes=3, videos_per_class=40, frames=5, frame_dim=8, d_enc=16, d=16, d_b=16, seed=3)
+BASE = replace(BASE, epochs_source=2, epochs_adapt=3, batch_size=16)
+SETTINGS = {
+    "head_all": {},
+    "last_layer_only": {"freeze_scope": "last_layer_only"},
+    "pc_overall_weighted=false": {"pc_overall_weighted": False},
+    "literal_eq8=true": {"literal_eq8": True},
+    "confidence_mode=raw": {"confidence_mode": "raw"},
+}
+
+
+def main() -> None:
+    source, target = generate_domain_pair(BASE.domain_spec())
+    source_model, source_rows = P.train_source(source, BASE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp)
+
+        def emit(label, name, write):
+            write(path / name)
+            print(label, hashlib.sha256((path / name).read_bytes()).hexdigest())
+
+        emit("source/checkpoint", "source.json", lambda p: M.save_checkpoint(source_model, p))
+        emit("source/metrics", "source.csv", lambda p: P.write_metrics(source_rows, p))
+        for setting, overrides in SETTINGS.items():
+            for variant in VARIANTS:
+                model, rows = P.adapt_target(source_model, target, replace(BASE, variant=variant, **overrides))
+                run = f"{variant}/{setting}"
+                emit(f"{run}/checkpoint", "adapted.json", lambda p: M.save_checkpoint(model, p))
+                reloaded = M.load_checkpoint(path / "adapted.json")
+                emit(f"{run}/resave", "resaved.json", lambda p: M.save_checkpoint(reloaded, p))
+                emit(f"{run}/metrics", "adapted.csv", lambda p: P.write_metrics(rows, p))
+                for level in ("local", "overall"):
+                    emit(f"{run}/export_{level}", "export.csv", lambda p: P.export_embeddings(model, target, level, p))
+
+
+if __name__ == "__main__":
+    main()
