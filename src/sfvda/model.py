@@ -32,14 +32,13 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _ensure_finite,
     add,
     concat,
     div,
-    gather_concat,
     matmul,
     mean,
     mul,
-    relu,
     reshape,
     scale,
     sqrt,
@@ -254,10 +253,41 @@ def init_model(
     return ModelParams(**dims, seed=seed, tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b))
 
 
-def _mlp2(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    t = params.tensors
-    hidden = relu(add(matmul(x, t[f"{prefix}_w1"]), t[f"{prefix}_b1"]))
-    return add(matmul(hidden, t[f"{prefix}_w2"]), t[f"{prefix}_b2"])
+def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -> Tensor:
+    """One op for the two-layer ReLU MLP ``prefix`` over gathered rows of
+    ``x``, summed per group, with a closed-form VJP.
+
+    ``rows`` is an int array (G, M, r): input m of group g concatenates rows
+    rows[g, m, 0], ..., rows[g, m, r-1] of ``x``, and output row g is
+    sum_m (relu(in_gm W1 + b1) W2 + b2). Every GEMM and bias add output is
+    checked for finiteness, as the unfused ops did.
+    """
+    if rows.min() < 0 or rows.max() >= x.shape[0]:
+        raise ValueError(f"{prefix}: frame index out of range")
+    w1, b1, w2, b2 = (params.tensors[f"{prefix}_{n}"] for n in ("w1", "b1", "w2", "b2"))
+    groups, m = rows.shape[:2]
+    inputs = x.data[rows].reshape(groups * m, -1)
+    hidden = _ensure_finite(inputs @ w1.data, "matmul")
+    hidden += b1.data
+    np.maximum(_ensure_finite(hidden, "add"), 0.0, out=hidden)
+    per_clip = _ensure_finite(hidden @ w2.data, "matmul")
+    per_clip += b2.data
+    pooled = _ensure_finite(per_clip, "add").reshape(groups, m, -1).sum(axis=1)
+
+    def vjp(g):
+        g = np.array(np.broadcast_to(g[:, None, :], (groups, m, g.shape[1]))).reshape(groups * m, -1)
+        g_pre = (g @ w2.data.T) * (hidden > 0.0)
+        grads = [None, inputs.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
+        if x.requires_grad:
+            # per clip position, each source row gets one add, in np.add.at's order
+            g_in = (g_pre @ w1.data.T).reshape(rows.shape + (x.shape[1],))
+            grads[0] = np.zeros_like(x.data)
+            for pos in np.ndindex(rows.shape[1:]):
+                at = (slice(None), *pos)
+                grads[0][rows[at]] += g_in[at]
+        return grads
+
+    return Tensor._from_op(pooled, prefix, (x, w1, b1, w2, b2), vjp)
 
 
 def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
@@ -273,7 +303,7 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
         )
     batch = frames.shape[0]
     stacked = Tensor(frames.transpose(1, 0, 2).reshape(params.k * batch, params.d_in))
-    return _mlp2(stacked, params, "enc")
+    return _pooled_mlp(stacked, np.arange(params.k * batch).reshape(-1, 1, 1), params, "enc")
 
 
 def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
@@ -302,14 +332,14 @@ def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> Te
     with one ClipIndexSet per video (evaluation). Each scale gathers all
     B*M_r clip inputs into one matrix and runs its relation MLP once.
     """
-    batch = encodings.shape[0] // params.k
+    batch, extra = divmod(encodings.shape[0], params.k)
+    if extra:
+        raise ValueError(f"local_temporal_features: {encodings.shape[0]} rows are not {params.k} frames per video")
     index_arrays = _clip_index_arrays(clips, batch, params.k)
-    features = []
-    for r in range(2, params.k + 1):
-        idx = index_arrays[r]
-        per_clip = _mlp2(gather_concat(encodings, idx), params, f"rel{r}")
-        features.append(tensor_sum(reshape(per_clip, (batch, idx.shape[1], params.d)), axis=1))
-    return concat(features)
+    videos = np.arange(batch).reshape(batch, 1, 1)
+    return concat(
+        _pooled_mlp(encodings, index_arrays[r] * batch + videos, params, f"rel{r}") for r in range(2, params.k + 1)
+    )
 
 
 def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = None) -> Tensor:

@@ -44,7 +44,6 @@ __all__ = [
     "tensor_sum",
     "transpose",
     "reshape",
-    "gather_concat",
     "GradCheckReport",
     "finite_diff_check",
 ]
@@ -429,39 +428,6 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = a.data.reshape(shape)
     return Tensor._from_op(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
-
-
-def gather_concat(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Concatenate per-row frame selections from a frame-major tensor.
-
-    ``a`` is (n_frames*B, d) with row j*B + b holding frame j of row b. With
-    ``idx`` an int array (B, r), row b of the result is the concatenation
-    of frames idx[b,0], ..., idx[b,r-1] of row b, giving shape (B, r*d).
-    With ``idx`` of shape (B, M, r) every row contributes M such rows, row
-    b*M + m built from idx[b, m], giving shape (B*M, r*d).
-    """
-    idx = np.asarray(idx)
-    if idx.ndim not in (2, 3):
-        raise ValueError(f"gather_concat: expected (B, r) or (B, M, r) indices, got {idx.shape}")
-    batch, r = idx.shape[0], idx.shape[-1]
-    if a.data.ndim != 2 or a.shape[0] % batch:
-        raise ValueError(f"gather_concat: shape {a.shape} is not frame-major for a batch of {batch}")
-    if idx.min() < 0 or idx.max() >= a.shape[0] // batch:
-        raise ValueError("gather_concat: frame index out of range")
-    rows = idx * batch + np.arange(batch).reshape((batch,) + (1,) * (idx.ndim - 1))
-    picked = a.data[rows]  # idx.shape + (d,)
-    d = a.shape[1]
-
-    def vjp(g):
-        # per clip position, each source row gets one add, in np.add.at's order
-        g = g.reshape(picked.shape)
-        buf = np.zeros_like(a.data)
-        for pos in np.ndindex(idx.shape[1:]):
-            at = (slice(None), *pos)
-            buf[rows[at]] += g[at]
-        return (buf,)
-
-    return Tensor._from_op(picked.reshape(-1, r * d), "gather_concat", (a,), vjp)
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Independent brute-force references used by the test suite.
 
 Written with plain Python loops and math so they share no code path with
-the library implementations they check.
+the library implementations they check. The one exception is
+``unfused_relation_chain``: a numpy reference for the fused relation op that
+runs its arithmetic one operation at a time, so it can be compared with the
+library bit for bit where the arithmetic is the same.
 """
 
 import json
 import math
+
+import numpy as np
 
 
 def json_checkpoint_text(doc):
@@ -171,3 +176,28 @@ def per_pair_feature_consistency(scales, lam, eps_norm):
     pairs = ordered_scale_pairs(len(scales) + 1)
     cross = [cross_correlation(scales[i - 2], scales[j - 2], eps_norm) for i, j in pairs]
     return sum(feature_consistency_pair(m, lam) for m in cross) / len(pairs)
+
+
+def unfused_relation_chain(x, rows, w1, b1, w2, b2, g):
+    """The relation MLP of one scale as separate numpy operations: gather the
+    clip rows, affine, ReLU and affine per clip, then sum each group's M clips.
+
+    ``x`` is the frame-major (n, d_x) input, ``rows`` an int array (G, M, r)
+    of row indices, ``g`` the (G, d) gradient of the output. Returns the
+    output and the gradients of x, w1, b1, w2 and b2 by the chain rule, each
+    step in the order the unfused autograd ops took; the gradient of x is
+    scattered with ``np.add.at``.
+    """
+    groups, m, _ = rows.shape
+    inputs = x[rows].reshape(groups * m, -1)
+    pre = inputs @ w1 + b1
+    hidden = np.maximum(pre, 0.0)
+    per_clip = hidden @ w2 + b2
+    out = per_clip.reshape(groups, m, -1).sum(axis=1)
+
+    g_clip = np.array(np.broadcast_to(g[:, None, :], (groups, m, g.shape[1]))).reshape(groups * m, -1)
+    g_pre = (g_clip @ w2.T) * (pre > 0.0)
+    g_x = np.zeros_like(x)
+    np.add.at(g_x, rows, (g_pre @ w1.T).reshape(rows.shape + (x.shape[1],)))
+    grads = {"x": g_x, "w1": inputs.T @ g_pre, "b1": g_pre.sum(axis=0), "w2": hidden.T @ g_clip, "b2": g_clip.sum(axis=0)}
+    return out, grads

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import json_checkpoint_text, per_scale_head
+from oracles import json_checkpoint_text, per_scale_head, unfused_relation_chain
 from sfvda import model as M
-from sfvda.tensor import Tensor, concat, no_grad
+from sfvda.tensor import Tensor, concat, finite_diff_check, mean, mul, no_grad, square, tensor_sum
 
 
 _DELETE = object()
@@ -161,6 +161,84 @@ class TestLocalTemporalFeatures:
         want1 = scripted_relation(params, 2, np.concatenate([enc_np[1:, 1], enc_np[1:, 2]], axis=1))
         assert np.max(np.abs(lts.data[0] - want0[0])) < 1e-12
         assert np.max(np.abs(lts.data[1] - want1[0])) < 1e-12
+
+
+    @staticmethod
+    def index_arrays(clips, batch):
+        if isinstance(clips, M.ClipIndexSet):
+            return {r: np.broadcast_to(np.array(t), (batch, len(t), r)) for r, t in clips.clips.items()}
+        return {r: np.array([c.clips[r] for c in clips]) for r in clips[0].clips}
+
+    @staticmethod
+    def clip_sets(per_video, batch, k):
+        if per_video:
+            return [M.sample_clips(k, 3, np.random.default_rng(40 + b)) for b in range(batch)]
+        return M.sample_clips(k, 3, np.random.default_rng(40))
+
+    @pytest.mark.parametrize("per_video", [False, True])
+    def test_fused_relation_op_equals_the_unfused_chain(self, per_video):
+        params = tiny_model(k=4, d_in=5, d_enc=6, d=7, seed=8)
+        t = params.tensors
+        rng = np.random.default_rng(9)
+        batch = 5
+        frames = rng.normal(size=(batch, 4, 5))
+        clips = self.clip_sets(per_video, batch, 4)
+        enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
+        lts = M.local_temporal_features(enc, clips, params)
+        g = rng.normal(size=lts.shape)
+        tensor_sum(mul(lts, Tensor(g))).backward()
+        grad_enc = 0.0
+        for s, (r, idx) in enumerate(self.index_arrays(clips, batch).items()):
+            rows = idx * batch + np.arange(batch).reshape(batch, 1, 1)
+            weights = [t[f"rel{r}_{n}"] for n in ("w1", "b1", "w2", "b2")]
+            block = slice(s * batch, (s + 1) * batch)
+            out, grads = unfused_relation_chain(enc.data, rows, *(w.data for w in weights), g[block])
+            assert lts.data[block].tobytes() == out.tobytes()
+            for name, w in zip(("w1", "b1", "w2", "b2"), weights):
+                assert w.grad.tobytes() == grads[name].tobytes(), f"rel{r}_{name}"
+            grad_enc = grad_enc + grads["x"]
+        assert enc.grad.tobytes() == grad_enc.tobytes()
+
+    def test_fused_encoder_equals_the_unfused_chain(self):
+        params = tiny_model(k=4, d_in=5, d_enc=6, seed=10)
+        rng = np.random.default_rng(11)
+        frames = rng.normal(size=(3, 4, 5))
+        enc = M.encode_frames(frames, params)
+        g = rng.normal(size=enc.shape)
+        tensor_sum(mul(enc, Tensor(g))).backward()
+        stacked = frames.transpose(1, 0, 2).reshape(12, 5)
+        weights = [params.tensors[f"enc_{n}"] for n in ("w1", "b1", "w2", "b2")]
+        out, grads = unfused_relation_chain(stacked, np.arange(12).reshape(12, 1, 1), *(w.data for w in weights), g)
+        assert enc.data.tobytes() == out.tobytes()
+        for name, w in zip(("w1", "b1", "w2", "b2"), weights):
+            assert w.grad.tobytes() == grads[name].tobytes(), f"enc_{name}"
+
+    def test_per_video_clip_gradient_matches_central_differences(self):
+        params = tiny_model(k=4, d_in=5, d_enc=3, d=4, seed=12)
+        frames = np.random.default_rng(13).normal(size=(3, 4, 5))
+        clips = self.clip_sets(True, 3, 4)
+        enc = M.encode_frames(frames, params)
+
+        def f(x):
+            return mean(square(M.local_temporal_features(x, clips, params)))
+
+        report = finite_diff_check(f, Tensor(enc.data), rel_tol=1e-4)
+        assert report.passed, f"rel err {report.max_rel_error:.2e}"
+        assert np.abs(report.analytic).max() > 1e-6
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_frame_index_out_of_range(self, bad):
+        params = tiny_model()
+        enc = M.encode_frames(np.zeros((2, 3, 4)), params)
+        with pytest.raises(ValueError, match="rel2: frame index out of range"):
+            M._pooled_mlp(enc, np.array([[[0, bad]]]), params, "rel2")
+
+    def test_rows_must_be_whole_videos(self):
+        params = tiny_model()
+        enc = M.encode_frames(np.zeros((2, 3, 4)), params)
+        clips = M.sample_clips(3, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="5 rows are not 3 frames per video"):
+            M.local_temporal_features(Tensor(enc.data[:5]), clips, params)
 
 
 class TestAggregate:

@@ -241,8 +241,9 @@ class TestAdaptTarget:
 
     def test_one_step_graph_of_the_stacked_scales(self, monkeypatch):
         # the scales travel as one (S*B, d) stack through the head, the local
-        # weights and the consistency losses: 277 nodes when each of those
-        # looped over the 7 scales
+        # weights and the consistency losses (277 nodes when each of those
+        # looped over the 7 scales), and the encoder and each scale's relation
+        # MLP are one op each (160 nodes as chains of 5 and 8 ops): 107 nodes
         cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
         source, target = generate_domain_pair(cfg.domain_spec())
         model, _ = P.train_source(source, cfg)
@@ -257,7 +258,7 @@ class TestAdaptTarget:
         monkeypatch.setattr(T.Graph, "trace", staticmethod(counting_trace))
         P.adapt_target(model, target, cfg)
         assert len(sizes) == 1
-        assert sizes[0] <= 180
+        assert sizes[0] <= 110
 
     @pytest.mark.parametrize("variant", ["pc", "tc", "na", "full"])
     def test_pc_overall_vanishes_without_a_weighting_site(self, trained, variant):
@@ -448,17 +449,18 @@ class TestWholeModelGradient:
         lts = M.local_temporal_features(enc, clips, model)
         weights = lwm.local_relevance_weight(M.classify(lts, model, mode="train", blocks=3), 3)
 
-        names = ["enc_w1"] + [f"rel{r}_w1" for r in range(2, 5)] + ["wn_v"]
-        for name in names:
+        relation = [f"rel{r}_{n}" for r in range(2, 5) for n in ("w1", "b1", "w2", "b2")]
+        for name in ["enc_w1", "enc_b1", *relation, "wn_v"]:
             original = model.tensors[name]
-            # probe the first two columns; the rest of the matrix stays fixed
-            rest = Tensor(original.data[:, 2:])
+            # probe the first two columns (entries of a bias); the rest stays fixed
+            axis = original.data.ndim - 1
+            rest = Tensor(original.data[..., 2:])
 
             def f(x):
-                model.tensors[name] = concat([x, rest], axis=1)
+                model.tensors[name] = concat([x, rest], axis=axis)
                 return self.full_variant_loss(model, frames, clips, weights, pseudo, cfg)
 
-            report = finite_diff_check(f, Tensor(original.data[:, :2]), rel_tol=1e-4)
+            report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)
             model.tensors[name] = original
             assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
             assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"

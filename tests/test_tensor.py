@@ -151,48 +151,6 @@ def test_concat_gradients():
     assert finite_diff_check(g, Tensor(b), rel_tol=1e-4).passed
 
 
-def test_gather_concat_values_and_gradients():
-    rng = np.random.default_rng(3)
-    frames = [rng.normal(size=(2, 3)) for _ in range(4)]
-    idx = np.array([[0, 2], [1, 3]])
-    out = T.gather_concat(Tensor(np.concatenate(frames)), idx)
-    expected = np.concatenate(
-        [
-            np.stack([frames[0][0], frames[1][1]]),
-            np.stack([frames[2][0], frames[3][1]]),
-        ],
-        axis=1,
-    )
-    assert np.array_equal(out.data, expected)
-
-    def f(x):
-        frame_major = T.concat([x, Tensor(frames[1]), Tensor(frames[2]), Tensor(frames[3])])
-        return T.mean(T.square(T.gather_concat(frame_major, idx)))
-
-    assert finite_diff_check(f, Tensor(frames[0]), rel_tol=1e-4).passed
-
-
-@pytest.mark.parametrize("shape", [(5, 3), (5, 4, 3)])
-def test_gather_concat_gradient_sums_in_add_at_order(shape):
-    rng = np.random.default_rng(11)
-    frames = [Tensor(rng.normal(size=(5, 2)), requires_grad=True) for _ in range(4)]
-    idx = rng.integers(0, 4, size=shape)
-    out = T.gather_concat(T.concat(frames), idx)
-    g = rng.normal(size=out.shape) * 10.0 ** rng.integers(-8, 8, size=out.shape)
-    T.tensor_sum(T.mul(out, Tensor(g))).backward()
-    expected = np.zeros((4, 5, 2))
-    rows = np.arange(5).reshape((5,) + (1,) * (idx.ndim - 1))
-    np.add.at(expected, (idx, rows), g.reshape(idx.shape + (2,)))
-    for frame, want in zip(frames, expected):
-        assert frame.grad.tobytes() == want.tobytes()
-
-
-def test_gather_concat_index_out_of_range():
-    frames = Tensor(np.zeros((2, 3)))  # two frames of one row
-    with pytest.raises(ValueError, match="out of range"):
-        T.gather_concat(frames, np.array([[0, 2]]))
-
-
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(5)
     for _ in range(20):
