@@ -259,8 +259,9 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -
 
     ``rows`` is an int array (G, M, r): input m of group g concatenates rows
     rows[g, m, 0], ..., rows[g, m, r-1] of ``x``, and output row g is
-    sum_m (relu(in_gm W1 + b1) W2 + b2). Every GEMM and bias add output is
-    checked for finiteness, as the unfused ops did.
+    sum_m (relu(in_gm W1 + b1) W2 + b2). The output layer is affine, so this
+    is computed as (sum_m relu(in_gm W1 + b1)) W2 + M b2: its GEMM has G
+    rows, not G*M. Every GEMM and bias add output is checked for finiteness.
     """
     if rows.min() < 0 or rows.max() >= x.shape[0]:
         raise ValueError(f"{prefix}: frame index out of range")
@@ -270,14 +271,15 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -
     hidden = _ensure_finite(inputs @ w1.data, "matmul")
     hidden += b1.data
     np.maximum(_ensure_finite(hidden, "add"), 0.0, out=hidden)
-    per_clip = _ensure_finite(hidden @ w2.data, "matmul")
-    per_clip += b2.data
-    pooled = _ensure_finite(per_clip, "add").reshape(groups, m, -1).sum(axis=1)
+    pooled = hidden.reshape(groups, m, -1).sum(axis=1)
+    out = _ensure_finite(pooled @ w2.data, "matmul")
+    out += m * b2.data
+    _ensure_finite(out, "add")
 
     def vjp(g):
-        g = np.array(np.broadcast_to(g[:, None, :], (groups, m, g.shape[1]))).reshape(groups * m, -1)
-        g_pre = (g @ w2.data.T) * (hidden > 0.0)
-        grads = [None, inputs.T @ g_pre, g_pre.sum(axis=0), hidden.T @ g, g.sum(axis=0)]
+        active = (hidden > 0.0).reshape(groups, m, -1)
+        g_pre = ((g @ w2.data.T)[:, None, :] * active).reshape(groups * m, -1)
+        grads = [None, inputs.T @ g_pre, g_pre.sum(axis=0), pooled.T @ g, m * g.sum(axis=0)]
         if x.requires_grad:
             # per clip position, each source row gets one add, in np.add.at's order
             g_in = (g_pre @ w1.data.T).reshape(rows.shape + (x.shape[1],))
@@ -287,7 +289,7 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -
                 grads[0][rows[at]] += g_in[at]
         return grads
 
-    return Tensor._from_op(pooled, prefix, (x, w1, b1, w2, b2), vjp)
+    return Tensor._from_op(out, prefix, (x, w1, b1, w2, b2), vjp)
 
 
 def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:

@@ -114,6 +114,11 @@ def scripted_relation(params, r, clip_input):
     return h @ w2.data + b2.data
 
 
+def assert_close(got, want, what, tol=1e-12):
+    err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+    assert err <= tol, f"{what}: relative error {err:.1e}"
+
+
 class TestLocalTemporalFeatures:
     def test_single_clip_is_no_summation(self):
         params = tiny_model()
@@ -176,7 +181,9 @@ class TestLocalTemporalFeatures:
         return M.sample_clips(k, 3, np.random.default_rng(40))
 
     @pytest.mark.parametrize("per_video", [False, True])
-    def test_fused_relation_op_equals_the_unfused_chain(self, per_video):
+    def test_fused_relation_op_matches_the_unfused_chain(self, per_video):
+        # the fused op sums each video's clips before the output layer, so
+        # it rounds differently from the per-clip chain, by far less than 1e-12
         params = tiny_model(k=4, d_in=5, d_enc=6, d=7, seed=8)
         t = params.tensors
         rng = np.random.default_rng(9)
@@ -193,13 +200,15 @@ class TestLocalTemporalFeatures:
             weights = [t[f"rel{r}_{n}"] for n in ("w1", "b1", "w2", "b2")]
             block = slice(s * batch, (s + 1) * batch)
             out, grads = unfused_relation_chain(enc.data, rows, *(w.data for w in weights), g[block])
-            assert lts.data[block].tobytes() == out.tobytes()
+            assert_close(lts.data[block], out, f"rel{r}")
             for name, w in zip(("w1", "b1", "w2", "b2"), weights):
-                assert w.grad.tobytes() == grads[name].tobytes(), f"rel{r}_{name}"
+                assert_close(w.grad, grads[name], f"rel{r}_{name}")
             grad_enc = grad_enc + grads["x"]
-        assert enc.grad.tobytes() == grad_enc.tobytes()
+        assert_close(enc.grad, grad_enc, "encodings")
 
     def test_fused_encoder_equals_the_unfused_chain(self):
+        # one frame per group: pooling is a copy and M * b2 is b2, so the
+        # encoder keeps every bit of the per-row chain
         params = tiny_model(k=4, d_in=5, d_enc=6, seed=10)
         rng = np.random.default_rng(11)
         frames = rng.normal(size=(3, 4, 5))
