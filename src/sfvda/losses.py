@@ -146,13 +146,17 @@ def local_prediction_consistency(preds: PredictionSet, literal: bool = False) ->
     taken over the (S, B, C) view of the stack against the broadcast
     average. ``literal=True`` instead feeds the raw log-probability vectors
     through the KL arithmetic (comparison mode; not a divergence between
-    distributions and unsafe when any class probability reaches 1).
+    distributions). It raises a ValueError naming ``literal_eq8`` once any
+    class probability reaches 1, where a log-probability of 0 leaves
+    log(lp/lq) undefined.
     """
     batch, n_classes = preds.average.shape
     local = reshape(preds.local, (preds.local.shape[0] // batch, batch, n_classes))
     lq = log_softmax(preds.average)
     lp = log_softmax(local)
     if literal:
+        if not (lp.data.all() and lq.data.all()):
+            raise ValueError("literal_eq8: a class probability reached 1, so log(lp/lq) is undefined")
         per_video = tensor_sum(mul(lp, log(div(lp, lq))), axis=2)
     else:
         per_video = tensor_sum(mul(softmax(local), sub(lp, lq)), axis=2)

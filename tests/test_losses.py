@@ -229,6 +229,16 @@ def test_stacked_local_consistency_is_mean_of_per_scale_kls(literal):
     assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
+def test_literal_eq8_on_a_certain_class_names_the_mode():
+    # a class probability of 1 is a log-probability of 0, where log(lp / lq)
+    # is undefined; the default KL stays finite on the same logits
+    local = Tensor([[800.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    preds = make_prediction_set(local, Tensor([[1.0, 0.0, 0.0]]))
+    assert np.isfinite(losses.local_prediction_consistency(preds).item())
+    with pytest.raises(ValueError, match=r"^literal_eq8: a class probability reached 1, so log\(lp/lq\) is undefined"):
+        losses.local_prediction_consistency(preds, literal=True)
+
+
 def test_temporal_consistency_weighting():
     # prediction consistency 0.1 + 0.2 = 0.3 at unit alphas
     components = {"fc": Tensor(np.array(0.2)), "pc_local": Tensor(np.array(0.1)), "pc_overall": Tensor(np.array(0.2))}
