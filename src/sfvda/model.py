@@ -9,10 +9,12 @@ weight normalization on the final affine. Weights are stored (fan_in,
 fan_out) except the weight-normalized direction matrix, which keeps one row
 per class so the per-row norm invariant is directly checkable.
 
-Each layer runs on stacked rows. The encoder sees all B*k frames of a batch
-as one frame-major (k*B, d_in) matrix, and scale r gathers its M_r clips of
-every video from that output into one (B*M_r, r*d_enc) matrix, so the
-relation MLP runs once per scale and the clip sum is one reduction. The
+Each layer runs on stacked rows, and the encoder and each scale's relation
+MLP are one op each. The encoder sees all B*k frames of a batch as one
+frame-major (k*B, d_in) matrix. Scale r gathers its M_r clips of every video
+from that output into one (B*M_r, r*d_enc) matrix and sums each video's
+hidden rows before the output layer, which is affine:
+sum_m (h_m W2 + b2) = (sum_m h_m) W2 + M_r b2, so that GEMM has B rows. The
 S = k-1 local features of a batch travel as one scale-major (S*B, d) stack,
 rows s*B ... (s+1)*B - 1 holding scale s+2: the head classifies the whole
 stack in one pass, and the aggregation, the local weights and the
@@ -254,14 +256,11 @@ def init_model(
 
 
 def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -> Tensor:
-    """One op for the two-layer ReLU MLP ``prefix`` over gathered rows of
-    ``x``, summed per group, with a closed-form VJP.
-
-    ``rows`` is an int array (G, M, r): input m of group g concatenates rows
-    rows[g, m, 0], ..., rows[g, m, r-1] of ``x``, and output row g is
-    sum_m (relu(in_gm W1 + b1) W2 + b2). The output layer is affine, so this
-    is computed as (sum_m relu(in_gm W1 + b1)) W2 + M b2: its GEMM has G
-    rows, not G*M. Every GEMM and bias add output is checked for finiteness.
+    """One op, with a closed-form VJP, for the two-layer ReLU MLP ``prefix``
+    over gathered rows of ``x``: with ``rows`` an int array (G, M, r), input
+    m of group g concatenates rows rows[g, m, :] of ``x``, and output row g
+    is (sum_m relu(in_gm W1 + b1)) W2 + M b2. Every GEMM and bias add output
+    is checked for finiteness.
     """
     if rows.min() < 0 or rows.max() >= x.shape[0]:
         raise ValueError(f"{prefix}: frame index out of range")
@@ -281,7 +280,8 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -
         g_pre = ((g @ w2.data.T)[:, None, :] * active).reshape(groups * m, -1)
         grads = [None, inputs.T @ g_pre, g_pre.sum(axis=0), pooled.T @ g, m * g.sum(axis=0)]
         if x.requires_grad:
-            # per clip position, each source row gets one add, in np.add.at's order
+            # the groups' rows at one clip position are distinct, so each
+            # source row gets one add per position, in np.add.at's order
             g_in = (g_pre @ w1.data.T).reshape(rows.shape + (x.shape[1],))
             grads[0] = np.zeros_like(x.data)
             for pos in np.ndindex(rows.shape[1:]):
@@ -331,12 +331,10 @@ def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> Te
 
     ``encodings`` is the frame-major output of ``encode_frames``. ``clips``
     is either one ClipIndexSet shared by the batch (training) or a sequence
-    with one ClipIndexSet per video (evaluation). Each scale gathers all
-    B*M_r clip inputs into one matrix and runs its relation MLP once.
+    with one ClipIndexSet per video (evaluation). Each scale is one
+    ``_pooled_mlp`` op over all B*M_r clip inputs.
     """
-    batch, extra = divmod(encodings.shape[0], params.k)
-    if extra:
-        raise ValueError(f"local_temporal_features: {encodings.shape[0]} rows are not {params.k} frames per video")
+    batch = encodings.shape[0] // params.k
     index_arrays = _clip_index_arrays(clips, batch, params.k)
     videos = np.arange(batch).reshape(batch, 1, 1)
     return concat(

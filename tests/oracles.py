@@ -199,5 +199,11 @@ def unfused_relation_chain(x, rows, w1, b1, w2, b2, g):
     g_pre = (g_clip @ w2.T) * (pre > 0.0)
     g_x = np.zeros_like(x)
     np.add.at(g_x, rows, (g_pre @ w1.T).reshape(rows.shape + (x.shape[1],)))
-    grads = {"x": g_x, "w1": inputs.T @ g_pre, "b1": g_pre.sum(axis=0), "w2": hidden.T @ g_clip, "b2": g_clip.sum(axis=0)}
+    grads = {
+        "x": g_x,
+        "w1": inputs.T @ g_pre,
+        "b1": g_pre.sum(axis=0),
+        "w2": hidden.T @ g_clip,
+        "b2": g_clip.sum(axis=0),
+    }
     return out, grads

@@ -167,7 +167,6 @@ class TestLocalTemporalFeatures:
         assert np.max(np.abs(lts.data[0] - want0[0])) < 1e-12
         assert np.max(np.abs(lts.data[1] - want1[0])) < 1e-12
 
-
     @staticmethod
     def index_arrays(clips, batch):
         if isinstance(clips, M.ClipIndexSet):
@@ -241,13 +240,6 @@ class TestLocalTemporalFeatures:
         enc = M.encode_frames(np.zeros((2, 3, 4)), params)
         with pytest.raises(ValueError, match="rel2: frame index out of range"):
             M._pooled_mlp(enc, np.array([[[0, bad]]]), params, "rel2")
-
-    def test_rows_must_be_whole_videos(self):
-        params = tiny_model()
-        enc = M.encode_frames(np.zeros((2, 3, 4)), params)
-        clips = M.sample_clips(3, 3, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="5 rows are not 3 frames per video"):
-            M.local_temporal_features(Tensor(enc.data[:5]), clips, params)
 
 
 class TestAggregate:
