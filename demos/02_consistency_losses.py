@@ -41,7 +41,7 @@ print("prediction consistency when disagreeing:", f"{prediction_consistency(disa
 # Local weights: confident scales keep weight 1, uniform ones drop to 0.
 confident = np.zeros((1, n_classes)); confident[0, 2] = 40.0
 uniform = np.zeros((1, n_classes))
-w = lwm.local_relevance_weight(Tensor(np.concatenate([confident, uniform])), 2, mode="normalized")
+w = lwm.local_relevance_weight(Tensor(np.concatenate([confident, uniform])), 2)
 print("weights [confident, uniform] scales    :", np.round(w[0], 4))
 
 # Information maximization: log C for a uniform batch, ~0 for a balanced

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .data import DomainSpec
-from .model import CONFIDENCE_MODES, HEAD_SCOPES
+from .model import HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
 
@@ -89,9 +89,6 @@ class RunConfig:
     # adaptation behavior
     variant: str = "full"
     freeze_scope: str = "head_all"
-    confidence_mode: str = "normalized"
-    literal_eq8: bool = False
-    pc_overall_weighted: bool = True
     pl_rounds: int = 1
     # reproducibility and output
     seed: int = 42
@@ -124,7 +121,6 @@ class RunConfig:
 _CHOICES = {
     "variant": tuple(VARIANTS),
     "freeze_scope": FREEZE_SCOPES,
-    "confidence_mode": CONFIDENCE_MODES,
 }
 _AT_LEAST_ONE = ("epochs_source", "epochs_adapt", "pl_rounds", "m_max", "frame_dim", "d_enc", "d", "d_b")
 _WEIGHTS = ("lam", "alpha_local", "alpha_overall", "beta_fc", "beta_pc", "beta_tc", "beta_im", "beta_ce")
@@ -134,12 +130,6 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 def _parse_value(key: str, raw: str):
     kind = _FIELDS[key]
     raw = raw.strip()
-    if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
     if kind not in ("int", "float"):
         return raw
     try:
@@ -189,8 +179,6 @@ def emit_config(cfg: RunConfig) -> str:
 
 
 def _format(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

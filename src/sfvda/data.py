@@ -270,12 +270,20 @@ def read_dataset(path) -> Dataset:
         if header[name] < least:
             raise ValueError(f"{path}: line 1: field {name!r} must be >= {least}, got {header[name]}")
     samples = []
+    id_lines: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record") from exc
         _require_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
+        video_id = rec["id"]
+        if not isinstance(video_id, str):
+            raise ValueError(f"{path}: line {lineno}: field 'id' must be a string, got {video_id!r}")
+        # pseudo-labels are looked up by id: a repeat would take another's label
+        first = id_lines.setdefault(video_id, lineno)
+        if first != lineno:
+            raise ValueError(f"{path}: line {lineno}: duplicate id {video_id!r}, first on line {first}")
         try:
             frames = np.asarray(rec["frames"], dtype=np.float64)
         except (TypeError, ValueError) as exc:
@@ -294,7 +302,7 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: line {lineno}: source requires labels")
         if label is not None and not 0 <= label < header["C"]:
             raise ValueError(f"{path}: line {lineno}: label {label} out of range")
-        samples.append(VideoSample(rec["id"], frames, label, rec["domain"]))
+        samples.append(VideoSample(video_id, frames, label, rec["domain"]))
     if len(samples) != header["count"]:
         raise ValueError(
             f"{path}: header count {header['count']} does not match {len(samples)} records"

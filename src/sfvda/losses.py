@@ -18,7 +18,6 @@ from .tensor import (
     Tensor,
     absolute,
     add,
-    div,
     log,
     log_softmax,
     mean,
@@ -139,28 +138,15 @@ def make_prediction_set(local: Tensor, overall: Tensor) -> PredictionSet:
     return PredictionSet(local=local, average=average, overall=overall)
 
 
-def local_prediction_consistency(preds: PredictionSet, literal: bool = False) -> Tensor:
-    """Divergence of each scale's prediction from the scales' average.
-
-    Default: mean over scales and batch of KL(softmax(p_r) || softmax(p_avg)),
-    taken over the (S, B, C) view of the stack against the broadcast
-    average. ``literal=True`` instead feeds the raw log-probability vectors
-    through the KL arithmetic (comparison mode; not a divergence between
-    distributions). It raises a ValueError naming ``literal_eq8`` once any
-    class probability reaches 1, where a log-probability of 0 leaves
-    log(lp/lq) undefined.
-    """
+def local_prediction_consistency(preds: PredictionSet) -> Tensor:
+    """Divergence of each scale's prediction from the scales' average: the
+    mean over scales and batch of KL(softmax(p_r) || softmax(p_avg)), taken
+    over the (S, B, C) view of the stack against the broadcast average."""
     batch, n_classes = preds.average.shape
     local = reshape(preds.local, (preds.local.shape[0] // batch, batch, n_classes))
     lq = log_softmax(preds.average)
     lp = log_softmax(local)
-    if literal:
-        if not (lp.data.all() and lq.data.all()):
-            raise ValueError("literal_eq8: a class probability reached 1, so log(lp/lq) is undefined")
-        per_video = tensor_sum(mul(lp, log(div(lp, lq))), axis=2)
-    else:
-        per_video = tensor_sum(mul(softmax(local), sub(lp, lq)), axis=2)
-    return mean(per_video)
+    return mean(tensor_sum(mul(softmax(local), sub(lp, lq)), axis=2))
 
 
 def overall_prediction_consistency(preds: PredictionSet) -> Tensor:

@@ -1,10 +1,10 @@
 """Local weight module: closed-form per-scale relevance weights.
 
 Each local temporal scale gets a weight 1 + C(p) where C(p) is the negated
-softmax entropy of that scale's prediction (optionally divided by log C so
-weights stay in [0, 1]). Weights are coefficients, not variables: they are
-computed from the current logits with plain numpy and never differentiated
-through, which closes the shortcut of shrinking losses by shrinking weights.
+softmax entropy of that scale's prediction divided by log C, so weights stay
+in [0, 1]. Weights are coefficients, not variables: they are computed from
+the current logits with plain numpy and never differentiated through, which
+closes the shortcut of shrinking losses by shrinking weights.
 """
 
 from __future__ import annotations
@@ -24,33 +24,24 @@ FEATURE_SITE = "feature"
 PREDICTION_SITE = "prediction"
 
 
-def confidence(logits, mode: str = "normalized"):
-    """Negated softmax entropy over the last axis.
-
-    ``raw`` follows the definition directly and lies in [-log C, 0];
-    ``normalized`` divides by log C, giving [-1, 0], so the residual weight
-    1 + C(p) cannot go negative.
-    """
+def confidence(logits):
+    """Negated softmax entropy over the last axis divided by log C, in [-1, 0]."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
     n_classes = data.shape[-1]
     if n_classes < 2:
         raise ValueError("confidence: need at least two classes")
     p = softmax_rows(data)
     neg_entropy = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
-    if mode == "raw":
-        return neg_entropy
-    if mode == "normalized":
-        return neg_entropy / np.log(n_classes)
-    raise ValueError(f"confidence: unknown mode {mode!r}")
+    return neg_entropy / np.log(n_classes)
 
 
-def local_relevance_weight(local_logits, n_scales: int, mode: str = "normalized") -> np.ndarray:
+def local_relevance_weight(local_logits, n_scales: int) -> np.ndarray:
     """Residual weights 1 + C(p), one per (video, scale), gradient-detached.
 
     ``local_logits`` is the scale-major (S*B, C) stack of local logits with
     S = ``n_scales``; the result is a (B, S) float array.
     """
-    return 1.0 + confidence(local_logits, mode=mode).reshape(n_scales, -1).T
+    return 1.0 + confidence(local_logits).reshape(n_scales, -1).T
 
 
 def apply_weights(lts: Tensor, local_logits: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, Tensor]:

@@ -70,7 +70,7 @@ __all__ = [
 ENCODER_HIDDEN = 64
 RELATION_HIDDEN = 128
 BN_EPS = 1e-5
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -139,7 +139,6 @@ def eval_clip_set(video_id: str, k: int, m_max: int) -> ClipIndexSet:
 # head parameter name prefixes per freeze scope
 HEAD_SCOPES = {"head_all": ("bot_", "bn_", "wn_"), "last_layer_only": ("wn_",)}
 AGGREGATIONS = ("mean", "entropy_weighted")
-CONFIDENCE_MODES = ("normalized", "raw")
 
 
 @dataclass
@@ -164,7 +163,6 @@ class ModelParams:
     bn_initialized: bool = False
     bn_momentum: float = 0.9
     aggregation: str = "mean"
-    confidence_mode: str = "normalized"
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return list(self.tensors.items())
@@ -433,7 +431,6 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "hyperparams": {key: getattr(params, attr) for attr, key in _HYPERPARAMS.items()},
         "aggregation": params.aggregation,
-        "confidence_mode": params.confidence_mode,
         "rng_seed": params.seed,
         "parameters": params.tensors,
         "batch_norm": {
@@ -503,11 +500,9 @@ def load_checkpoint(path) -> ModelParams:
         for attr, key in _HYPERPARAMS.items()
     }
     seed = _int_field(doc, "rng_seed", path, "", 0)
-    strings = {}
-    for attr, choices in (("aggregation", AGGREGATIONS), ("confidence_mode", CONFIDENCE_MODES)):
-        strings[attr] = doc.get(attr, choices[0])
-        if strings[attr] not in choices:
-            raise ValueError(f"{path}: checkpoint field {attr!r} must be one of {choices}, got {strings[attr]!r}")
+    aggregation = doc.get("aggregation", AGGREGATIONS[0])
+    if aggregation not in AGGREGATIONS:
+        raise ValueError(f"{path}: checkpoint field 'aggregation' must be one of {AGGREGATIONS}, got {aggregation!r}")
     raw = _field(doc, "parameters", path)
     tensors = {
         name: Tensor(_array_field(raw, name, path, "parameters.", shape), requires_grad=True)
@@ -526,5 +521,6 @@ def load_checkpoint(path) -> ModelParams:
         raise ValueError(f"{path}: checkpoint field 'batch_norm.initialized' must be true or false")
     momentum = float(_array_field(bn, "momentum", path, "batch_norm.", ()))
     return ModelParams(
-        **dims, seed=seed, tensors=tensors, **running, bn_initialized=initialized, bn_momentum=momentum, **strings
+        **dims, seed=seed, tensors=tensors, **running, bn_initialized=initialized, bn_momentum=momentum,
+        aggregation=aggregation,
     )

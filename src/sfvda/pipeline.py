@@ -151,7 +151,7 @@ def _overall_eval_logits(model: ModelParams, lts: Tensor):
     weights = None
     if model.aggregation == "entropy_weighted":
         local_logits = classify(lts, model, mode="eval")
-        weights = lwm.local_relevance_weight(local_logits, n_scales, model.confidence_mode)
+        weights = lwm.local_relevance_weight(local_logits, n_scales)
     overall = aggregate_overall(lts, n_scales, weights)
     return overall, classify(overall, model, mode="eval")
 
@@ -285,7 +285,6 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
 
     sites = variant.sites
     n_scales = model.k - 1
-    model.confidence_mode = cfg.confidence_mode
     model.freeze_head(cfg.freeze_scope)
     head_frozen_bn = cfg.freeze_scope == "head_all"
     frozen_named = model.head_parameters(cfg.freeze_scope)
@@ -327,7 +326,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
 
             if sites:
-                weights = lwm.local_relevance_weight(local_logits, n_scales, cfg.confidence_mode)
+                weights = lwm.local_relevance_weight(local_logits, n_scales)
                 overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, sites)
             else:
                 overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
@@ -337,14 +336,8 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if "fc" in coeffs:
                 components["fc"] = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
             if "pc_local" in coeffs:
-                if "pc_overall" in coeffs and not cfg.pc_overall_weighted and "feature" in sites:
-                    plain_logits = classify(
-                        aggregate_overall(lts, n_scales), model, mode="train", frozen=head_frozen_bn
-                    )
-                    preds = make_prediction_set(pc_logits, plain_logits)
-                else:
-                    preds = make_prediction_set(pc_logits, overall_logits)
-                components["pc_local"] = local_prediction_consistency(preds, literal=cfg.literal_eq8)
+                preds = make_prediction_set(pc_logits, overall_logits)
+                components["pc_local"] = local_prediction_consistency(preds)
                 if "pc_overall" in coeffs:
                     components["pc_overall"] = overall_prediction_consistency(preds)
             if "im" in coeffs:
@@ -417,6 +410,10 @@ def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):
     from .data import generate_domain_pair
     from dataclasses import replace
 
+    # every name is checked before the first seed trains a source model
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
     results: dict[str, dict[int, float]] = {v: {} for v in variants}
     for seed in seeds:
         run_cfg = replace(cfg, seed=seed)

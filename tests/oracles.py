@@ -79,11 +79,10 @@ def _log_softmax(row):
     return [x - lse for x in row]
 
 
-def per_scale_prediction_consistency(local_blocks, literal=False):
+def per_scale_prediction_consistency(local_blocks):
     """Mean over scales of each scale's mean KL to the logit average, one
     scale and one video at a time. ``local_blocks[s][b]`` is the logit row
-    of video b at scale s; ``literal`` feeds the log-probabilities through
-    the KL arithmetic instead."""
+    of video b at scale s."""
     n_scales, batch = len(local_blocks), len(local_blocks[0])
     n_classes = len(local_blocks[0][0])
     average = [
@@ -94,10 +93,7 @@ def per_scale_prediction_consistency(local_blocks, literal=False):
         total = 0.0
         for b in range(batch):
             lp, lq = _log_softmax(block[b]), _log_softmax(average[b])
-            if literal:
-                total += sum(p * math.log(p / q) for p, q in zip(lp, lq))
-            else:
-                total += sum(math.exp(p) * (p - q) for p, q in zip(lp, lq))
+            total += sum(math.exp(p) * (p - q) for p, q in zip(lp, lq))
         per_scale.append(total / batch)
     return sum(per_scale) / n_scales
 

@@ -139,10 +139,10 @@ def test_criterion_3_lwm_identities():
 
     confident = np.zeros((5, 6))
     confident[:, 2] = 40.0
-    w = lwm.local_relevance_weight(concat([Tensor(confident)]), 1, mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(confident)]), 1)
     assert np.max(np.abs(w - 1.0)) < 1e-10
 
-    uniform = lwm.local_relevance_weight(concat([Tensor(np.zeros((5, 6)))]), 1, mode="normalized")
+    uniform = lwm.local_relevance_weight(concat([Tensor(np.zeros((5, 6)))]), 1)
     assert np.max(np.abs(uniform)) < 1e-10
 
     violations = 0
@@ -155,7 +155,7 @@ def test_criterion_3_lwm_identities():
             e = np.exp(x - x.max())
             prob = e / e.sum()
             entropies.append(float(-(prob * np.log(prob)).sum()))
-        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2, mode="normalized")
+        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2)
         if entropies[0] < entropies[1] and not w[0, 0] > w[0, 1]:
             violations += 1
         if entropies[0] > entropies[1] and not w[0, 0] < w[0, 1]:

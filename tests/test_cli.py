@@ -196,17 +196,44 @@ def test_malformed_checkpoint_is_one_error_line_naming_file_and_field(workspace)
     assert out.stdout == ""
 
 
-@pytest.mark.parametrize("field", ["aggregation", "confidence_mode"])
-def test_unknown_checkpoint_string_is_one_error_line_naming_file_and_field(workspace, field):
+def test_unknown_checkpoint_string_is_one_error_line_naming_file_and_field(workspace):
     doc = json.loads((workspace / "source.ckpt.json").read_text())
-    doc[field] = "bogus"
-    (workspace / f"bad-{field}.ckpt.json").write_text(json.dumps(doc))
-    out = run_sfvda("eval", "--model", f"bad-{field}.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
+    doc["aggregation"] = "bogus"
+    (workspace / "bad-aggregation.ckpt.json").write_text(json.dumps(doc))
+    out = run_sfvda("eval", "--model", "bad-aggregation.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
-    assert f"bad-{field}.ckpt.json" in lines[0] and f"'{field}'" in lines[0] and "'bogus'" in lines[0]
+    assert "bad-aggregation.ckpt.json" in lines[0] and "'aggregation'" in lines[0] and "'bogus'" in lines[0]
     assert out.stdout == ""
+
+
+def test_format_1_checkpoint_is_one_error_line_naming_format_version(workspace):
+    doc = json.loads((workspace / "source.ckpt.json").read_text())
+    doc["format_version"] = 1
+    (workspace / "format-1.ckpt.json").write_text(json.dumps(doc))
+    out = run_sfvda("eval", "--model", "format-1.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "format-1.ckpt.json" in lines[0] and "format_version 1" in lines[0]
+    assert out.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("literal_eq8", "true"), ("pc_overall_weighted", "false"), ("confidence_mode", "raw")]
+)
+def test_removed_config_key_is_one_error_line_naming_it(workspace, key, value):
+    # keys that older configs may still carry: each must stop the command
+    # with one line before any output is written
+    (workspace / f"removed-{key}.config").write_text(TINY + f"{key} = {value}\n")
+    for args in (("--config", f"removed-{key}.config"), ("--config", "tiny.config", "--set", f"{key}={value}")):
+        out = run_sfvda("gen-data", *args, "--out", f"removed-{key}", cwd=workspace)
+        assert out.returncode == 1
+        lines = out.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+        assert f"unknown config key '{key}'" in lines[0]
+        assert not (workspace / f"removed-{key}").exists()
 
 
 def test_checkpoint_with_raised_k_is_one_error_line_before_any_model_is_drawn(workspace, monkeypatch, capsys):

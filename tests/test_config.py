@@ -13,7 +13,6 @@ def test_emit_parse_roundtrip_modified():
         classes=5,
         shift_severity=0.35,
         lam=1e-2,
-        literal_eq8=True,
         variant="tc",
         freeze_scope="last_layer_only",
         lr_adapt=5e-4,
@@ -45,13 +44,6 @@ def test_comments_and_blank_lines():
 def test_malformed_line():
     with pytest.raises(ValueError, match="key = value"):
         parse_config("seed 7")
-
-
-def test_bool_parsing():
-    assert parse_config("literal_eq8 = true").literal_eq8 is True
-    assert parse_config("literal_eq8 = false").literal_eq8 is False
-    with pytest.raises(ValueError, match="boolean"):
-        parse_config("literal_eq8 = maybe")
 
 
 def test_variant_validation():
@@ -104,7 +96,6 @@ def test_m_max_below_one_rejected():
         ("pl_rounds", "0"),
         ("variant", "bogus"),
         ("freeze_scope", "nothing"),
-        ("confidence_mode", "loud"),
         ("frame_dim", "0"),
         ("d_enc", "0"),
         ("d", "0"),

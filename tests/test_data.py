@@ -147,6 +147,7 @@ class TestFileFormat:
             pytest.param(0, "count", True, id="0-count-bool"),
             pytest.param(2, "label", "1", id="2-label-string"),
             pytest.param(2, "label", 1.0, id="2-label-float"),
+            pytest.param(2, "id", 7, id="2-id-int"),
             # header sizes below what a model can use
             pytest.param(0, "C", 1, id="0-C-one"),
             pytest.param(0, "k", 2, id="0-k-two"),
@@ -174,6 +175,22 @@ class TestFileFormat:
         assert str(path) in message
         assert f"line {line + 1}" in message
         assert repr(field) in message
+
+    def test_duplicate_id_names_file_both_lines_and_id(self, tmp_path):
+        import json
+
+        _, target = D.generate_domain_pair(small_spec())
+        path = tmp_path / "dup.jsonl"
+        D.write_dataset(target, path)
+        lines = path.read_text().splitlines()
+        first_id = json.loads(lines[1])["id"]
+        record = json.loads(lines[4])
+        record["id"] = first_id
+        lines[4] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            D.read_dataset(path)
+        assert str(info.value) == f"{path}: line 5: duplicate id {first_id!r}, first on line 2"
 
     def test_unlabeled_target_roundtrip(self, tmp_path):
         _, target = D.generate_domain_pair(small_spec())

@@ -219,24 +219,21 @@ class TestPredictionConsistency:
         assert np.max(np.abs(preds.average.data - manual)) < 1e-10
 
 
-@pytest.mark.parametrize("literal", [False, True], ids=["default", "literal_eq8"])
-def test_stacked_local_consistency_is_mean_of_per_scale_kls(literal):
+def test_stacked_local_consistency_is_mean_of_per_scale_kls():
     rng = np.random.default_rng(22)
     blocks = [rng.normal(size=(6, 4)) for _ in range(5)]
     preds = make_prediction_set(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4))))
-    stacked = losses.local_prediction_consistency(preds, literal=literal).item()
-    reference = oracles.per_scale_prediction_consistency([b.tolist() for b in blocks], literal=literal)
+    stacked = losses.local_prediction_consistency(preds).item()
+    reference = oracles.per_scale_prediction_consistency([b.tolist() for b in blocks])
     assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
-def test_literal_eq8_on_a_certain_class_names_the_mode():
-    # a class probability of 1 is a log-probability of 0, where log(lp / lq)
-    # is undefined; the default KL stays finite on the same logits
+def test_local_consistency_is_finite_on_a_certain_class():
+    # a class probability of 1 is a log-probability of 0; the KL weighs it
+    # by the probability, not through log(lp / lq), so it stays finite
     local = Tensor([[800.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     preds = make_prediction_set(local, Tensor([[1.0, 0.0, 0.0]]))
     assert np.isfinite(losses.local_prediction_consistency(preds).item())
-    with pytest.raises(ValueError, match=r"^literal_eq8: a class probability reached 1, so log\(lp/lq\) is undefined"):
-        losses.local_prediction_consistency(preds, literal=True)
 
 
 def test_temporal_consistency_weighting():
@@ -376,12 +373,3 @@ class TestGradients:
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(8, 4))), rel_tol=1e-4).passed
 
-
-def test_literal_divergence_mode_differs_from_default():
-    rng = np.random.default_rng(16)
-    local = [Tensor(rng.normal(size=(4, 3))) for _ in range(3)]
-    preds = make_prediction_set(concat(local), local[0])
-    standard = losses.local_prediction_consistency(preds, literal=False).item()
-    literal = losses.local_prediction_consistency(preds, literal=True).item()
-    assert standard >= 0.0
-    assert literal != pytest.approx(standard)

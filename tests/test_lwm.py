@@ -10,16 +10,12 @@ from sfvda.tensor import Tensor, concat
 def test_confidence_one_hot_is_near_zero():
     logits = np.zeros(6)
     logits[2] = 40.0
-    assert abs(lwm.confidence(logits, mode="raw")) < 1e-12
-    assert abs(lwm.confidence(logits, mode="normalized")) < 1e-12
-
-
-def test_confidence_uniform_raw():
-    assert lwm.confidence(np.zeros(8), mode="raw") == pytest.approx(-math.log(8.0), abs=1e-12)
+    assert abs(lwm.confidence(logits)) < 1e-12
 
 
 def test_confidence_uniform_normalized():
-    assert lwm.confidence(np.zeros(5), mode="normalized") == pytest.approx(-1.0, abs=1e-12)
+    for n_classes in range(2, 13):
+        assert lwm.confidence(np.zeros(n_classes)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_confidence_needs_two_classes():
@@ -30,19 +26,20 @@ def test_confidence_needs_two_classes():
 def test_weight_one_hot_is_one():
     logits = np.zeros((3, 4))
     logits[:, 1] = 40.0
-    w = lwm.local_relevance_weight(concat([Tensor(logits)]), 1, mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(logits)]), 1)
     assert np.allclose(w, 1.0, atol=1e-12)
 
 
 def test_weight_uniform_normalized_is_zero():
-    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((2, 4)))]), 1, mode="normalized")
+    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((2, 4)))]), 1)
     assert np.allclose(w, 0.0, atol=1e-12)
 
 
-def test_weight_uniform_raw_c12():
-    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((1, 12)))]), 1, mode="raw")
-    assert w[0, 0] == pytest.approx(1.0 - math.log(12.0), abs=1e-12)
-    assert w[0, 0] == pytest.approx(-1.4849066497880004, abs=1e-10)
+def test_weight_two_class_is_one_minus_entropy_in_bits():
+    # p = (1/4, 3/4): entropy 0.8112781244591328 bits
+    w = lwm.local_relevance_weight(concat([Tensor([[0.0, math.log(3.0)]])]), 1)
+    assert w[0, 0] == pytest.approx(1.0 - (0.25 * math.log2(4.0) + 0.75 * math.log2(4.0 / 3.0)), abs=1e-12)
+    assert w[0, 0] == pytest.approx(0.1887218755408672, abs=1e-10)
 
 
 def test_weight_ranges():
@@ -50,29 +47,26 @@ def test_weight_ranges():
     for _ in range(100):
         n_classes = int(rng.integers(2, 9))
         logits = [Tensor(rng.normal(size=(4, n_classes)) * 5.0)]
-        w_norm = lwm.local_relevance_weight(concat(logits), 1, mode="normalized")
-        w_raw = lwm.local_relevance_weight(concat(logits), 1, mode="raw")
-        assert np.all((w_norm >= 0.0) & (w_norm <= 1.0))
-        assert np.all((w_raw >= 1.0 - math.log(n_classes) - 1e-12) & (w_raw <= 1.0))
+        w = lwm.local_relevance_weight(concat(logits), 1)
+        assert np.all((w >= 0.0) & (w <= 1.0))
 
 
 def test_monotonicity_in_entropy():
     # lower softmax entropy must never get the smaller weight
     rng = np.random.default_rng(1)
-    for mode in ("normalized", "raw"):
-        for _ in range(1000):
-            a = rng.normal(size=4) * rng.uniform(0.1, 6.0)
-            b = rng.normal(size=4) * rng.uniform(0.1, 6.0)
-            ent = []
-            for x in (a, b):
-                e = np.exp(x - x.max())
-                p = e / e.sum()
-                ent.append(float(-(p * np.log(p)).sum()))
-            w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2, mode=mode)
-            if ent[0] < ent[1]:
-                assert w[0, 0] > w[0, 1]
-            elif ent[0] > ent[1]:
-                assert w[0, 0] < w[0, 1]
+    for _ in range(1000):
+        a = rng.normal(size=4) * rng.uniform(0.1, 6.0)
+        b = rng.normal(size=4) * rng.uniform(0.1, 6.0)
+        ent = []
+        for x in (a, b):
+            e = np.exp(x - x.max())
+            p = e / e.sum()
+            ent.append(float(-(p * np.log(p)).sum()))
+        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2)
+        if ent[0] < ent[1]:
+            assert w[0, 0] > w[0, 1]
+        elif ent[0] > ent[1]:
+            assert w[0, 0] < w[0, 1]
 
 
 def test_weighted_logits_preserve_argmax():
@@ -129,7 +123,7 @@ def test_apply_weights_site_selection():
 def test_weights_are_detached():
     rng = np.random.default_rng(5)
     logits = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)]
-    w = lwm.local_relevance_weight(concat(logits), 1, mode="normalized")
+    w = lwm.local_relevance_weight(concat(logits), 1)
     assert isinstance(w, np.ndarray)
 
 
@@ -141,7 +135,7 @@ def test_one_hot_confident_weighting_equals_plain_mean():
         block = np.zeros((3, 5))
         block[np.arange(3), rng.integers(0, 5, size=3)] = 40.0
         logits.append(Tensor(block))
-    w = lwm.local_relevance_weight(concat(logits), 3, mode="normalized")
+    w = lwm.local_relevance_weight(concat(logits), 3)
     overall, _ = lwm.apply_weights(concat(lts), concat(logits), w, {"feature"})
     plain = np.mean([lt.data for lt in lts], axis=0)
     assert np.max(np.abs(overall.data - plain)) < 1e-12

@@ -425,7 +425,6 @@ class TestModelState:
             "hyperparams": {"k": 4, "d_in": 5, "d_enc": params.d_enc, "d": params.d, "d_b": params.d_b,
                             "C": 3, "M_max": params.m_max},
             "aggregation": params.aggregation,
-            "confidence_mode": params.confidence_mode,
             "rng_seed": 8,
             "parameters": {name: t.data.tolist() for name, t in params.named_parameters()},
             "batch_norm": {
@@ -454,7 +453,8 @@ class TestModelState:
         params = tiny_model()
         path = tmp_path / "model.json"
         M.save_checkpoint(params, path)
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
+        stored = f'"format_version": {M.CHECKPOINT_FORMAT_VERSION}'
+        doc = path.read_text().replace(stored, '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(ValueError, match="format_version"):
             M.load_checkpoint(path)

@@ -191,30 +191,6 @@ class TestAdaptTarget:
         with pytest.raises(ValueError):
             P.adapt_target(model, target, replace(cfg, variant="bogus"))
 
-    def test_literal_eq8_flag_changes_training(self, trained):
-        cfg, _, target, model, _ = trained
-        base, rows_base = P.adapt_target(model, target, replace(cfg, variant="tc"))
-        literal, rows_lit = P.adapt_target(model, target, replace(cfg, variant="tc", literal_eq8=True))
-        assert all(np.isfinite(r.total) for r in rows_lit)
-        assert rows_base[0].pc_local != rows_lit[0].pc_local
-        assert params_bytes(base) != params_bytes(literal)
-
-    def test_pc_overall_weighted_flag(self, trained):
-        cfg, _, target, model, _ = trained
-        one_epoch = replace(cfg, epochs_adapt=1)
-        _, weighted = P.adapt_target(model, target, one_epoch)
-        _, plain = P.adapt_target(model, target, replace(one_epoch, pc_overall_weighted=False))
-        # full weights the aggregation, so the comparison target differs
-        assert weighted[0].pc_overall != plain[0].pc_overall
-
-    def test_raw_confidence_mode_runs(self, trained):
-        cfg, _, target, model, _ = trained
-        adapted, rows = P.adapt_target(
-            model, target, replace(cfg, epochs_adapt=1, confidence_mode="raw")
-        )
-        assert adapted.confidence_mode == "raw"
-        assert np.isfinite(rows[0].total)
-
     def test_batch_size_larger_than_target_rejected(self, trained):
         cfg, _, target, model, _ = trained
         with pytest.raises(ValueError, match=f"batch_size 25 exceeds the {len(target)} videos"):
@@ -402,6 +378,14 @@ class TestRunAblation:
         assert results["source_only"][cfg.seed] == direct
         adapted, _ = P.adapt_target(model, target, replace(cfg, variant="fc"))
         assert results["fc"][cfg.seed] == P.evaluate(adapted, target).accuracy
+
+    def test_unknown_variant_fails_before_any_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_ablation trained a source model")
+
+        monkeypatch.setattr(P, "train_source", no_training)
+        with pytest.raises(ValueError, match="^unknown variant 'bogus'$"):
+            P.run_ablation(tiny_cfg(), ["full", "bogus"], [1, 2])
 
     def test_csv_mean_column(self):
         results = {"full": {1: 0.5, 2: 0.7}}

@@ -1,4 +1,4 @@
-"""Hash every output of every adaptation variant under every comparison setting.
+"""Hash every output of every adaptation variant under both freeze scopes.
 
 A change that claims to keep every output byte runs this on the parent and on
 the change, and the two listings must be identical:
@@ -7,10 +7,11 @@ the change, and the two listings must be identical:
     PYTHONPATH=<parent checkout>/src python tests/variant_hashes.py > parent.txt
 
 One source model is trained for two epochs on a 3-class, 5-frame, 120-video
-domain pair (longer training drives some class probabilities to 1, where
-``literal_eq8`` stops on a non-finite log), then adapted with each of the 10
-variants under each of the 5 settings. Each run prints the sha256 of the
-checkpoint, its re-save after a load, the metrics CSV and both export levels.
+domain pair, then adapted with each of the 10 variants under each of the 2
+settings. Two epochs keep the whole listing to a few seconds; the
+configuration is the one earlier listings used, so they stay comparable.
+Each run prints the sha256 of the checkpoint, its re-save after a load, the
+metrics CSV and both export levels.
 pytest does not collect this file.
 """
 
@@ -29,9 +30,6 @@ BASE = replace(BASE, epochs_source=2, epochs_adapt=3, batch_size=16)
 SETTINGS = {
     "head_all": {},
     "last_layer_only": {"freeze_scope": "last_layer_only"},
-    "pc_overall_weighted=false": {"pc_overall_weighted": False},
-    "literal_eq8=true": {"literal_eq8": True},
-    "confidence_mode=raw": {"confidence_mode": "raw"},
 }
 
 
