@@ -196,15 +196,16 @@ def test_malformed_checkpoint_is_one_error_line_naming_file_and_field(workspace)
     assert out.stdout == ""
 
 
-def test_unknown_checkpoint_string_is_one_error_line_naming_file_and_field(workspace):
+@pytest.mark.parametrize("field", ["aggregation"])
+def test_unknown_checkpoint_string_is_one_error_line_naming_file_and_field(workspace, field):
     doc = json.loads((workspace / "source.ckpt.json").read_text())
-    doc["aggregation"] = "bogus"
-    (workspace / "bad-aggregation.ckpt.json").write_text(json.dumps(doc))
-    out = run_sfvda("eval", "--model", "bad-aggregation.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
+    doc[field] = "bogus"
+    (workspace / f"bad-{field}.ckpt.json").write_text(json.dumps(doc))
+    out = run_sfvda("eval", "--model", f"bad-{field}.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode == 1
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
-    assert "bad-aggregation.ckpt.json" in lines[0] and "'aggregation'" in lines[0] and "'bogus'" in lines[0]
+    assert f"bad-{field}.ckpt.json" in lines[0] and f"'{field}'" in lines[0] and "'bogus'" in lines[0]
     assert out.stdout == ""
 
 
