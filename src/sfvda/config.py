@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .data import DomainSpec
+from .data import DomainSpec, read_text
 from .model import HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
@@ -185,5 +185,4 @@ def _format(value) -> str:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    with open(path) as fh:
-        return parse_config(fh.read(), base=base)
+    return parse_config(read_text(path), base=base)

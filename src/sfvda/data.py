@@ -13,7 +13,10 @@ function of the DomainSpec.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,10 +30,14 @@ __all__ = [
     "write_dataset",
     "read_dataset",
     "batch_iterator",
+    "read_text",
+    "encode_floats",
+    "check_float_text",
+    "decode_floats",
     "DATASET_FORMAT_VERSION",
 ]
 
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
 
 # Generator shape constants; calibrated once against the default pipeline so
 # that shift_severity 0.7 costs a source model >= 15 accuracy points.
@@ -56,12 +63,11 @@ def _rng(seed: int, tag: str, *key: int) -> np.random.Generator:
 
 @dataclass
 class VideoSample:
-    """One video: ordered per-frame feature vectors plus label and domain tag."""
+    """One video: ordered per-frame feature vectors plus an optional label."""
 
     id: str
     frames: np.ndarray
     label: int | None
-    domain: str
 
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
@@ -136,7 +142,7 @@ class Dataset:
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
     def without_labels(self) -> "Dataset":
-        stripped = [VideoSample(s.id, s.frames.copy(), None, s.domain) for s in self.samples]
+        stripped = [VideoSample(s.id, s.frames.copy(), None) for s in self.samples]
         return Dataset(stripped, self.domain, self.n_classes, self.k, self.d_in)
 
 
@@ -188,7 +194,7 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
             src = _clean_frames(spec, cp, phase)
             if spec.noise_std > 0.0:
                 src = src + _rng(spec.seed, "noise", 0, c, i).normal(0.0, spec.noise_std, src.shape)
-            source.append(VideoSample(f"source-c{c:02d}-v{i:04d}", src, c, "source"))
+            source.append(VideoSample(f"source-c{c:02d}-v{i:04d}", src, c))
 
             if s > 0.0:
                 offset = s * _rng(spec.seed, "tphase", c, i).uniform(*PHASE_OFFSET_RANGE) * period
@@ -197,7 +203,7 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
                 tgt = _clean_frames(spec, cp, phase)
             if spec.noise_std > 0.0:
                 tgt = tgt + _rng(spec.seed, "noise", 1, c, i).normal(0.0, spec.noise_std, tgt.shape)
-            target.append(VideoSample(f"target-c{c:02d}-v{i:04d}", tgt, c, "target"))
+            target.append(VideoSample(f"target-c{c:02d}-v{i:04d}", tgt, c))
     common = dict(n_classes=spec.classes, k=spec.frames, d_in=spec.frame_dim)
     return (
         Dataset(source, domain="source", **common),
@@ -208,8 +214,58 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
 # -- file format ----------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text; a byte that is not UTF-8 is one
+    ValueError naming the file and the byte's offset."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: byte {exc.start} (0x{raw[exc.start]:02x}) is not UTF-8") from None
+
+
+def encode_floats(values: np.ndarray) -> str:
+    """Base64 text of the little-endian float64 bytes of ``values``, C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def check_float_text(text, count: int, where: str) -> None:
+    """Check that ``text`` is a string exactly as long as the base64 of
+    ``count`` float64 values, without decoding it."""
+    if not isinstance(text, str):
+        raise ValueError(f"{where} must be a base64 string, got {type(text).__name__}")
+    expected = (8 * count + 2) // 3 * 4
+    if len(text) != expected:
+        raise ValueError(
+            f"{where} has {len(text)} base64 characters, expected {expected} for {count} float64 values"
+        )
+
+
+def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
+    """The writable, finite, native float64 array of ``shape`` that
+    ``encode_floats`` wrote as ``text``; ``where`` starts every error.
+
+    The length is checked before decoding, and only the standard base64
+    alphabet with trailing padding is accepted.
+    """
+    count = math.prod(shape)
+    check_float_text(text, count, where)
+    try:
+        raw = base64.b64decode(text, validate=True)
+        if len(raw) != 8 * count:  # padding in place of data characters
+            raise binascii.Error
+    except binascii.Error:
+        raise ValueError(f"{where} is not valid base64") from None
+    values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{where} has non-finite values")
+    return values
+
+
 def write_dataset(ds: Dataset, path) -> None:
-    """Line-delimited JSON: one header line, then one record per video."""
+    """Line-delimited JSON: one header line, then one record per video whose
+    ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix."""
     if ds.domain == "source" and not ds.labeled:
         raise ValueError("source requires labels")
     header = {
@@ -227,15 +283,15 @@ def write_dataset(ds: Dataset, path) -> None:
             record = {
                 "id": s.id,
                 "label": None if s.label is None else int(s.label),
-                "domain": s.domain,
-                "frames": s.frames.tolist(),
+                "frames": encode_floats(s.frames),
             }
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
 
 
+DOMAINS = ("source", "target")
 HEADER_FIELDS = ("domain", "C", "k", "d_in", "count")
-RECORD_FIELDS = ("id", "label", "domain", "frames")
+RECORD_FIELDS = ("id", "label", "frames")
 
 
 def _require_fields(obj, names, where: str) -> None:
@@ -246,14 +302,19 @@ def _require_fields(obj, names, where: str) -> None:
             raise ValueError(f"{where}: missing field {name!r}")
 
 
+def _reject_unknown_fields(obj: dict, names, where: str) -> None:
+    if len(obj) > len(names):
+        unknown = sorted(set(obj) - set(names))
+        raise ValueError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def _require_int(obj, name: str, where: str) -> None:
     if not isinstance(obj[name], int) or isinstance(obj[name], bool):
         raise ValueError(f"{where}: field {name!r} must be an integer, got {obj[name]!r}")
 
 
 def read_dataset(path) -> Dataset:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     try:
@@ -265,10 +326,14 @@ def read_dataset(path) -> Dataset:
     if version != DATASET_FORMAT_VERSION:
         raise ValueError(f"{path}: line 1: unsupported format_version {version}")
     _require_fields(header, HEADER_FIELDS, f"{path}: line 1")
+    _reject_unknown_fields(header, ("format_version", *HEADER_FIELDS), f"{path}: line 1")
+    if header["domain"] not in DOMAINS:
+        raise ValueError(f"{path}: line 1: field 'domain' must be one of {DOMAINS}, got {header['domain']!r}")
     for name, least in (("C", 2), ("k", 3), ("d_in", 1), ("count", 1)):
         _require_int(header, name, f"{path}: line 1")
         if header[name] < least:
             raise ValueError(f"{path}: line 1: field {name!r} must be >= {least}, got {header[name]}")
+    shape = (header["k"], header["d_in"])
     samples = []
     id_lines: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
@@ -277,6 +342,7 @@ def read_dataset(path) -> Dataset:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {lineno}: malformed record") from exc
         _require_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
+        _reject_unknown_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
         video_id = rec["id"]
         if not isinstance(video_id, str):
             raise ValueError(f"{path}: line {lineno}: field 'id' must be a string, got {video_id!r}")
@@ -284,17 +350,7 @@ def read_dataset(path) -> Dataset:
         first = id_lines.setdefault(video_id, lineno)
         if first != lineno:
             raise ValueError(f"{path}: line {lineno}: duplicate id {video_id!r}, first on line {first}")
-        try:
-            frames = np.asarray(rec["frames"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: line {lineno}: frames are not a numeric matrix") from exc
-        if not np.isfinite(frames).all():
-            raise ValueError(f"{path}: line {lineno}: frames contain non-finite values")
-        if frames.ndim != 2 or frames.shape != (header["k"], header["d_in"]):
-            raise ValueError(
-                f"{path}: line {lineno}: frames shape {frames.shape} does not match "
-                f"header ({header['k']}, {header['d_in']})"
-            )
+        frames = decode_floats(rec["frames"], shape, f"{path}: line {lineno}: field 'frames'")
         label = rec["label"]
         if label is not None:
             _require_int(rec, "label", f"{path}: line {lineno}")
@@ -302,7 +358,7 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{path}: line {lineno}: source requires labels")
         if label is not None and not 0 <= label < header["C"]:
             raise ValueError(f"{path}: line {lineno}: label {label} out of range")
-        samples.append(VideoSample(video_id, frames, label, rec["domain"]))
+        samples.append(VideoSample(video_id, frames, label))
     if len(samples) != header["count"]:
         raise ValueError(
             f"{path}: header count {header['count']} does not match {len(samples)} records"

@@ -28,10 +28,12 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import check_float_text, decode_floats, encode_floats, read_text
 from .tensor import (
     Tensor,
     _ensure_finite,
@@ -70,7 +72,7 @@ __all__ = [
 ENCODER_HIDDEN = 64
 RELATION_HIDDEN = 128
 BN_EPS = 1e-5
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -421,36 +423,26 @@ _HYPERPARAMS = {
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write a versioned JSON checkpoint; floats round-trip exactly.
+    """Write a versioned JSON checkpoint whose arrays are ``encode_floats``
+    text, so every value round-trips bit for bit.
 
-    The bytes are ``json.dumps(doc, sort_keys=True)`` plus a newline, written
-    one top-level field and one parameter at a time, so only one parameter's
-    list of floats is alive at once.
+    The bytes are ``json.dumps(doc, sort_keys=True)`` plus a newline.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "hyperparams": {key: getattr(params, attr) for attr, key in _HYPERPARAMS.items()},
         "aggregation": params.aggregation,
         "rng_seed": params.seed,
-        "parameters": params.tensors,
+        "parameters": {name: encode_floats(t.data) for name, t in params.tensors.items()},
         "batch_norm": {
-            "running_mean": params.bn_mean.tolist(),
-            "running_var": params.bn_var.tolist(),
+            "running_mean": encode_floats(params.bn_mean),
+            "running_var": encode_floats(params.bn_var),
             "initialized": params.bn_initialized,
             "momentum": params.bn_momentum,
         },
     }
     with open(path, "w") as fh:
-        for i, key in enumerate(sorted(doc)):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
-            if key != "parameters":
-                fh.write(json.dumps(doc[key], sort_keys=True))
-                continue
-            for j, name in enumerate(sorted(params.tensors)):
-                values = json.dumps(params.tensors[name].data.tolist())
-                fh.write(("{" if j == 0 else ", ") + json.dumps(name) + ": " + values)
-            fh.write("}")
-        fh.write("}\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _field(mapping, name: str, path, where: str = ""):
@@ -468,29 +460,24 @@ def _int_field(mapping, name: str, path, where: str, least: int) -> int:
     return value
 
 
-def _array_field(mapping, name: str, path, where: str, shape: tuple) -> np.ndarray:
-    try:
-        arr = np.asarray(_field(mapping, name, path, where))
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "if":
-        raise ValueError(f"{path}: checkpoint field {where + name!r} is not numeric")
-    if arr.shape != shape:
-        raise ValueError(f"{path}: checkpoint field {where + name!r} has shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: checkpoint field {where + name!r} has non-finite values")
-    return np.asarray(arr, dtype=np.float64)
+def _array_text(mapping, name: str, path, where: str, shape: tuple) -> tuple[str, tuple, str]:
+    """The stored text of one array, its length checked against ``shape``,
+    as the arguments ``decode_floats`` takes."""
+    label = f"{path}: checkpoint field {where + name!r}"
+    text = _field(mapping, name, path, where)
+    check_float_text(text, math.prod(shape), label)
+    return text, shape, label
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Read a checkpoint, comparing each stored parameter against the name and
-    shape its hyperparams give in ``parameter_layout`` before converting it;
-    nothing is drawn, and every tensor must be finite."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: malformed checkpoint JSON") from exc
+    """Read a checkpoint. The text length of every stored array is compared
+    with the element count its hyperparams give in ``parameter_layout``, and
+    every scalar is checked, before any array is decoded; nothing is drawn,
+    and every tensor must be finite."""
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: malformed checkpoint JSON") from exc
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"{path}: checkpoint format_version {version} is not supported")
@@ -504,23 +491,30 @@ def load_checkpoint(path) -> ModelParams:
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"{path}: checkpoint field 'aggregation' must be one of {AGGREGATIONS}, got {aggregation!r}")
     raw = _field(doc, "parameters", path)
-    tensors = {
-        name: Tensor(_array_field(raw, name, path, "parameters.", shape), requires_grad=True)
-        for name, shape, _ in parameter_layout(**dims)
+    stored = {
+        name: _array_text(raw, name, path, "parameters.", shape) for name, shape, _ in parameter_layout(**dims)
     }
-    extra = sorted(set(raw) - set(tensors))
+    extra = sorted(set(raw) - set(stored))
     if extra:
         raise ValueError(f"{path}: checkpoint field 'parameters.{extra[0]}' is not a parameter of its hyperparams")
     bn = _field(doc, "batch_norm", path)
     running = {
-        f"bn_{stat}": _array_field(bn, f"running_{stat}", path, "batch_norm.", (dims["d_b"],))
+        f"bn_{stat}": _array_text(bn, f"running_{stat}", path, "batch_norm.", (dims["d_b"],))
         for stat in ("mean", "var")
     }
     initialized = _field(bn, "initialized", path, "batch_norm.")
     if not isinstance(initialized, bool):
         raise ValueError(f"{path}: checkpoint field 'batch_norm.initialized' must be true or false")
-    momentum = float(_array_field(bn, "momentum", path, "batch_norm.", ()))
+    momentum = _field(bn, "momentum", path, "batch_norm.")
+    # compared, not converted: an integer too large for a float is rejected too
+    if isinstance(momentum, bool) or not isinstance(momentum, (int, float)) or not abs(momentum) <= sys.float_info.max:
+        raise ValueError(f"{path}: checkpoint field 'batch_norm.momentum' must be a finite number, got {momentum!r}")
     return ModelParams(
-        **dims, seed=seed, tensors=tensors, **running, bn_initialized=initialized, bn_momentum=momentum,
+        **dims,
+        seed=seed,
+        tensors={name: Tensor(decode_floats(*text), requires_grad=True) for name, text in stored.items()},
+        **{key: decode_floats(*text) for key, text in running.items()},
+        bn_initialized=initialized,
+        bn_momentum=float(momentum),
         aggregation=aggregation,
     )

@@ -7,8 +7,10 @@ runs its arithmetic one operation at a time, so it can be compared with the
 library bit for bit where the arithmetic is the same.
 """
 
+import base64
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -16,6 +18,20 @@ import numpy as np
 def json_checkpoint_text(doc):
     """The checkpoint bytes as the one-shot encoder writes them."""
     return json.dumps(doc, sort_keys=True) + "\n"
+
+
+def float64_base64(values):
+    """Base64 text of ``values`` (any nesting, read in C order) packed by
+    ``struct`` as little-endian float64s: the array encoding of the file
+    formats."""
+    flat = np.asarray(values, dtype=float).ravel().tolist()
+    return base64.b64encode(struct.pack(f"<{len(flat)}d", *flat)).decode("ascii")
+
+
+def floats_of_base64(text):
+    """The float64 values ``float64_base64`` packed, as a flat list."""
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
 
 
 def brute_force_pseudo_labels(features, logits, rounds=1, eps=1e-8):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cli_runner import run_sfvda
+from oracles import float64_base64
 
 TINY = (
     "classes = 3\n"
@@ -186,7 +187,7 @@ def test_gen_data_deterministic_bytes(workspace):
 
 def test_malformed_checkpoint_is_one_error_line_naming_file_and_field(workspace):
     doc = json.loads((workspace / "source.ckpt.json").read_text())
-    doc["parameters"]["enc_b1"] = [0.0]
+    doc["parameters"]["enc_b1"] = float64_base64([0.0])
     (workspace / "bad.ckpt.json").write_text(json.dumps(doc))
     out = run_sfvda("eval", "--model", "bad.ckpt.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode == 1
@@ -260,3 +261,49 @@ def test_checkpoint_with_raised_k_is_one_error_line_before_any_model_is_drawn(wo
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert "raised-k.ckpt.json" in lines[0] and f"'parameters.rel{doc['hyperparams']['k']}_w1'" in lines[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "kind, command",
+    [
+        ("dataset", ["eval", "--model", "source.ckpt.json", "--data", "{bad}"]),
+        ("checkpoint", ["eval", "--model", "{bad}", "--data", "data/source.jsonl"]),
+        ("config", ["gen-data", "--config", "{bad}", "--out", "never"]),
+    ],
+)
+def test_non_utf8_file_is_one_error_line_naming_file_and_offset(workspace, monkeypatch, capsys, kind, command):
+    from sfvda import cli
+
+    bad = workspace / f"latin1.{kind}"
+    bad.write_bytes(b'{"format_version": 2}\n\xff\n')
+    monkeypatch.chdir(workspace)
+    code = cli.main([arg.format(bad=bad.name) for arg in command])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0] == f"error: {bad.name}: byte 22 (0xff) is not UTF-8", captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (workspace / "never").exists()
+
+
+@pytest.mark.parametrize("kind, version", [("dataset", 1), ("checkpoint", 2)])
+def test_previous_format_is_one_error_line_naming_file_and_format_version(workspace, kind, version):
+    if kind == "dataset":
+        old = "format-1.jsonl"
+        lines = (workspace / "data" / "source.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["format_version"] = version
+        (workspace / old).write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        args = ["--model", "source.ckpt.json", "--data", old]
+    else:
+        old = "format-2.ckpt.json"
+        doc = json.loads((workspace / "source.ckpt.json").read_text())
+        doc["format_version"] = version
+        (workspace / old).write_text(json.dumps(doc))
+        args = ["--model", old, "--data", "data/source.jsonl"]
+    out = run_sfvda("eval", *args, cwd=workspace)
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert old in lines[0] and f"format_version {version}" in lines[0]
+    assert out.stdout == ""

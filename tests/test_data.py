@@ -1,5 +1,10 @@
+import json
+import re
+
+import numpy as np
 import pytest
 
+from oracles import float64_base64, floats_of_base64
 from sfvda import data as D
 
 _DELETE = object()
@@ -36,8 +41,7 @@ class TestGenerator:
 
     def test_domains_and_ids(self):
         source, target = D.generate_domain_pair(small_spec())
-        assert all(s.domain == "source" for s in source.samples)
-        assert all(s.domain == "target" for s in target.samples)
+        assert (source.domain, target.domain) == ("source", "target")
         assert len({s.id for s in source.samples} | {s.id for s in target.samples}) == 2 * len(source)
 
     def test_shift_changes_target_only(self):
@@ -87,27 +91,76 @@ class TestFileFormat:
         path = tmp_path / "short.jsonl"
         D.write_dataset(source, path)
         lines = path.read_text().splitlines()
-        import json
-
         record = json.loads(lines[2])
-        record["frames"] = record["frames"][:-1]
+        record["frames"] = float64_base64(floats_of_base64(record["frames"])[:-6])  # one frame of 6 values
         lines[2] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match=r"short\.jsonl: line 3: field 'frames'"):
             D.read_dataset(path)
 
     def test_non_finite_frames_name_file_and_line(self, tmp_path):
-        import json
-
         source, _ = D.generate_domain_pair(small_spec())
         path = tmp_path / "nan.jsonl"
         D.write_dataset(source, path)
         lines = path.read_text().splitlines()
         record = json.loads(lines[3])
-        record["frames"][1][2] = float("nan")
+        values = floats_of_base64(record["frames"])
+        values[1 * 6 + 2] = float("nan")  # frame 1, dimension 2
+        record["frames"] = float64_base64(values)
         lines[3] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"nan\.jsonl: line 4: frames contain non-finite"):
+        with pytest.raises(ValueError, match=r"nan\.jsonl: line 4: field 'frames' has non-finite values"):
+            D.read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda text: float64_base64(floats_of_base64(text)[:-1]), id="one-value-short"),
+            pytest.param(lambda text: float64_base64(floats_of_base64(text) + [0.0]), id="one-value-long"),
+            pytest.param(lambda text: "!" + text[1:], id="bad-character"),
+            pytest.param(lambda text: text.replace("+", "-").replace("/", "_"), id="url-safe-alphabet"),
+            pytest.param(lambda text: text[:-2] + "==", id="padding-in-place-of-data"),
+            pytest.param(lambda text: np.reshape(floats_of_base64(text), (4, 6)).tolist(), id="json-list"),
+        ],
+    )
+    def test_bad_frames_payload_names_file_line_and_field(self, tmp_path, edit):
+        source, _ = D.generate_domain_pair(small_spec())
+        path = tmp_path / "payload.jsonl"
+        D.write_dataset(source, path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        record["frames"] = edit(record["frames"])
+        lines[2] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            D.read_dataset(path)
+        assert str(info.value).startswith(f"{path}: line 3: field 'frames' ")
+
+    def test_extreme_values_roundtrip_bit_equal(self, tmp_path):
+        source, _ = D.generate_domain_pair(small_spec())
+        edge = np.random.default_rng(4).normal(size=(4, 6))
+        edge.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        samples = [D.VideoSample("edge", edge, 0), *source.samples[1:]]
+        ds = D.Dataset(samples, "source", source.n_classes, source.k, source.d_in)
+        D.write_dataset(ds, tmp_path / "a.jsonl")
+        D.write_dataset(ds, tmp_path / "b.jsonl")
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        loaded = D.read_dataset(tmp_path / "a.jsonl")
+        for a, b in zip(ds.samples, loaded.samples):
+            assert a.frames.tobytes() == b.frames.tobytes()
+            assert b.frames.dtype == np.float64 and b.frames.flags.writeable
+        assert np.signbit(loaded.samples[0].frames.flat[0])
+
+    def test_previous_format_names_file_and_format_version(self, tmp_path):
+        source, _ = D.generate_domain_pair(small_spec())
+        path = tmp_path / "format-1.jsonl"
+        D.write_dataset(source, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["format_version"] = 1
+        lines[0] = json.dumps(header, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 1: unsupported format_version 1$"):
             D.read_dataset(path)
 
     def test_null_label_in_source_rejected(self, tmp_path):
@@ -115,8 +168,6 @@ class TestFileFormat:
         path = tmp_path / "bad.jsonl"
         D.write_dataset(source, path)
         lines = path.read_text().splitlines()
-        import json
-
         record = json.loads(lines[1])
         record["label"] = None
         lines[1] = json.dumps(record, sort_keys=True)
@@ -153,11 +204,14 @@ class TestFileFormat:
             pytest.param(0, "k", 2, id="0-k-two"),
             pytest.param(0, "d_in", 0, id="0-d_in-zero"),
             pytest.param(0, "count", 0, id="0-count-zero"),
+            # the header domain is one of two names; records hold no domain
+            pytest.param(0, "domain", "bogus", id="0-domain-bogus"),
+            pytest.param(0, "domain", 5, id="0-domain-int"),
+            pytest.param(1, "domain", "source", id="1-domain-unknown"),
+            pytest.param(2, "domain", 5, id="2-domain-int-unknown"),
         ],
     )
     def test_missing_field_names_file_line_and_field(self, tmp_path, line, field, value):
-        import json
-
         source, _ = D.generate_domain_pair(small_spec())
         path = tmp_path / "schema.jsonl"
         D.write_dataset(source, path)
@@ -177,8 +231,6 @@ class TestFileFormat:
         assert repr(field) in message
 
     def test_duplicate_id_names_file_both_lines_and_id(self, tmp_path):
-        import json
-
         _, target = D.generate_domain_pair(small_spec())
         path = tmp_path / "dup.jsonl"
         D.write_dataset(target, path)

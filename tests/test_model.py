@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import json_checkpoint_text, per_scale_head, unfused_relation_chain
+from oracles import float64_base64, json_checkpoint_text, per_scale_head, unfused_relation_chain
 from sfvda import model as M
 from sfvda.tensor import Tensor, concat, finite_diff_check, mean, mul, no_grad, square, tensor_sum
 
@@ -386,11 +386,21 @@ class TestModelState:
             pytest.param("batch_norm", "running_var", _DELETE, id="batch_norm-running_var"),
             pytest.param(None, "rng_seed", _DELETE, id="None-rng_seed"),
             # values that used to broadcast, crash later or end in a traceback
-            pytest.param("parameters", "enc_b1", [0.0], id="parameters-enc_b1-broadcast"),
-            pytest.param("batch_norm", "running_var", [1.0], id="batch_norm-running_var-broadcast"),
-            pytest.param("parameters", "enc_w1", [[0.0, 0.0]], id="parameters-enc_w1-shape"),
-            pytest.param("parameters", "wn_b", ["x", 0.0, 0.0], id="parameters-wn_b-string"),
-            pytest.param("parameters", "wn_b", [float("nan"), 0.0, 0.0], id="parameters-wn_b-nan"),
+            pytest.param("parameters", "enc_b1", float64_base64([0.0]), id="parameters-enc_b1-broadcast"),
+            pytest.param("batch_norm", "running_var", float64_base64([1.0]), id="batch_norm-running_var-broadcast"),
+            pytest.param("parameters", "enc_w1", float64_base64([[0.0, 0.0]]), id="parameters-enc_w1-shape"),
+            pytest.param("parameters", "wn_b", "x!" + float64_base64([0.0] * 3)[2:], id="parameters-wn_b-string"),
+            pytest.param("parameters", "wn_b", float64_base64([float("nan"), 0.0, 0.0]), id="parameters-wn_b-nan"),
+            # the array encoding: length, alphabet, padding and type
+            pytest.param("parameters", "wn_b", float64_base64([0.0] * 2), id="parameters-wn_b-one-value-short"),
+            pytest.param("parameters", "wn_b", float64_base64([0.0] * 4), id="parameters-wn_b-one-value-long"),
+            pytest.param("parameters", "wn_b", float64_base64([0.0] * 3)[:-2] + "==", id="parameters-wn_b-padding"),
+            pytest.param("parameters", "wn_b", [0.0, 0.0, 0.0], id="parameters-wn_b-json-list"),
+            pytest.param(
+                "batch_norm", "running_mean", "-" + float64_base64([0.0] * 64)[1:], id="batch_norm-running_mean-url-safe"
+            ),
+            pytest.param("batch_norm", "momentum", float("inf"), id="batch_norm-momentum-inf"),
+            pytest.param("batch_norm", "momentum", 10**400, id="batch_norm-momentum-huge-int"),
             pytest.param("hyperparams", "k", "4", id="hyperparams-k-string"),
             pytest.param("hyperparams", "k", 2, id="hyperparams-k-too-small"),
             pytest.param("hyperparams", "d", True, id="hyperparams-d-bool"),
@@ -426,10 +436,10 @@ class TestModelState:
                             "C": 3, "M_max": params.m_max},
             "aggregation": params.aggregation,
             "rng_seed": 8,
-            "parameters": {name: t.data.tolist() for name, t in params.named_parameters()},
+            "parameters": {name: float64_base64(t.data) for name, t in params.named_parameters()},
             "batch_norm": {
-                "running_mean": params.bn_mean.tolist(),
-                "running_var": params.bn_var.tolist(),
+                "running_mean": float64_base64(params.bn_mean),
+                "running_var": float64_base64(params.bn_var),
                 "initialized": True,
                 "momentum": params.bn_momentum,
             },
@@ -437,6 +447,24 @@ class TestModelState:
         path = tmp_path / "model.json"
         M.save_checkpoint(params, path)
         assert path.read_text() == json_checkpoint_text(doc)
+
+    def test_checkpoint_extreme_values_roundtrip_bit_equal(self, tmp_path):
+        params = tiny_model(k=4, d_in=6, n_classes=5, seed=12)
+        M.classify(Tensor(np.random.default_rng(5).normal(size=(4, params.d))), params, mode="train")
+        params.tensors["wn_b"].data[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+        params.bn_mean[:2] = [-0.0, 5e-324]
+        M.save_checkpoint(params, tmp_path / "a.json")
+        M.save_checkpoint(params, tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        loaded = M.load_checkpoint(tmp_path / "a.json")
+        for (name, a), (_, b) in zip(params.named_parameters(), loaded.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+            # SGD.step updates parameters in place
+            assert b.data.dtype == np.float64 and b.data.flags.writeable, name
+        for a, b in ((params.bn_mean, loaded.bn_mean), (params.bn_var, loaded.bn_var)):
+            assert a.tobytes() == b.tobytes()
+            assert b.flags.writeable
+        assert np.signbit(loaded.tensors["wn_b"].data[0])
 
     def test_checkpoint_parameter_of_other_hyperparams_is_named(self, tmp_path):
         import json

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -288,7 +290,7 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         shuffled = Dataset(
             [
-                VideoSample(s.id, s.frames, int(rng.integers(0, big.classes)), s.domain)
+                VideoSample(s.id, s.frames, int(rng.integers(0, big.classes)))
                 for s in source.samples
             ],
             "scrambled",
@@ -298,6 +300,21 @@ class TestEvaluate:
         )
         acc = P.evaluate(model, shuffled).accuracy
         assert abs(acc - 1.0 / big.classes) < 0.12
+
+    def test_clip_cap_above_every_scale_count_changes_no_logit(self, trained, tmp_path):
+        # M_max only caps the clips drawn per scale, C(k, r) at most, so any
+        # cap at or above the largest C(k, r) gives the same eval clips
+        _, _, target, model, _ = trained
+        capped = model.copy()
+        capped.m_max = max(math.comb(model.k, r) for r in range(2, model.k + 1))
+        M.save_checkpoint(capped, tmp_path / "capped.json")
+        doc = json.loads((tmp_path / "capped.json").read_text())
+        doc["hyperparams"]["M_max"] = 10**12
+        (tmp_path / "huge.json").write_text(json.dumps(doc, sort_keys=True))
+        logits = [
+            P.evaluate(M.load_checkpoint(tmp_path / name), target).eval_pass[1] for name in ("capped.json", "huge.json")
+        ]
+        assert logits[0].tobytes() == logits[1].tobytes()
 
     def test_needs_labels(self, trained):
         cfg, _, target, model, _ = trained

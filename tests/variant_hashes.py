@@ -10,8 +10,11 @@ One source model is trained for two epochs on a 3-class, 5-frame, 120-video
 domain pair, then adapted with each of the 10 variants under each of the 2
 settings. Two epochs keep the whole listing to a few seconds; the
 configuration is the one earlier listings used, so they stay comparable.
-Each run prints the sha256 of the checkpoint, its re-save after a load, the
-metrics CSV and both export levels.
+Each run prints the sha256 of the in-memory parameters and batch-norm
+statistics (``params``), of the checkpoint, of its re-save after a load, of
+the metrics CSV and of both export levels, and the target accuracy. The
+``params``, ``metrics``, ``export_*`` and ``accuracy`` lines do not depend on
+the checkpoint format, so a format change must leave them identical.
 pytest does not collect this file.
 """
 
@@ -43,12 +46,22 @@ def main() -> None:
             write(path / name)
             print(label, hashlib.sha256((path / name).read_bytes()).hexdigest())
 
+        def emit_model(label, model):
+            digest = hashlib.sha256()
+            for t in model.tensors.values():
+                digest.update(t.data.tobytes())
+            digest.update(model.bn_mean.tobytes() + model.bn_var.tobytes())
+            print(f"{label}/params", digest.hexdigest())
+            print(f"{label}/accuracy", repr(P.evaluate(model, target).accuracy))
+
+        emit_model("source", source_model)
         emit("source/checkpoint", "source.json", lambda p: M.save_checkpoint(source_model, p))
         emit("source/metrics", "source.csv", lambda p: P.write_metrics(source_rows, p))
         for setting, overrides in SETTINGS.items():
             for variant in VARIANTS:
                 model, rows = P.adapt_target(source_model, target, replace(BASE, variant=variant, **overrides))
                 run = f"{variant}/{setting}"
+                emit_model(run, model)
                 emit(f"{run}/checkpoint", "adapted.json", lambda p: M.save_checkpoint(model, p))
                 reloaded = M.load_checkpoint(path / "adapted.json")
                 emit(f"{run}/resave", "resaved.json", lambda p: M.save_checkpoint(reloaded, p))
