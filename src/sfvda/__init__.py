@@ -16,7 +16,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from .config import RunConfig, parse_config, emit_config, load_config
-from .data import Dataset, DomainSpec, VideoSample, batch_iterator, generate_domain_pair, read_dataset, write_dataset
+from .data import Dataset, DomainSpec, batch_iterator, generate_domain_pair, read_dataset, write_dataset
 from .model import ModelParams, init_model, load_checkpoint, sample_clips, save_checkpoint
 from .pipeline import adapt_target, evaluate, export_embeddings, run_ablation, train_source
 from .tensor import Tensor, finite_diff_check, no_grad
@@ -30,7 +30,6 @@ __all__ = [
     "load_config",
     "Dataset",
     "DomainSpec",
-    "VideoSample",
     "batch_iterator",
     "generate_domain_pair",
     "read_dataset",

@@ -51,6 +51,13 @@ def _echo_config(cfg: RunConfig, out_path: str, command: str) -> None:
         fh.write(emit_config(cfg))
 
 
+def _read_labeled(path, command: str):
+    ds = read_dataset(path)
+    if ds.labels is None:
+        raise ValueError(f"{path}: {command} needs a labeled dataset, and this one has no labels")
+    return ds
+
+
 def _cmd_gen_data(args) -> None:
     cfg = _build_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -64,7 +71,7 @@ def _cmd_gen_data(args) -> None:
 
 def _cmd_train_source(args) -> None:
     cfg = _build_config(args)
-    source = read_dataset(args.data)
+    source = _read_labeled(args.data, "train-source")
     model, rows = train_source(source, cfg)
     save_checkpoint(model, args.out)
     write_metrics(rows, args.out + ".metrics.csv")
@@ -88,7 +95,7 @@ def _cmd_adapt(args) -> None:
 
 def _cmd_eval(args) -> None:
     model = load_checkpoint(args.model)
-    ds = read_dataset(args.data)
+    ds = _read_labeled(args.data, "eval")
     result = evaluate(model, ds)
     print(f"accuracy {result.accuracy!r}")
     for c in sorted(result.per_class):

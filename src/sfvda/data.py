@@ -17,15 +17,13 @@ import base64
 import binascii
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "VideoSample",
     "DomainSpec",
     "Dataset",
-    "Batch",
     "generate_domain_pair",
     "write_dataset",
     "read_dataset",
@@ -62,20 +60,6 @@ def _rng(seed: int, tag: str, *key: int) -> np.random.Generator:
 
 
 @dataclass
-class VideoSample:
-    """One video: ordered per-frame feature vectors plus an optional label."""
-
-    id: str
-    frames: np.ndarray
-    label: int | None
-
-    def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 3:
-            raise ValueError(f"VideoSample {self.id}: need a (k >= 3, d_in) frame matrix")
-
-
-@dataclass
 class DomainSpec:
     """Shape and severity parameters of one synthetic domain pair."""
 
@@ -102,48 +86,42 @@ class DomainSpec:
 
 @dataclass
 class Dataset:
-    """Ordered samples from one domain, with a per-class count manifest."""
+    """One domain's videos as columns: row i of ``frames`` (N, k, d_in) is video
+    ``ids[i]``, labeled ``labels[i]`` (an int64 array, or None when unlabeled).
+    ``without_labels`` returns a dataset that shares ``frames``."""
 
-    samples: list[VideoSample]
+    frames: np.ndarray
+    ids: tuple[str, ...]
+    labels: np.ndarray | None
     domain: str
     n_classes: int
-    k: int
-    d_in: int
-    manifest: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for s in self.samples:
-            if s.frames.shape != (self.k, self.d_in):
-                raise ValueError(f"sample {s.id}: frames shape {s.frames.shape} != ({self.k}, {self.d_in})")
-            if s.label is not None and not 0 <= s.label < self.n_classes:
-                raise ValueError(f"sample {s.id}: label {s.label} out of range")
-        if self.domain == "source" and any(s.label is None for s in self.samples):
-            raise ValueError("source requires labels")
-        counted: dict[int, int] = {}
-        for s in self.samples:
-            if s.label is not None:
-                counted[s.label] = counted.get(s.label, 0) + 1
-        if self.manifest:
-            if counted != dict(self.manifest):
-                raise ValueError("dataset manifest does not match label counts")
+        self.frames = np.asarray(self.frames, dtype=np.float64)
+        self.ids = tuple(self.ids)
+        if self.frames.ndim != 3 or self.frames.shape[0] != len(self.ids) or self.frames.shape[1] < 3:
+            raise ValueError(f"frames shape {self.frames.shape} is not ({len(self.ids)} videos, k >= 3, d_in)")
+        if self.labels is None:
+            if self.domain == "source":
+                raise ValueError("source requires labels")
         else:
-            self.manifest = counted
+            self.labels = np.asarray(self.labels, dtype=np.int64)
+            if self.labels.shape != (len(self.ids),) or ((self.labels < 0) | (self.labels >= self.n_classes)).any():
+                raise ValueError(f"labels must be {len(self.ids)} classes in [0, {self.n_classes})")
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.ids)
 
     @property
-    def labeled(self) -> bool:
-        return all(s.label is not None for s in self.samples)
+    def k(self) -> int:
+        return self.frames.shape[1]
 
-    def labels_array(self) -> np.ndarray | None:
-        if not self.labeled:
-            return None
-        return np.array([s.label for s in self.samples], dtype=np.int64)
+    @property
+    def d_in(self) -> int:
+        return self.frames.shape[2]
 
     def without_labels(self) -> "Dataset":
-        stripped = [VideoSample(s.id, s.frames.copy(), None) for s in self.samples]
-        return Dataset(stripped, self.domain, self.n_classes, self.k, self.d_in)
+        return Dataset(self.frames, self.ids, None, self.domain, self.n_classes)
 
 
 def _class_params(spec: DomainSpec, c: int) -> dict:
@@ -185,16 +163,18 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
     s = spec.shift_severity
     if s > 0.0:
         rotation, gain, bias = _shift_transform(spec)
-    source, target = [], []
+    shape = (spec.classes * spec.videos_per_class, spec.frames, spec.frame_dim)
+    source, target = np.empty(shape), np.empty(shape)
     for c in range(spec.classes):
         cp = _class_params(spec, c)
         period = 2.0 * np.pi / cp["freq"]
         for i in range(spec.videos_per_class):
+            row = c * spec.videos_per_class + i
             phase = _rng(spec.seed, "video", c, i).uniform(0.0, PHASE_WINDOW) * period
             src = _clean_frames(spec, cp, phase)
             if spec.noise_std > 0.0:
                 src = src + _rng(spec.seed, "noise", 0, c, i).normal(0.0, spec.noise_std, src.shape)
-            source.append(VideoSample(f"source-c{c:02d}-v{i:04d}", src, c))
+            source[row] = src
 
             if s > 0.0:
                 offset = s * _rng(spec.seed, "tphase", c, i).uniform(*PHASE_OFFSET_RANGE) * period
@@ -203,11 +183,12 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
                 tgt = _clean_frames(spec, cp, phase)
             if spec.noise_std > 0.0:
                 tgt = tgt + _rng(spec.seed, "noise", 1, c, i).normal(0.0, spec.noise_std, tgt.shape)
-            target.append(VideoSample(f"target-c{c:02d}-v{i:04d}", tgt, c))
-    common = dict(n_classes=spec.classes, k=spec.frames, d_in=spec.frame_dim)
+            target[row] = tgt
+    names = [f"c{c:02d}-v{i:04d}" for c in range(spec.classes) for i in range(spec.videos_per_class)]
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.videos_per_class)
     return (
-        Dataset(source, domain="source", **common),
-        Dataset(target, domain="target", **common),
+        Dataset(source, [f"source-{name}" for name in names], labels, "source", spec.classes),
+        Dataset(target, [f"target-{name}" for name in names], labels.copy(), "target", spec.classes),
     )
 
 
@@ -246,14 +227,17 @@ def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
     """The writable, finite, native float64 array of ``shape`` that
     ``encode_floats`` wrote as ``text``; ``where`` starts every error.
 
-    The length is checked before decoding, and only the standard base64
-    alphabet with trailing padding is accepted.
+    The length is checked before decoding, and only the canonical text is
+    accepted: the standard alphabet, trailing padding, and zero bits where
+    the last character before the padding has bits left over.
     """
     count = math.prod(shape)
     check_float_text(text, count, where)
     try:
         raw = base64.b64decode(text, validate=True)
-        if len(raw) != 8 * count:  # padding in place of data characters
+        tail = len(raw) % 3
+        # padding in place of data characters, or bits set past the last byte
+        if len(raw) != 8 * count or (tail and base64.b64encode(raw[-tail:]).decode("ascii") != text[-4:]):
             raise binascii.Error
     except binascii.Error:
         raise ValueError(f"{where} is not valid base64") from None
@@ -266,25 +250,20 @@ def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
 def write_dataset(ds: Dataset, path) -> None:
     """Line-delimited JSON: one header line, then one record per video whose
     ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix."""
-    if ds.domain == "source" and not ds.labeled:
-        raise ValueError("source requires labels")
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "domain": ds.domain,
         "C": ds.n_classes,
         "k": ds.k,
         "d_in": ds.d_in,
-        "count": len(ds.samples),
+        "count": len(ds),
     }
+    labels = [None] * len(ds) if ds.labels is None else ds.labels.tolist()
     with open(path, "w") as fh:
         fh.write(json.dumps(header, sort_keys=True))
         fh.write("\n")
-        for s in ds.samples:
-            record = {
-                "id": s.id,
-                "label": None if s.label is None else int(s.label),
-                "frames": encode_floats(s.frames),
-            }
+        for video_id, label, frames in zip(ds.ids, labels, ds.frames):
+            record = {"id": video_id, "label": label, "frames": encode_floats(frames)}
             fh.write(json.dumps(record, sort_keys=True))
             fh.write("\n")
 
@@ -334,68 +313,59 @@ def read_dataset(path) -> Dataset:
         if header[name] < least:
             raise ValueError(f"{path}: line 1: field {name!r} must be >= {least}, got {header[name]}")
     shape = (header["k"], header["d_in"])
-    samples = []
+    # allocated once the first record's text has vouched for k * d_in, so an
+    # edited header size fails on its length instead of allocating
+    frames = None
+    labels = []
     id_lines: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for row, line in enumerate(lines[1:]):
+        where = f"{path}: line {row + 2}"
         try:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: line {lineno}: malformed record") from exc
-        _require_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
-        _reject_unknown_fields(rec, RECORD_FIELDS, f"{path}: line {lineno}")
+            raise ValueError(f"{where}: malformed record") from exc
+        _require_fields(rec, RECORD_FIELDS, where)
+        _reject_unknown_fields(rec, RECORD_FIELDS, where)
         video_id = rec["id"]
         if not isinstance(video_id, str):
-            raise ValueError(f"{path}: line {lineno}: field 'id' must be a string, got {video_id!r}")
-        # pseudo-labels are looked up by id: a repeat would take another's label
-        first = id_lines.setdefault(video_id, lineno)
-        if first != lineno:
-            raise ValueError(f"{path}: line {lineno}: duplicate id {video_id!r}, first on line {first}")
-        frames = decode_floats(rec["frames"], shape, f"{path}: line {lineno}: field 'frames'")
+            raise ValueError(f"{where}: field 'id' must be a string, got {video_id!r}")
+        # an id names its video's export rows, unquoted, and seeds its eval clips
+        if any(ch in video_id for ch in ',"\r\n'):
+            raise ValueError(f"{where}: field 'id' holds a comma, a double quote or a line break: {video_id!r}")
+        first = id_lines.setdefault(video_id, row + 2)
+        if first != row + 2:
+            raise ValueError(f"{where}: duplicate id {video_id!r}, first on line {first}")
+        values = decode_floats(rec["frames"], shape, f"{where}: field 'frames'")
+        if frames is None:
+            frames = np.empty((len(lines) - 1, *shape))  # the line count, not the header count
+        frames[row] = values
         label = rec["label"]
         if label is not None:
-            _require_int(rec, "label", f"{path}: line {lineno}")
-        if header["domain"] == "source" and label is None:
-            raise ValueError(f"{path}: line {lineno}: source requires labels")
-        if label is not None and not 0 <= label < header["C"]:
-            raise ValueError(f"{path}: line {lineno}: label {label} out of range")
-        samples.append(VideoSample(video_id, frames, label))
-    if len(samples) != header["count"]:
-        raise ValueError(
-            f"{path}: header count {header['count']} does not match {len(samples)} records"
-        )
-    return Dataset(samples, header["domain"], header["C"], header["k"], header["d_in"])
+            _require_int(rec, "label", where)
+            if not 0 <= label < header["C"]:
+                raise ValueError(f"{where}: label {label} out of range")
+        elif header["domain"] == "source":
+            raise ValueError(f"{where}: source requires labels")
+        if labels and (label is None) != (labels[0] is None):
+            raise ValueError(f"{where}: field 'label' is {json.dumps(label)}, but line 2's is {json.dumps(labels[0])}")
+        labels.append(label)
+    if len(labels) != header["count"]:
+        raise ValueError(f"{path}: header count {header['count']} does not match {len(labels)} records")
+    labels = None if labels[0] is None else np.array(labels, dtype=np.int64)
+    return Dataset(frames, list(id_lines), labels, header["domain"], header["C"])
 
 
 # -- batching ---------------------------------------------------------------------
 
 
-@dataclass
-class Batch:
-    frames: np.ndarray
-    labels: np.ndarray | None
-    ids: list[str]
-
-
-def batch_iterator(ds: Dataset, batch_size: int, shuffle_seed, train: bool = True):
-    """Seeded permutation into batches; training drops the final short batch.
+def batch_iterator(ds: Dataset, batch_size: int, shuffle_seed):
+    """Row indices of ``ds``, one int array per full batch of a seeded
+    permutation; the final short batch is dropped.
 
     ``shuffle_seed`` is an int or a prepared numpy SeedSequence.
     """
-    if train and batch_size < 2:
+    if batch_size < 2:
         raise ValueError("batch_iterator: training needs batch_size >= 2 for batch statistics")
-    if batch_size < 1:
-        raise ValueError("batch_iterator: batch_size must be >= 1")
-    if not isinstance(shuffle_seed, np.random.SeedSequence):
-        shuffle_seed = np.random.SeedSequence(shuffle_seed)
-    order = np.random.default_rng(shuffle_seed).permutation(len(ds.samples))
-    labeled = ds.labeled
-    for start in range(0, len(order), batch_size):
-        chunk = order[start : start + batch_size]
-        if train and len(chunk) < batch_size:
-            break
-        picked = [ds.samples[i] for i in chunk]
-        yield Batch(
-            frames=np.stack([s.frames for s in picked], axis=0),
-            labels=np.array([s.label for s in picked], dtype=np.int64) if labeled else None,
-            ids=[s.id for s in picked],
-        )
+    order = np.random.default_rng(shuffle_seed).permutation(len(ds))
+    for start in range(0, len(order) - batch_size + 1, batch_size):
+        yield order[start : start + batch_size]

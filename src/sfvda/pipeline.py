@@ -156,44 +156,43 @@ def _overall_eval_logits(model: ModelParams, lts: Tensor):
     return overall, classify(overall, model, mode="eval")
 
 
-def _eval_local_features(model: ModelParams, picked) -> Tensor:
-    """Scale-major local features of a batch of samples with their eval clip sets."""
-    frames = np.stack([s.frames for s in picked], axis=0)
-    enc = encode_frames(frames, model)
-    clip_sets = [eval_clip_set(s.id, model.k, model.m_max) for s in picked]
-    return local_temporal_features(enc, clip_sets, model)
+def _eval_batches(model: ModelParams, ds: Dataset):
+    """(rows, scale-major local features) per eval batch, in order, with each video's eval clip set."""
+    for start in range(0, len(ds), EVAL_BATCH):
+        rows = slice(start, start + EVAL_BATCH)
+        enc = encode_frames(ds.frames[rows], model)
+        clip_sets = [eval_clip_set(video_id, model.k, model.m_max) for video_id in ds.ids[rows]]
+        yield rows, local_temporal_features(enc, clip_sets, model)
 
 
-def _full_eval_pass(model: ModelParams, ds: Dataset, batch_size: int = EVAL_BATCH):
-    """Overall features and logits for every sample, in dataset order."""
+def _full_eval_pass(model: ModelParams, ds: Dataset):
+    """Overall features and logits for every video, in dataset order."""
     feats, logits = [], []
     with no_grad():
-        for start in range(0, len(ds), batch_size):
-            lts = _eval_local_features(model, ds.samples[start : start + batch_size])
+        for _, lts in _eval_batches(model, ds):
             overall, out = _overall_eval_logits(model, lts)
             feats.append(overall.data)
             logits.append(out.data)
     return np.concatenate(feats, axis=0), np.concatenate(logits, axis=0)
 
 
-def evaluate(model: ModelParams, ds: Dataset, batch_size: int = EVAL_BATCH) -> EvalResult:
+def evaluate(model: ModelParams, ds: Dataset) -> EvalResult:
     """Top-1 accuracy with per-class breakdown, deterministic eval forward."""
-    labels = ds.labels_array()
-    if labels is None:
+    if ds.labels is None:
         raise ValueError("evaluate: dataset has no labels")
     check_compatible(model, ds)
-    eval_pass = _full_eval_pass(model, ds, batch_size)
+    eval_pass = _full_eval_pass(model, ds)
     predicted = np.argmax(eval_pass[1], axis=1)
     per_class: dict[int, tuple[int, int]] = {}
     for c in range(ds.n_classes):
-        mask = labels == c
+        mask = ds.labels == c
         per_class[c] = (int((predicted[mask] == c).sum()), int(mask.sum()))
-    return EvalResult(float((predicted == labels).mean()), per_class, eval_pass)
+    return EvalResult(float((predicted == ds.labels).mean()), per_class, eval_pass)
 
 
 def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
     """Minimize smoothed cross-entropy; return the best-by-source-accuracy model."""
-    if not source.labeled:
+    if source.labels is None:
         raise ValueError("train_source: source dataset must be labeled")
     _check_batch_size(cfg.batch_size, source, "train_source")
     model = init_model(
@@ -212,13 +211,13 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     for epoch in range(1, cfg.epochs_source + 1):
         ce_sum, n_batches = 0.0, 0
         shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_SOURCE, epoch))
-        for b, batch in enumerate(batch_iterator(source, cfg.batch_size, shuffle_seed, train=True)):
+        for b, idx in enumerate(batch_iterator(source, cfg.batch_size, shuffle_seed)):
             clips = sample_clips(source.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_SOURCE, epoch, b))
-            enc = encode_frames(batch.frames, model)
+            enc = encode_frames(source.frames[idx], model)
             lts = local_temporal_features(enc, clips, model)
             overall = aggregate_overall(lts, model.k - 1)
             logits = classify(overall, model, mode="train")
-            loss = smoothed_cross_entropy(logits, batch.labels, cfg.eps_smooth)
+            loss = smoothed_cross_entropy(logits, source.labels[idx], cfg.eps_smooth)
             value = loss.item()
             if not np.isfinite(value):
                 raise RuntimeError(f"train_source: non-finite loss at epoch {epoch} batch {b}")
@@ -293,8 +292,6 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
 
     coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     use_pl = "pl_ce" in coeffs
-    labels = target.labels_array()
-    id_to_index = {s.id: i for i, s in enumerate(target.samples)}
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
 
     # a variant whose coefficients are all zero optimizes nothing and must
@@ -313,15 +310,15 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
         if use_pl:
             feats, logits_all = _full_eval_pass(model, target) if last_eval is None else last_eval.eval_pass
             pseudo = pseudolabel.generate_pseudo_labels(feats, logits_all, rounds=cfg.pl_rounds)
-            if labels is not None:
-                pl_acc = float((pseudo == labels).mean())
+            if target.labels is not None:
+                pl_acc = float((pseudo == target.labels).mean())
 
         sums = dict.fromkeys(("fc", "pc_local", "pc_overall", "im", "pl_ce", "total"), 0.0)
         n_batches = 0
         shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_ADAPT, epoch))
-        for b, batch in enumerate(batch_iterator(target, cfg.batch_size, shuffle_seed, train=True)):
+        for b, idx in enumerate(batch_iterator(target, cfg.batch_size, shuffle_seed)):
             clips = sample_clips(target.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_ADAPT, epoch, b))
-            enc = encode_frames(batch.frames, model)
+            enc = encode_frames(target.frames[idx], model)
             lts = local_temporal_features(enc, clips, model)
             local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
 
@@ -343,8 +340,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if "im" in coeffs:
                 components["im"] = information_maximization(overall_logits)
             if use_pl:
-                batch_pseudo = pseudo[[id_to_index[i] for i in batch.ids]]
-                components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, batch_pseudo)
+                components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, pseudo[idx])
             loss = _weighted_sum(variant.objective, components, cfg)
 
             total_v = loss.item()
@@ -360,7 +356,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             sums["total"] += total_v
             n_batches += 1
 
-        last_eval = evaluate(model, target) if labels is not None else None
+        last_eval = evaluate(model, target) if target.labels is not None else None
         denom = max(1, n_batches)
         rows.append(
             MetricsRow(
@@ -384,21 +380,19 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
     if level not in ("local", "overall"):
         raise ValueError(f"export_embeddings: unknown level {level!r}")
     check_compatible(model, ds)
+    labels = [""] * len(ds) if ds.labels is None else [str(label) for label in ds.labels.tolist()]
     with open(path, "w") as fh:
         fh.write("id,scale,label," + ",".join(f"f{i}" for i in range(model.d)) + "\n")
         with no_grad():
-            for start in range(0, len(ds), EVAL_BATCH):
-                picked = ds.samples[start : start + EVAL_BATCH]
-                lts = _eval_local_features(model, picked)
+            for rows, lts in _eval_batches(model, ds):
                 if level == "local":
-                    per_scale = lts.data.reshape(model.k - 1, len(picked), model.d)
+                    per_scale = lts.data.reshape(model.k - 1, -1, model.d)
                     columns = [(str(r), block.tolist()) for r, block in enumerate(per_scale, start=2)]
                 else:
                     columns = [("overall", _overall_eval_logits(model, lts)[0].data.tolist())]
-                for row, sample in enumerate(picked):
-                    label = "" if sample.label is None else str(sample.label)
+                for row, (video_id, label) in enumerate(zip(ds.ids[rows], labels[rows])):
                     for scale_name, values in columns:
-                        fh.write(f"{sample.id},{scale_name},{label},{','.join(map(repr, values[row]))}\n")
+                        fh.write(f"{video_id},{scale_name},{label},{','.join(map(repr, values[row]))}\n")
 
 
 def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):

@@ -286,6 +286,31 @@ def test_non_utf8_file_is_one_error_line_naming_file_and_offset(workspace, monke
     assert not (workspace / "never").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--model", "source.ckpt.json", "--data", "unlabeled.jsonl"],
+        ["train-source", "--config", "tiny.config", "--data", "unlabeled.jsonl", "--out", "never.json"],
+    ],
+    ids=["eval", "train-source"],
+)
+def test_unlabeled_dataset_is_one_error_line_naming_the_file(workspace, monkeypatch, capsys, command):
+    from sfvda import cli
+
+    lines = (workspace / "data" / "target.jsonl").read_text().splitlines()
+    records = [json.loads(line) | {"label": None} for line in lines[1:]]
+    (workspace / "unlabeled.jsonl").write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+    monkeypatch.chdir(workspace)
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: unlabeled.jsonl: "), captured.err
+    assert f"{command[0]} needs a labeled dataset" in lines[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (workspace / "never.json").exists()
+
+
 @pytest.mark.parametrize("kind, version", [("dataset", 1), ("checkpoint", 2)])
 def test_previous_format_is_one_error_line_naming_file_and_format_version(workspace, kind, version):
     if kind == "dataset":

@@ -8,6 +8,15 @@ from oracles import float64_base64, floats_of_base64
 from sfvda import data as D
 
 _DELETE = object()
+BASE64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+def set_unused_bit(text):
+    """``text``, canonical base64 ending in one ``=``, with the lowest of the
+    two bits its last data character has left over set: the same bytes, and
+    no longer the text ``encode_floats`` writes."""
+    assert text.endswith("=") and not text.endswith("==")
+    return text[:-2] + BASE64_ALPHABET[BASE64_ALPHABET.index(text[-2]) + 1] + "="
 
 
 def small_spec(**kw):
@@ -22,34 +31,32 @@ class TestGenerator:
         b_src, b_tgt = D.generate_domain_pair(small_spec())
         for a, b in ((a_src, b_src), (a_tgt, b_tgt)):
             assert len(a) == len(b)
-            for sa, sb in zip(a.samples, b.samples):
-                assert sa.id == sb.id
-                assert sa.label == sb.label
-                assert sa.frames.tobytes() == sb.frames.tobytes()
+            assert a.ids == b.ids
+            assert a.labels.tobytes() == b.labels.tobytes()
+            assert a.frames.tobytes() == b.frames.tobytes()
 
     def test_zero_shift_zero_noise_matches_source_exactly(self):
         spec = small_spec(shift_severity=0.0, noise_std=0.0)
         source, target = D.generate_domain_pair(spec)
-        for s, t in zip(source.samples, target.samples):
-            assert s.label == t.label
-            assert s.frames.tobytes() == t.frames.tobytes()
+        assert source.labels.tobytes() == target.labels.tobytes()
+        assert source.frames.tobytes() == target.frames.tobytes()
 
     def test_class_balance_matches_manifest(self):
         source, target = D.generate_domain_pair(small_spec())
         for ds in (source, target):
-            assert ds.manifest == {0: 4, 1: 4, 2: 4}
+            assert ds.labels.dtype == np.int64
+            assert np.bincount(ds.labels).tolist() == [4, 4, 4]
 
     def test_domains_and_ids(self):
         source, target = D.generate_domain_pair(small_spec())
         assert (source.domain, target.domain) == ("source", "target")
-        assert len({s.id for s in source.samples} | {s.id for s in target.samples}) == 2 * len(source)
+        assert len(set(source.ids) | set(target.ids)) == 2 * len(source)
 
     def test_shift_changes_target_only(self):
         base_src, base_tgt = D.generate_domain_pair(small_spec(shift_severity=0.2))
         hard_src, hard_tgt = D.generate_domain_pair(small_spec(shift_severity=0.9))
-        for a, b in zip(base_src.samples, hard_src.samples):
-            assert a.frames.tobytes() == b.frames.tobytes()
-        assert any(a.frames.tobytes() != b.frames.tobytes() for a, b in zip(base_tgt.samples, hard_tgt.samples))
+        assert base_src.frames.tobytes() == hard_src.frames.tobytes()
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(base_tgt.frames, hard_tgt.frames))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -67,11 +74,10 @@ class TestFileFormat:
         D.write_dataset(source, path)
         loaded = D.read_dataset(path)
         assert loaded.domain == source.domain
-        assert loaded.manifest == source.manifest
-        for a, b in zip(source.samples, loaded.samples):
-            assert a.id == b.id
-            assert a.label == b.label
-            assert a.frames.tobytes() == b.frames.tobytes()
+        assert loaded.ids == source.ids
+        assert loaded.labels.dtype == np.int64 and loaded.labels.tolist() == source.labels.tolist()
+        assert loaded.frames.shape == source.frames.shape
+        assert loaded.frames.tobytes() == source.frames.tobytes()
         again = tmp_path / "again.jsonl"
         D.write_dataset(loaded, again)
         assert path.read_bytes() == again.read_bytes()
@@ -120,11 +126,14 @@ class TestFileFormat:
             pytest.param(lambda text: "!" + text[1:], id="bad-character"),
             pytest.param(lambda text: text.replace("+", "-").replace("/", "_"), id="url-safe-alphabet"),
             pytest.param(lambda text: text[:-2] + "==", id="padding-in-place-of-data"),
-            pytest.param(lambda text: np.reshape(floats_of_base64(text), (4, 6)).tolist(), id="json-list"),
+            pytest.param(lambda text: np.reshape(floats_of_base64(text), (4, 7)).tolist(), id="json-list"),
+            pytest.param(set_unused_bit, id="non-canonical-last-character"),
         ],
     )
     def test_bad_frames_payload_names_file_line_and_field(self, tmp_path, edit):
-        source, _ = D.generate_domain_pair(small_spec())
+        # 4 x 7 values are 224 bytes, whose base64 ends in one '=': the
+        # last data character then has two bits left over
+        source, _ = D.generate_domain_pair(small_spec(frame_dim=7))
         path = tmp_path / "payload.jsonl"
         D.write_dataset(source, path)
         lines = path.read_text().splitlines()
@@ -140,16 +149,16 @@ class TestFileFormat:
         source, _ = D.generate_domain_pair(small_spec())
         edge = np.random.default_rng(4).normal(size=(4, 6))
         edge.flat[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
-        samples = [D.VideoSample("edge", edge, 0), *source.samples[1:]]
-        ds = D.Dataset(samples, "source", source.n_classes, source.k, source.d_in)
+        frames = source.frames.copy()
+        frames[0] = edge
+        ds = D.Dataset(frames, ("edge", *source.ids[1:]), source.labels, "source", source.n_classes)
         D.write_dataset(ds, tmp_path / "a.jsonl")
         D.write_dataset(ds, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         loaded = D.read_dataset(tmp_path / "a.jsonl")
-        for a, b in zip(ds.samples, loaded.samples):
-            assert a.frames.tobytes() == b.frames.tobytes()
-            assert b.frames.dtype == np.float64 and b.frames.flags.writeable
-        assert np.signbit(loaded.samples[0].frames.flat[0])
+        assert loaded.frames.tobytes() == ds.frames.tobytes()
+        assert loaded.frames.dtype == np.float64 and loaded.frames.flags.writeable
+        assert np.signbit(loaded.frames[0].flat[0])
 
     def test_previous_format_names_file_and_format_version(self, tmp_path):
         source, _ = D.generate_domain_pair(small_spec())
@@ -199,6 +208,11 @@ class TestFileFormat:
             pytest.param(2, "label", "1", id="2-label-string"),
             pytest.param(2, "label", 1.0, id="2-label-float"),
             pytest.param(2, "id", 7, id="2-id-int"),
+            # an id is the first cell of its export rows, written unquoted
+            pytest.param(2, "id", "a,b", id="2-id-comma"),
+            pytest.param(2, "id", 'a"b', id="2-id-quote"),
+            pytest.param(2, "id", "a\rb", id="2-id-cr"),
+            pytest.param(2, "id", "a,b\nc", id="2-id-newline"),
             # header sizes below what a model can use
             pytest.param(0, "C", 1, id="0-C-one"),
             pytest.param(0, "k", 2, id="0-k-two"),
@@ -247,40 +261,53 @@ class TestFileFormat:
     def test_unlabeled_target_roundtrip(self, tmp_path):
         _, target = D.generate_domain_pair(small_spec())
         stripped = target.without_labels()
-        assert not stripped.labeled
+        assert stripped.labels is None
         path = tmp_path / "unlabeled.jsonl"
         D.write_dataset(stripped, path)
+        assert all(json.loads(line)["label"] is None for line in path.read_text().splitlines()[1:])
         loaded = D.read_dataset(path)
-        assert all(s.label is None for s in loaded.samples)
+        assert loaded.labels is None
+        assert loaded.frames.tobytes() == target.frames.tobytes()
+
+    @pytest.mark.parametrize("labeled", [True, False], ids=["null-in-labeled", "label-in-unlabeled"])
+    def test_mixed_labels_name_file_line_and_field(self, tmp_path, labeled):
+        _, target = D.generate_domain_pair(small_spec())
+        path = tmp_path / "mixed.jsonl"
+        D.write_dataset(target if labeled else target.without_labels(), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[4])
+        record["label"] = None if labeled else 1
+        lines[4] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            D.read_dataset(path)
+        first = json.loads(lines[1])["label"]
+        expected = f"{path}: line 5: field 'label' is {json.dumps(record['label'])}, but line 2's is {json.dumps(first)}"
+        assert str(info.value) == expected
 
 
 class TestBatchIterator:
     def test_same_seed_same_order(self):
         source, _ = D.generate_domain_pair(small_spec())
-        a = [b.ids for b in D.batch_iterator(source, 4, shuffle_seed=9)]
-        b = [b.ids for b in D.batch_iterator(source, 4, shuffle_seed=9)]
-        c = [b.ids for b in D.batch_iterator(source, 4, shuffle_seed=10)]
+        a = [idx.tolist() for idx in D.batch_iterator(source, 4, shuffle_seed=9)]
+        b = [idx.tolist() for idx in D.batch_iterator(source, 4, shuffle_seed=9)]
+        c = [idx.tolist() for idx in D.batch_iterator(source, 4, shuffle_seed=10)]
         assert a == b
         assert a != c
 
-    def test_eval_covers_every_sample_once(self):
-        source, _ = D.generate_domain_pair(small_spec())
-        seen = []
-        for batch in D.batch_iterator(source, 5, shuffle_seed=0, train=False):
-            seen += batch.ids
-        assert sorted(seen) == sorted(s.id for s in source.samples)
+    def test_batches_are_the_seeded_permutations_full_batch_prefix(self):
+        source, _ = D.generate_domain_pair(small_spec())  # 12 videos
+        order = np.random.default_rng(np.random.SeedSequence(7)).permutation(12)
+        batches = list(D.batch_iterator(source, 5, shuffle_seed=np.random.SeedSequence(7)))
+        assert all(idx.dtype.kind == "i" for idx in batches)
+        assert [idx.tolist() for idx in batches] == [order[:5].tolist(), order[5:10].tolist()]
 
     def test_train_drops_last_short_batch(self):
         source, _ = D.generate_domain_pair(small_spec())  # 12 videos
-        batches = list(D.batch_iterator(source, 5, shuffle_seed=0, train=True))
-        assert [len(b.ids) for b in batches] == [5, 5]
+        batches = list(D.batch_iterator(source, 5, shuffle_seed=0))
+        assert [len(idx) for idx in batches] == [5, 5]
 
     def test_train_rejects_batch_of_one(self):
         source, _ = D.generate_domain_pair(small_spec())
         with pytest.raises(ValueError, match="batch_size"):
-            list(D.batch_iterator(source, 1, shuffle_seed=0, train=True))
-
-    def test_unlabeled_batches_have_no_labels(self):
-        _, target = D.generate_domain_pair(small_spec())
-        for batch in D.batch_iterator(target.without_labels(), 4, shuffle_seed=0, train=False):
-            assert batch.labels is None
+            list(D.batch_iterator(source, 1, shuffle_seed=0))

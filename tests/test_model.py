@@ -399,6 +399,14 @@ class TestModelState:
             pytest.param(
                 "batch_norm", "running_mean", "-" + float64_base64([0.0] * 64)[1:], id="batch_norm-running_mean-url-safe"
             ),
+            # 64 values are 512 bytes, so the text ends in "AAA=": "AAB=" sets a
+            # bit past the last byte and decodes to the same bytes
+            pytest.param(
+                "batch_norm",
+                "running_mean",
+                float64_base64([0.0] * 64)[:-2] + "B=",
+                id="batch_norm-running_mean-non-canonical",
+            ),
             pytest.param("batch_norm", "momentum", float("inf"), id="batch_norm-momentum-inf"),
             pytest.param("batch_norm", "momentum", 10**400, id="batch_norm-momentum-huge-int"),
             pytest.param("hyperparams", "k", "4", id="hyperparams-k-string"),

@@ -141,6 +141,18 @@ class TestAdaptTarget:
         digest_b = hashlib.sha256((tmp_path / "b.json").read_bytes()).hexdigest()
         assert digest_a == digest_b
 
+    def test_without_labels_shares_frames_and_changes_no_parameter(self, trained):
+        cfg, _, target, model, _ = trained
+        stripped = target.without_labels()
+        assert stripped.frames is target.frames and stripped.ids == target.ids
+        assert stripped.labels is None and target.labels is not None
+        with_labels, _ = P.adapt_target(model, target, cfg)
+        without, _ = P.adapt_target(model, stripped, cfg)
+        for (name, a), (_, b) in zip(with_labels.named_parameters(), without.named_parameters()):
+            assert a.data.tobytes() == b.data.tobytes(), name
+        assert with_labels.bn_mean.tobytes() == without.bn_mean.tobytes()
+        assert with_labels.bn_var.tobytes() == without.bn_var.tobytes()
+
     @pytest.mark.parametrize("labeled", [True, False])
     def test_one_eval_pass_per_epoch(self, trained, monkeypatch, labeled):
         # pseudo-labels reuse the previous epoch's evaluation; only the
@@ -282,22 +294,13 @@ class TestSGD:
 
 class TestEvaluate:
     def test_chance_level_on_random_labels(self):
-        from sfvda.data import Dataset, VideoSample
+        from sfvda.data import Dataset
 
         big = tiny_cfg(videos_per_class=64, epochs_source=1, seed=9)
         source, _ = generate_domain_pair(big.domain_spec())
         model, _ = P.train_source(source, big)
-        rng = np.random.default_rng(0)
-        shuffled = Dataset(
-            [
-                VideoSample(s.id, s.frames, int(rng.integers(0, big.classes)))
-                for s in source.samples
-            ],
-            "scrambled",
-            source.n_classes,
-            source.k,
-            source.d_in,
-        )
+        labels = np.random.default_rng(0).integers(0, big.classes, len(source))
+        shuffled = Dataset(source.frames, source.ids, labels, "scrambled", source.n_classes)
         acc = P.evaluate(model, shuffled).accuracy
         assert abs(acc - 1.0 / big.classes) < 0.12
 
