@@ -255,12 +255,13 @@ def init_model(
     return ModelParams(**dims, seed=seed, tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b))
 
 
-def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -> Tensor:
+def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, shared: bool = False) -> Tensor:
     """One op, with a closed-form VJP, for the two-layer ReLU MLP ``prefix``
     over gathered rows of ``x``: with ``rows`` an int array (G, M, r), input
     m of group g concatenates rows rows[g, m, :] of ``x``, and output row g
     is (sum_m relu(in_gm W1 + b1)) W2 + M b2. Every GEMM and bias add output
-    is checked for finiteness.
+    is checked for finiteness. ``shared`` promises rows[g] = rows[0] + g, so
+    each clip position reads one contiguous block of G rows.
     """
     if rows.min() < 0 or rows.max() >= x.shape[0]:
         raise ValueError(f"{prefix}: frame index out of range")
@@ -286,7 +287,11 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str) -
             grads[0] = np.zeros_like(x.data)
             for pos in np.ndindex(rows.shape[1:]):
                 at = (slice(None), *pos)
-                grads[0][rows[at]] += g_in[at]
+                if shared:
+                    start = rows[(0, *pos)]
+                    grads[0][start : start + groups] += g_in[at]
+                else:
+                    grads[0][rows[at]] += g_in[at]
         return grads
 
     return Tensor._from_op(out, prefix, (x, w1, b1, w2, b2), vjp)
@@ -338,7 +343,8 @@ def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> Te
     index_arrays = _clip_index_arrays(clips, batch, params.k)
     videos = np.arange(batch).reshape(batch, 1, 1)
     return concat(
-        _pooled_mlp(encodings, index_arrays[r] * batch + videos, params, f"rel{r}") for r in range(2, params.k + 1)
+        _pooled_mlp(encodings, index_arrays[r] * batch + videos, params, f"rel{r}", isinstance(clips, ClipIndexSet))
+        for r in range(2, params.k + 1)
     )
 
 

@@ -205,6 +205,19 @@ class TestLocalTemporalFeatures:
             grad_enc = grad_enc + grads["x"]
         assert_close(enc.grad, grad_enc, "encodings")
 
+    def test_shared_clip_scatter_equals_the_per_video_scatter(self):
+        # a shared clip set adds its input gradient by contiguous slices; the
+        # per-video path adds the same rows by fancy indexing, to the same bytes
+        params = tiny_model(k=4, d_in=5, d_enc=6, d=7, seed=8)
+        frames = np.random.default_rng(14).normal(size=(5, 4, 5))
+        shared = M.sample_clips(4, 3, np.random.default_rng(40))
+        grads = []
+        for clips in (shared, [shared] * 5):
+            enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
+            tensor_sum(square(M.local_temporal_features(enc, clips, params))).backward()
+            grads.append(enc.grad.tobytes())
+        assert grads[0] == grads[1]
+
     def test_fused_encoder_equals_the_unfused_chain(self):
         # one frame per group: pooling is a copy and M * b2 is b2, so the
         # encoder keeps every bit of the per-row chain
