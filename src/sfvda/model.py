@@ -54,7 +54,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "ClipIndexSet",
     "ModelParams",
     "parameter_layout",
     "init_model",
@@ -75,39 +74,18 @@ BN_EPS = 1e-5
 CHECKPOINT_FORMAT_VERSION = 3
 
 
-@dataclass
-class ClipIndexSet:
-    """Per scale r in [2, k]: distinct strictly increasing frame-index tuples."""
-
-    k: int
-    clips: dict[int, list[tuple[int, ...]]]
-
-    def __post_init__(self):
-        if set(self.clips) != set(range(2, self.k + 1)):
-            raise ValueError(f"ClipIndexSet: need every scale in [2, {self.k}]")
-        for r, tuples in self.clips.items():
-            if not tuples:
-                raise ValueError(f"ClipIndexSet: scale {r} has no clips")
-            distinct = set(tuples)
-            if len(distinct) != len(tuples):
-                raise ValueError(f"ClipIndexSet: duplicate clip at scale {r}")
-            if not distinct <= _combination_set(self.k, r):
-                bad = next(tup for tup in tuples if tup not in _combination_set(self.k, r))
-                raise ValueError(f"ClipIndexSet: {bad} is not a strictly increasing {r}-tuple in [0, {self.k})")
-
-
 @functools.cache
-def _combinations(k: int, r: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(itertools.combinations(range(k), r))
+def _combinations(k: int, r: int) -> np.ndarray:
+    """Every strictly increasing r-tuple in [0, k), in lexicographic order,
+    as one read-only (C(k, r), r) int array."""
+    combos = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp)
+    combos.flags.writeable = False
+    return combos
 
 
-@functools.cache
-def _combination_set(k: int, r: int) -> frozenset:
-    return frozenset(_combinations(k, r))
-
-
-def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> ClipIndexSet:
-    """Draw min(m_max, C(k, r)) distinct increasing index tuples per scale.
+def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """Draw min(m_max, C(k, r)) distinct increasing index tuples per scale r,
+    as an (M_r, r) array that the whole batch shares.
 
     Tuples are drawn uniformly without replacement from all combinations and
     listed in lexicographic order so the summation order is reproducible.
@@ -116,26 +94,47 @@ def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> ClipIndexSet:
         raise ValueError(f"sample_clips: need k >= 3, got {k}")
     if m_max < 1:
         raise ValueError(f"sample_clips: need m_max >= 1, got {m_max}")
-    clips: dict[int, list[tuple[int, ...]]] = {}
+    clips = {}
+    for r in range(2, k + 1):
+        combos = _combinations(k, r)
+        chosen = rng.choice(len(combos), size=min(m_max, len(combos)), replace=False)
+        clips[r] = combos[np.sort(chosen)]
+    return clips
+
+
+_HASH_CHUNK = 1 << 20  # most hash entries built at once
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, in wrapping uint64 arithmetic."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def eval_clip_set(ids, k: int, m_max: int) -> dict[int, np.ndarray]:
+    """Each video's evaluation clips, derived from its id alone: per scale r
+    an (n, M_r, r) array, M_r = min(m_max, C(k, r)).
+
+    A video's key is the first 8 bytes of blake2s("eval-clips|" + id). Each
+    combination c of scale r hashes to mix64(key ^ mix64((r << 32) | c)), and
+    the video keeps the M_r combinations with the smallest hashes (ties to
+    the lower index), listed in lexicographic order. The clips depend only on
+    (id, k, m_max), so a batch derives them in one array pass.
+    """
+    keys = np.frombuffer(b"".join(hashlib.blake2s(f"eval-clips|{i}".encode()).digest()[:8] for i in ids), "<u8")
+    clips = {}
     for r in range(2, k + 1):
         combos = _combinations(k, r)
         take = min(m_max, len(combos))
-        chosen = rng.choice(len(combos), size=take, replace=False)
-        clips[r] = [combos[i] for i in sorted(chosen)]
-    return ClipIndexSet(k=k, clips=clips)
-
-
-@functools.lru_cache(maxsize=None)
-def eval_clip_set(video_id: str, k: int, m_max: int) -> ClipIndexSet:
-    """Deterministic per-video clip choice for evaluation, derived from the id.
-
-    Built once per (video_id, k, m_max) and then served from a cache that
-    holds one entry per distinct video seen; the returned set is shared and
-    must not be mutated.
-    """
-    digest = hashlib.blake2s(f"eval-clips|{video_id}".encode()).digest()
-    seed = int.from_bytes(digest[:8], "little")
-    return sample_clips(k, m_max, np.random.default_rng(np.random.SeedSequence(seed)))
+        salts = _mix64((np.uint64(r) << np.uint64(32)) | np.arange(len(combos), dtype=np.uint64))
+        chosen = np.empty((len(keys), take), dtype=np.intp)
+        step = max(1, _HASH_CHUNK // len(combos))
+        for start in range(0, len(keys), step):
+            hashes = _mix64(keys[start : start + step, None] ^ salts)
+            chosen[start : start + step] = np.sort(np.argsort(hashes, axis=1, kind="stable")[:, :take], axis=1)
+        clips[r] = combos[chosen]
+    return clips
 
 
 # head parameter name prefixes per freeze scope
@@ -287,11 +286,8 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, s
             grads[0] = np.zeros_like(x.data)
             for pos in np.ndindex(rows.shape[1:]):
                 at = (slice(None), *pos)
-                if shared:
-                    start = rows[(0, *pos)]
-                    grads[0][start : start + groups] += g_in[at]
-                else:
-                    grads[0][rows[at]] += g_in[at]
+                start = rows[(0, *pos)]
+                grads[0][slice(start, start + groups) if shared else rows[at]] += g_in[at]
         return grads
 
     return Tensor._from_op(out, prefix, (x, w1, b1, w2, b2), vjp)
@@ -313,39 +309,27 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
     return _pooled_mlp(stacked, np.arange(params.k * batch).reshape(-1, 1, 1), params, "enc")
 
 
-def _clip_index_arrays(clips, batch: int, k: int) -> dict[int, np.ndarray]:
-    """Normalize shared or per-video clip sets to (B, M_r, r) index arrays."""
-    if isinstance(clips, ClipIndexSet):
-        if clips.k != k:
-            raise ValueError(f"clip set built for k={clips.k}, model has k={k}")
-        return {
-            r: np.broadcast_to(np.asarray(tuples), (batch, len(tuples), r))
-            for r, tuples in clips.clips.items()
-        }
-    clip_list = list(clips)
-    if len(clip_list) != batch:
-        raise ValueError(f"need one clip set per video: {len(clip_list)} for batch {batch}")
-    return {r: np.array([c.clips[r] for c in clip_list]) for r in range(2, k + 1)}
-
-
-def local_temporal_features(encodings: Tensor, clips, params: ModelParams) -> Tensor:
+def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], params: ModelParams) -> Tensor:
     """The local temporal features of a batch as one scale-major (S*B, d)
     stack, S = k-1: rows s*B ... (s+1)*B - 1 hold scale s+2. A scale's
     feature sums, over its clips, the relation MLP applied to the clip's
     frame encodings in temporal order.
 
     ``encodings`` is the frame-major output of ``encode_frames``. ``clips``
-    is either one ClipIndexSet shared by the batch (training) or a sequence
-    with one ClipIndexSet per video (evaluation). Each scale is one
-    ``_pooled_mlp`` op over all B*M_r clip inputs.
+    maps each scale r to an int array of frame indices: (M_r, r) when the
+    batch shares its clips (training, from ``sample_clips``), or (B, M_r, r)
+    with each video's own clips (evaluation, from ``eval_clip_set``). Each
+    scale is one ``_pooled_mlp`` op over all B*M_r clip inputs.
     """
     batch = encodings.shape[0] // params.k
-    index_arrays = _clip_index_arrays(clips, batch, params.k)
     videos = np.arange(batch).reshape(batch, 1, 1)
-    return concat(
-        _pooled_mlp(encodings, index_arrays[r] * batch + videos, params, f"rel{r}", isinstance(clips, ClipIndexSet))
-        for r in range(2, params.k + 1)
-    )
+    scales = []
+    for r in range(2, params.k + 1):
+        index = clips[r]
+        if index.ndim not in (2, 3) or index.shape[-1] != r or index.shape[:-2] not in ((), (batch,)):
+            raise ValueError(f"rel{r}: clip array of shape {index.shape} does not fit a batch of {batch}")
+        scales.append(_pooled_mlp(encodings, index * batch + videos, params, f"rel{r}", index.ndim == 2))
+    return concat(scales)
 
 
 def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = None) -> Tensor:

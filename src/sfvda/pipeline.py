@@ -157,12 +157,11 @@ def _overall_eval_logits(model: ModelParams, lts: Tensor):
 
 
 def _eval_batches(model: ModelParams, ds: Dataset):
-    """(rows, scale-major local features) per eval batch, in order, with each video's eval clip set."""
+    """(rows, scale-major local features) per eval batch, in order, with each video's eval clips."""
     for start in range(0, len(ds), EVAL_BATCH):
         rows = slice(start, start + EVAL_BATCH)
         enc = encode_frames(ds.frames[rows], model)
-        clip_sets = [eval_clip_set(video_id, model.k, model.m_max) for video_id in ds.ids[rows]]
-        yield rows, local_temporal_features(enc, clip_sets, model)
+        yield rows, local_temporal_features(enc, eval_clip_set(ds.ids[rows], model.k, model.m_max), model)
 
 
 def _full_eval_pass(model: ModelParams, ds: Dataset):

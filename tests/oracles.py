@@ -8,6 +8,8 @@ library bit for bit where the arithmetic is the same.
 """
 
 import base64
+import hashlib
+import itertools
 import json
 import math
 import struct
@@ -219,3 +221,29 @@ def unfused_relation_chain(x, rows, w1, b1, w2, b2, g):
         "b2": g_clip.sum(axis=0),
     }
     return out, grads
+
+
+_MOD64 = 1 << 64
+
+
+def _splitmix64_finalizer(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % _MOD64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % _MOD64
+    return z ^ (z >> 31)
+
+
+def eval_clips_reference(video_id, k, m_max):
+    """One video's eval clips, {r: list of index tuples}, with Python ints
+    mod 2**64: the key is the first 8 bytes of blake2s("eval-clips|" + id),
+    combination c of scale r hashes to f(key ^ f((r << 32) | c)) with f the
+    splitmix64 finalizer, and the smallest min(m_max, C(k, r)) hashes win,
+    ties to the lower index, listed in lexicographic order."""
+    digest = hashlib.blake2s(f"eval-clips|{video_id}".encode()).digest()
+    key = int.from_bytes(digest[:8], "little")
+    clips = {}
+    for r in range(2, k + 1):
+        combos = list(itertools.combinations(range(k), r))
+        hashes = [_splitmix64_finalizer(key ^ _splitmix64_finalizer((r << 32) | c)) for c in range(len(combos))]
+        ranked = sorted(range(len(combos)), key=lambda c: (hashes[c], c))
+        clips[r] = [combos[c] for c in sorted(ranked[: min(m_max, len(combos))])]
+    return clips

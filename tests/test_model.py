@@ -1,10 +1,17 @@
 import itertools
+import math
 import re
 
 import numpy as np
 import pytest
 
-from oracles import float64_base64, json_checkpoint_text, per_scale_head, unfused_relation_chain
+from oracles import (
+    eval_clips_reference,
+    float64_base64,
+    json_checkpoint_text,
+    per_scale_head,
+    unfused_relation_chain,
+)
 from sfvda import model as M
 from sfvda.tensor import Tensor, concat, finite_diff_check, mean, mul, no_grad, square, tensor_sum
 
@@ -24,48 +31,83 @@ def per_frame(enc, k=3):
 class TestSampleClips:
     def test_k3_is_exhaustive_at_top_scale(self):
         clips = M.sample_clips(3, 3, np.random.default_rng(0))
-        assert clips.clips[3] == [(0, 1, 2)]
-        assert len(clips.clips[2]) == 3  # all of C(3,2)
+        assert clips[3].tolist() == [[0, 1, 2]]
+        assert clips[2].shape == (3, 2)  # all of C(3,2)
 
     def test_fixed_seed_is_deterministic(self):
         a = M.sample_clips(5, 3, np.random.default_rng(77))
         b = M.sample_clips(5, 3, np.random.default_rng(77))
-        assert a.clips == b.clips
+        assert all(np.array_equal(a[r], b[r]) for r in range(2, 6))
 
     def test_large_m_max_enumerates_all(self):
         clips = M.sample_clips(5, 100, np.random.default_rng(1))
-        assert sorted(clips.clips[2]) == list(itertools.combinations(range(5), 2))
-        assert len(clips.clips[2]) == 10
+        assert [tuple(c) for c in clips[2].tolist()] == list(itertools.combinations(range(5), 2))
 
     def test_tuples_strictly_increasing_and_distinct(self):
         for seed in range(20):
             clips = M.sample_clips(6, 4, np.random.default_rng(seed))
-            for r, tuples in clips.clips.items():
-                assert len(set(tuples)) == len(tuples)
-                for tup in tuples:
-                    assert list(tup) == sorted(set(tup))
+            assert sorted(clips) == list(range(2, 7))
+            for r, tuples in clips.items():
+                assert tuples.shape == (min(4, math.comb(6, r)), r)
+                assert len({tuple(t) for t in tuples.tolist()}) == len(tuples)
+                assert np.all(np.diff(tuples, axis=1) > 0) and tuples.min() >= 0 and tuples.max() < 6
 
     def test_validation(self):
         with pytest.raises(ValueError):
             M.sample_clips(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            M.ClipIndexSet(k=3, clips={2: [(1, 0)], 3: [(0, 1, 2)]})
-        with pytest.raises(ValueError):
-            M.ClipIndexSet(k=3, clips={2: [(0, 1), (0, 1)], 3: [(0, 1, 2)]})
+            M.sample_clips(3, 0, np.random.default_rng(0))
 
-    @pytest.mark.parametrize(
-        "bad", [(1, 0), (0, 3), (0,), (0, 1, 2), (-1, 1)], ids=["decreasing", "range", "short", "long", "negative"]
-    )
-    def test_invalid_tuple_is_named(self, bad):
-        with pytest.raises(ValueError, match=f"ClipIndexSet: {re.escape(str(bad))} is not"):
-            M.ClipIndexSet(k=3, clips={2: [(0, 1), bad, (0, 2)], 3: [(0, 1, 2)]})
 
-    def test_eval_clip_set_per_video_determinism(self):
-        a = M.eval_clip_set("target-c00-v0001", 5, 3)
-        b = M.eval_clip_set("target-c00-v0001", 5, 3)
-        other = M.eval_clip_set("target-c00-v0002", 5, 3)
-        assert a.clips == b.clips
-        assert a.clips != other.clips
+class TestEvalClipSet:
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_equals_the_pure_python_reference(self, k):
+        ids = [f"target-c{i % 8:02d}-v{i:04d}" for i in range(300)]
+        clips = M.eval_clip_set(ids, k, 3)
+        assert sorted(clips) == list(range(2, k + 1))
+        for r, got in clips.items():
+            assert got.shape == (300, min(3, math.comb(k, r)), r)
+        want = [eval_clips_reference(i, k, 3) for i in ids]
+        for r in clips:
+            assert clips[r].tolist() == [[list(t) for t in w[r]] for w in want], f"scale {r}"
+
+    def test_clips_are_batch_independent(self):
+        # an id's clips are the same alone, inside a batch, or at another position
+        ids = [f"v{i}" for i in range(7)]
+        batch = M.eval_clip_set(ids, 5, 3)
+        shuffled = M.eval_clip_set(ids[::-1], 5, 3)
+        for pos, video_id in enumerate(ids):
+            alone = M.eval_clip_set([video_id], 5, 3)
+            for r in range(2, 6):
+                assert np.array_equal(batch[r][pos], alone[r][0])
+                assert np.array_equal(batch[r][pos], shuffled[r][len(ids) - 1 - pos])
+        assert any(not np.array_equal(batch[r][0], batch[r][1]) for r in range(2, 6))
+
+    def test_choice_is_uniform_without_replacement(self):
+        n = 20_000
+        clips = M.eval_clip_set([f"u{i}" for i in range(n)], 5, 3)
+        for r, got in clips.items():
+            combos = math.comb(5, r)
+            take = min(3, combos)
+            assert np.all(np.diff(got, axis=2) > 0)
+            index = {c: i for i, c in enumerate(itertools.combinations(range(5), r))}
+            codes = np.array([[index[tuple(t)] for t in video] for video in got.tolist()])
+            assert np.all(np.diff(codes, axis=1) > 0)  # distinct, in lexicographic order
+            freq = np.bincount(codes.ravel(), minlength=combos) / n
+            assert np.max(np.abs(freq - take / combos)) < 0.02, f"scale {r}: {freq}"
+
+    def test_large_m_max_takes_every_combination(self):
+        clips = M.eval_clip_set(["a", "b"], 4, 10**12)
+        for r in range(2, 5):
+            every = np.array(list(itertools.combinations(range(4), r)))
+            assert np.array_equal(clips[r], np.stack([every, every]))
+
+    def test_chunked_hash_matrix_gives_the_same_clips(self, monkeypatch):
+        ids = [f"v{i}" for i in range(9)]
+        whole = M.eval_clip_set(ids, 5, 3)
+        monkeypatch.setattr(M, "_HASH_CHUNK", 1)
+        chunked = M.eval_clip_set(ids, 5, 3)
+        assert all(np.array_equal(whole[r], chunked[r]) for r in whole)
 
 
 class TestEncoder:
@@ -122,7 +164,7 @@ def assert_close(got, want, what, tol=1e-12):
 class TestLocalTemporalFeatures:
     def test_single_clip_is_no_summation(self):
         params = tiny_model()
-        clips = M.ClipIndexSet(k=3, clips={2: [(0, 2)], 3: [(0, 1, 2)]})
+        clips = {2: np.array([[0, 2]]), 3: np.array([[0, 1, 2]])}
         frames = np.random.default_rng(3).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         lts = M.local_temporal_features(enc, clips, params)
@@ -143,7 +185,7 @@ class TestLocalTemporalFeatures:
 
     def test_two_clips_sum(self):
         params = tiny_model()
-        clips = M.ClipIndexSet(k=3, clips={2: [(0, 1), (1, 2)], 3: [(0, 1, 2)]})
+        clips = {2: np.array([[0, 1], [1, 2]]), 3: np.array([[0, 1, 2]])}
         frames = np.random.default_rng(5).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         lts = M.local_temporal_features(enc, clips, params)
@@ -156,10 +198,7 @@ class TestLocalTemporalFeatures:
         params = tiny_model()
         frames = np.random.default_rng(6).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
-        per_video = [
-            M.ClipIndexSet(k=3, clips={2: [(0, 1)], 3: [(0, 1, 2)]}),
-            M.ClipIndexSet(k=3, clips={2: [(1, 2)], 3: [(0, 1, 2)]}),
-        ]
+        per_video = {2: np.array([[[0, 1]], [[1, 2]]]), 3: np.array([[[0, 1, 2]], [[0, 1, 2]]])}
         lts = M.local_temporal_features(enc, per_video, params)
         enc_np = per_frame(enc).transpose(1, 0, 2)
         want0 = scripted_relation(params, 2, np.concatenate([enc_np[:1, 0], enc_np[:1, 1]], axis=1))
@@ -168,15 +207,9 @@ class TestLocalTemporalFeatures:
         assert np.max(np.abs(lts.data[1] - want1[0])) < 1e-12
 
     @staticmethod
-    def index_arrays(clips, batch):
-        if isinstance(clips, M.ClipIndexSet):
-            return {r: np.broadcast_to(np.array(t), (batch, len(t), r)) for r, t in clips.clips.items()}
-        return {r: np.array([c.clips[r] for c in clips]) for r in clips[0].clips}
-
-    @staticmethod
     def clip_sets(per_video, batch, k):
         if per_video:
-            return [M.sample_clips(k, 3, np.random.default_rng(40 + b)) for b in range(batch)]
+            return M.eval_clip_set([f"v{b}" for b in range(batch)], k, 3)
         return M.sample_clips(k, 3, np.random.default_rng(40))
 
     @pytest.mark.parametrize("per_video", [False, True])
@@ -194,8 +227,8 @@ class TestLocalTemporalFeatures:
         g = rng.normal(size=lts.shape)
         tensor_sum(mul(lts, Tensor(g))).backward()
         grad_enc = 0.0
-        for s, (r, idx) in enumerate(self.index_arrays(clips, batch).items()):
-            rows = idx * batch + np.arange(batch).reshape(batch, 1, 1)
+        for s, (r, idx) in enumerate(clips.items()):
+            rows = np.broadcast_to(idx, (batch, *idx.shape[-2:])) * batch + np.arange(batch).reshape(batch, 1, 1)
             weights = [t[f"rel{r}_{n}"] for n in ("w1", "b1", "w2", "b2")]
             block = slice(s * batch, (s + 1) * batch)
             out, grads = unfused_relation_chain(enc.data, rows, *(w.data for w in weights), g[block])
@@ -212,7 +245,7 @@ class TestLocalTemporalFeatures:
         frames = np.random.default_rng(14).normal(size=(5, 4, 5))
         shared = M.sample_clips(4, 3, np.random.default_rng(40))
         grads = []
-        for clips in (shared, [shared] * 5):
+        for clips in (shared, {r: np.stack([index] * 5) for r, index in shared.items()}):
             enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
             tensor_sum(square(M.local_temporal_features(enc, clips, params))).backward()
             grads.append(enc.grad.tobytes())
@@ -246,6 +279,14 @@ class TestLocalTemporalFeatures:
         report = finite_diff_check(f, Tensor(enc.data), rel_tol=1e-4)
         assert report.passed, f"rel err {report.max_rel_error:.2e}"
         assert np.abs(report.analytic).max() > 1e-6
+
+    @pytest.mark.parametrize("shape", [(3, 1, 2), (1, 3), (2,)], ids=["batch", "width", "flat"])
+    def test_clip_array_that_does_not_fit_is_named(self, shape):
+        params = tiny_model()
+        enc = M.encode_frames(np.zeros((2, 3, 4)), params)
+        clips = {2: np.zeros(shape, dtype=int), 3: np.array([[0, 1, 2]])}
+        with pytest.raises(ValueError, match=re.escape(f"rel2: clip array of shape {shape} does not fit a batch of 2")):
+            M.local_temporal_features(enc, clips, params)
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_frame_index_out_of_range(self, bad):
@@ -519,8 +560,7 @@ def test_eval_forward_is_permutation_invariant():
     def forward(frames, ids):
         with no_grad():
             enc = M.encode_frames(frames, params)
-            clip_sets = [M.eval_clip_set(i, params.k, params.m_max) for i in ids]
-            lts = M.local_temporal_features(enc, clip_sets, params)
+            lts = M.local_temporal_features(enc, M.eval_clip_set(ids, params.k, params.m_max), params)
             overall = M.aggregate_overall(lts, params.k - 1)
             return M.classify(overall, params, mode="eval").data
 

@@ -13,6 +13,8 @@ configuration is the one earlier listings used, so they stay comparable.
 Each run prints the sha256 of the in-memory parameters and batch-norm
 statistics (``params``), of the checkpoint, of its re-save after a load, of
 the metrics CSV and of both export levels, and the target accuracy. The
+first line, ``target/eval_clips``, hashes the target videos' eval clip
+arrays, so a change to their derivation shows even where no output moves. The
 ``params``, ``metrics``, ``export_*`` and ``accuracy`` lines do not depend on
 the checkpoint format, so a format change must leave them identical.
 pytest does not collect this file.
@@ -38,6 +40,8 @@ SETTINGS = {
 
 def main() -> None:
     source, target = generate_domain_pair(BASE.domain_spec())
+    clips = M.eval_clip_set(target.ids, target.k, BASE.m_max)
+    print("target/eval_clips", hashlib.sha256(b"".join(clips[r].astype("<i8").tobytes() for r in clips)).hexdigest())
     source_model, source_rows = P.train_source(source, BASE)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp)
