@@ -19,6 +19,7 @@ from .model import load_checkpoint, save_checkpoint
 from .pipeline import (
     ablation_csv,
     adapt_target,
+    check_compatible,
     evaluate,
     export_embeddings,
     run_ablation,
@@ -58,6 +59,14 @@ def _read_labeled(path, command: str):
     return ds
 
 
+def _read_model_and_data(model_path, data_path, labeled_for: str | None = None):
+    """A command's checkpoint and dataset, checked against each other."""
+    model = load_checkpoint(model_path)
+    ds = read_dataset(data_path) if labeled_for is None else _read_labeled(data_path, labeled_for)
+    check_compatible(model, ds, f"{model_path}, {data_path}: ")
+    return model, ds
+
+
 def _cmd_gen_data(args) -> None:
     cfg = _build_config(args)
     os.makedirs(args.out, exist_ok=True)
@@ -84,8 +93,7 @@ def _cmd_adapt(args) -> None:
     cfg = _build_config(args)
     if args.variant:
         cfg = apply_overrides(cfg, {"variant": args.variant})
-    model = load_checkpoint(args.source_model)
-    target = read_dataset(args.target_data)
+    model, target = _read_model_and_data(args.source_model, args.target_data)
     adapted, rows = adapt_target(model, target, cfg)
     save_checkpoint(adapted, args.out)
     write_metrics(rows, args.out + ".metrics.csv")
@@ -94,8 +102,7 @@ def _cmd_adapt(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    model = load_checkpoint(args.model)
-    ds = _read_labeled(args.data, "eval")
+    model, ds = _read_model_and_data(args.model, args.data, labeled_for="eval")
     result = evaluate(model, ds)
     print(f"accuracy {result.accuracy!r}")
     for c in sorted(result.per_class):
@@ -122,8 +129,7 @@ def _cmd_ablate(args) -> None:
 
 
 def _cmd_export_embeddings(args) -> None:
-    model = load_checkpoint(args.model)
-    ds = read_dataset(args.data)
+    model, ds = _read_model_and_data(args.model, args.data)
     export_embeddings(model, ds, args.level, args.out)
     print(f"wrote {args.level} embeddings to {args.out}")
 

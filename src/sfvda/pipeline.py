@@ -121,14 +121,15 @@ class EvalResult:
     eval_pass: tuple = field(repr=False)  # (overall features, logits), dataset order
 
 
-def check_compatible(params: ModelParams, ds: Dataset) -> None:
+def check_compatible(params: ModelParams, ds: Dataset, where: str = "") -> None:
+    """``where`` prefixes a mismatch error, to name the files."""
     for field, have, want in (
         ("k", params.k, ds.k),
         ("d_in", params.d_in, ds.d_in),
         ("C", params.n_classes, ds.n_classes),
     ):
         if have != want:
-            raise ValueError(f"checkpoint/dataset mismatch on {field}: checkpoint {have}, dataset {want}")
+            raise ValueError(f"{where}checkpoint/dataset mismatch on {field}: checkpoint {have}, dataset {want}")
 
 
 def _check_batch_size(batch_size: int, ds: Dataset, caller: str) -> None:

@@ -311,6 +311,33 @@ def test_unlabeled_dataset_is_one_error_line_naming_the_file(workspace, monkeypa
     assert not (workspace / "never.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--model", "k5.ckpt.json", "--data", "data/source.jsonl"],
+        ["adapt", "--config", "tiny.config", "--source-model", "k5.ckpt.json", "--target-data", "data/target.jsonl",
+         "--out", "never.json"],
+        ["export-embeddings", "--model", "k5.ckpt.json", "--data", "data/target.jsonl", "--level", "local",
+         "--out", "never.csv"],
+    ],
+    ids=["eval", "adapt", "export-embeddings"],
+)
+def test_checkpoint_dataset_mismatch_is_one_error_line_naming_both_files(workspace, monkeypatch, capsys, command):
+    from sfvda import cli
+    from sfvda.model import init_model, save_checkpoint
+
+    save_checkpoint(init_model(k=5, d_in=6, n_classes=3, d_enc=8, d=8, d_b=8), workspace / "k5.ckpt.json")
+    monkeypatch.chdir(workspace)
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    dataset = command[command.index("--data" if "--data" in command else "--target-data") + 1]
+    assert code == 1
+    assert lines == [f"error: k5.ckpt.json, {dataset}: checkpoint/dataset mismatch on k: checkpoint 5, dataset 4"]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (workspace / "never.json").exists() and not (workspace / "never.csv").exists()
+
+
 @pytest.mark.parametrize("kind, version", [("dataset", 1), ("checkpoint", 2)])
 def test_previous_format_is_one_error_line_naming_file_and_format_version(workspace, kind, version):
     if kind == "dataset":
