@@ -249,7 +249,10 @@ def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Line-delimited JSON: one header line, then one record per video whose
-    ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix."""
+    ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix.
+
+    A record is written as the text ``json.dumps(record, sort_keys=True)``
+    gives, without building the dict: the base64 text needs no escaping."""
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "domain": ds.domain,
@@ -263,9 +266,8 @@ def write_dataset(ds: Dataset, path) -> None:
         fh.write(json.dumps(header, sort_keys=True))
         fh.write("\n")
         for video_id, label, frames in zip(ds.ids, labels, ds.frames):
-            record = {"id": video_id, "label": label, "frames": encode_floats(frames)}
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+            label_text = "null" if label is None else str(label)
+            fh.write(f'{{"frames": "{encode_floats(frames)}", "id": {json.dumps(video_id)}, "label": {label_text}}}\n')
 
 
 DOMAINS = ("source", "target")

@@ -82,6 +82,20 @@ class TestFileFormat:
         D.write_dataset(loaded, again)
         assert path.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("labeled", [True, False], ids=["labeled", "unlabeled"])
+    def test_records_are_the_sort_keys_json_text(self, tmp_path, labeled):
+        ids = ["back\\slash", "café-日本", "tab\there", "ctrl\x01\x7f", "emoji-\U0001f3ac", "plain"]
+        frames = np.random.default_rng(0).normal(size=(len(ids), 3, 2))
+        labels = np.array([0, 1, 2, 0, 1, 2]) if labeled else None
+        ds = D.Dataset(frames, ids, labels, "target", 3)
+        path = tmp_path / "ids.jsonl"
+        D.write_dataset(ds, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == "" and len(lines) == len(ids) + 2
+        for line, video_id, label, video in zip(lines[1:], ids, [None] * 6 if labels is None else labels, frames):
+            record = {"id": video_id, "label": None if label is None else int(label), "frames": float64_base64(video)}
+            assert line == json.dumps(record, sort_keys=True)
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         source, _ = D.generate_domain_pair(small_spec())
         path = tmp_path / "broken.jsonl"
