@@ -99,9 +99,9 @@ class RunConfig:
             value = getattr(self, key)
             if value not in choices:
                 raise ValueError(f"config key {key!r}: unknown value {value!r}; expected one of {choices}")
-        for key in _AT_LEAST_ONE:
-            if getattr(self, key) < 1:
-                raise ValueError(f"config key {key!r}: must be >= 1, got {getattr(self, key)}")
+        for key, least in _AT_LEAST.items():
+            if getattr(self, key) < least:
+                raise ValueError(f"config key {key!r}: must be >= {least}, got {getattr(self, key)}")
         for key in (*_WEIGHTS, "eps_norm", "eps_smooth"):
             value = getattr(self, key)
             if not math.isfinite(value) or value < 0.0:
@@ -122,7 +122,8 @@ _CHOICES = {
     "variant": tuple(VARIANTS),
     "freeze_scope": FREEZE_SCOPES,
 }
-_AT_LEAST_ONE = ("epochs_source", "epochs_adapt", "pl_rounds", "m_max", "frame_dim", "d_enc", "d", "d_b")
+_AT_LEAST = dict.fromkeys(("epochs_source", "epochs_adapt", "pl_rounds", "m_max", "frame_dim", "d_enc", "d", "d_b"), 1)
+_AT_LEAST["seed"] = 0
 _WEIGHTS = ("lam", "alpha_local", "alpha_overall", "beta_fc", "beta_pc", "beta_tc", "beta_im", "beta_ce")
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 

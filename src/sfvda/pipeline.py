@@ -9,13 +9,13 @@ bitwise after every run. All randomness derives from the config seed, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import lwm, pseudolabel
 from .config import VARIANTS, RunConfig
-from .data import Dataset, batch_iterator
+from .data import Dataset, batch_iterator, generate_domain_pair
 from .losses import (
     information_maximization,
     local_prediction_consistency,
@@ -401,22 +401,23 @@ def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):
     Returns {variant: {seed: target accuracy}}; datasets and training both
     derive from the seed, so rows are paired replicates.
     """
-    from .data import generate_domain_pair
-    from dataclasses import replace
-
-    # every name is checked before the first seed trains a source model
+    # every name and seed is checked before the first seed trains a source model
     for variant in variants:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
+    for kind, values in (("variant", variants), ("seed", seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{kind} {value!r} is listed twice")
+    run_cfgs = [replace(cfg, seed=seed) for seed in seeds]
     results: dict[str, dict[int, float]] = {v: {} for v in variants}
-    for seed in seeds:
-        run_cfg = replace(cfg, seed=seed)
+    for run_cfg in run_cfgs:
         source, target = generate_domain_pair(run_cfg.domain_spec())
         source_model, _ = train_source(source, run_cfg)
         for variant in variants:
             adapted, rows = adapt_target(source_model, target, replace(run_cfg, variant=variant))
             # the last epoch already evaluated the returned model on target
-            results[variant][seed] = rows[-1].accuracy if rows else evaluate(adapted, target).accuracy
+            results[variant][run_cfg.seed] = rows[-1].accuracy if rows else evaluate(adapted, target).accuracy
     return results
 
 

@@ -128,6 +128,39 @@ def test_ablate_bad_seed_names_the_flag(workspace):
     assert "--seeds" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        (["gen-data", "--config", "tiny.config", "--set", "seed=-1", "--out", "never"],
+         "config key 'seed': must be >= 0, got -1"),
+        (["gen-data", "--config", "negative-seed.config", "--out", "never"], "config key 'seed': must be >= 0, got -1"),
+        (["ablate", "--config", "tiny.config", "--variants", "full", "--seeds", "1,-2", "--out", "never.csv"],
+         "config key 'seed': must be >= 0, got -2"),
+        (["ablate", "--config", "tiny.config", "--variants", "full", "--seeds", "1,2,1", "--out", "never.csv"],
+         "seed 1 is listed twice"),
+        (["ablate", "--config", "tiny.config", "--variants", "fc,full,fc", "--seeds", "1", "--out", "never.csv"],
+         "variant 'fc' is listed twice"),
+    ],
+    ids=["gen-data-set", "gen-data-config", "ablate-negative", "ablate-repeated-seed", "ablate-repeated-variant"],
+)
+def test_bad_seed_list_is_one_error_line_before_any_training(workspace, monkeypatch, capsys, command, error):
+    from sfvda import cli
+    from sfvda import pipeline as P
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a source model was trained")
+
+    (workspace / "negative-seed.config").write_text(TINY + "seed = -1\n")
+    monkeypatch.setattr(P, "train_source", no_training)
+    monkeypatch.chdir(workspace)
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (workspace / "never").exists() and not (workspace / "never.csv").exists()
+
+
 def test_missing_file_errors(workspace):
     out = run_sfvda("eval", "--model", "nope.json", "--data", "data/source.jsonl", cwd=workspace)
     assert out.returncode != 0

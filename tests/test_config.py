@@ -62,6 +62,14 @@ def test_apply_overrides_precedence():
         apply_overrides(cfg, {"sed": "1"})
 
 
+def test_negative_seed_names_the_key():
+    for build in (lambda: parse_config("seed = -1"), lambda: apply_overrides(RunConfig(), {"seed": "-1"})):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "config key 'seed': must be >= 0, got -1"
+    assert RunConfig(seed=0).seed == 0
+
+
 def test_int_value_names_key_and_line():
     with pytest.raises(ValueError, match=r"config line 2: config key 'frames': expected an integer, got '4.5'"):
         parse_config("seed = 7\nframes = 4.5")
