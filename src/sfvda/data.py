@@ -153,37 +153,33 @@ def _shift_transform(spec: DomainSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return rotation, gain, bias
 
 
-def _clean_frames(spec: DomainSpec, cp: dict, phase: float) -> np.ndarray:
-    t = np.arange(spec.frames)[:, None] + phase
-    return cp["base"][None, :] + cp["amp"][None, :] * np.sin(cp["freq"] * t + cp["dim_phase"][None, :])
+def _clean_frames(spec: DomainSpec, cp: dict, phase: np.ndarray) -> np.ndarray:
+    """The noiseless (n, k, d) frames of one class's videos at their ``n`` phases."""
+    t = np.arange(spec.frames)[None, :, None] + phase[:, None, None]
+    return cp["base"] + cp["amp"] * np.sin(cp["freq"] * t + cp["dim_phase"])
 
 
 def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
-    """Generate the labeled source dataset and the shifted target dataset."""
-    s = spec.shift_severity
+    """The labeled source and shifted target datasets. A class's phases, phase
+    offsets and noise each come from one generator keyed by (tag, class), drawn
+    in video order: its first n videos hold for any ``videos_per_class`` >= n."""
+    s, n = spec.shift_severity, spec.videos_per_class
     if s > 0.0:
         rotation, gain, bias = _shift_transform(spec)
-    shape = (spec.classes * spec.videos_per_class, spec.frames, spec.frame_dim)
-    source, target = np.empty(shape), np.empty(shape)
+    source = np.empty((spec.classes * n, spec.frames, spec.frame_dim))
+    target = np.empty_like(source)
     for c in range(spec.classes):
         cp = _class_params(spec, c)
         period = 2.0 * np.pi / cp["freq"]
-        for i in range(spec.videos_per_class):
-            row = c * spec.videos_per_class + i
-            phase = _rng(spec.seed, "video", c, i).uniform(0.0, PHASE_WINDOW) * period
-            src = _clean_frames(spec, cp, phase)
-            if spec.noise_std > 0.0:
-                src = src + _rng(spec.seed, "noise", 0, c, i).normal(0.0, spec.noise_std, src.shape)
-            source[row] = src
-
-            if s > 0.0:
-                offset = s * _rng(spec.seed, "tphase", c, i).uniform(*PHASE_OFFSET_RANGE) * period
-                tgt = _clean_frames(spec, cp, phase + offset) @ rotation.T * gain[None, :] + bias[None, :]
-            else:
-                tgt = _clean_frames(spec, cp, phase)
-            if spec.noise_std > 0.0:
-                tgt = tgt + _rng(spec.seed, "noise", 1, c, i).normal(0.0, spec.noise_std, tgt.shape)
-            target[row] = tgt
+        phase = _rng(spec.seed, "video", c).uniform(0.0, PHASE_WINDOW, n) * period
+        src = tgt = _clean_frames(spec, cp, phase)
+        if s > 0.0:
+            offset = s * _rng(spec.seed, "tphase", c).uniform(*PHASE_OFFSET_RANGE, n) * period
+            tgt = _clean_frames(spec, cp, phase + offset) @ rotation.T * gain + bias
+        if spec.noise_std > 0.0:
+            src = src + _rng(spec.seed, "noise", 0, c).normal(0.0, spec.noise_std, src.shape)
+            tgt = tgt + _rng(spec.seed, "noise", 1, c).normal(0.0, spec.noise_std, tgt.shape)
+        source[c * n : (c + 1) * n], target[c * n : (c + 1) * n] = src, tgt
     names = [f"c{c:02d}-v{i:04d}" for c in range(spec.classes) for i in range(spec.videos_per_class)]
     labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.videos_per_class)
     return (
@@ -249,10 +245,8 @@ def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
 
 def write_dataset(ds: Dataset, path) -> None:
     """Line-delimited JSON: one header line, then one record per video whose
-    ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix.
-
-    A record is written as the text ``json.dumps(record, sort_keys=True)``
-    gives, without building the dict: the base64 text needs no escaping."""
+    ``frames`` is the ``encode_floats`` text of its (k, d_in) matrix, written
+    as the text ``json.dumps(record, sort_keys=True)`` gives."""
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "domain": ds.domain,

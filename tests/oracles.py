@@ -247,3 +247,40 @@ def eval_clips_reference(video_id, k, m_max):
         ranked = sorted(range(len(combos)), key=lambda c: (hashes[c], c))
         clips[r] = [combos[c] for c in sorted(ranked[: min(m_max, len(combos))])]
     return clips
+
+
+def domain_pair_reference(spec):
+    """The source and target frame arrays of ``generate_domain_pair``, one
+    video at a time. Class c's phases, phase offsets and source and target
+    noise are the first values of generators whose spawn keys are (1, c),
+    (3, c), (4, 0, c) and (4, 1, c) under ``spec.seed``; video i takes the
+    i-th phase, the i-th offset and the i-th (k, d) block of each noise draw.
+    The class parameters and the shift transform come from the library."""
+    from sfvda.data import PHASE_OFFSET_RANGE, PHASE_WINDOW, _class_params, _shift_transform
+
+    def draws(*key):
+        return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=key))
+
+    n, k, d, s = spec.videos_per_class, spec.frames, spec.frame_dim, spec.shift_severity
+    if s > 0.0:
+        rotation, gain, bias = _shift_transform(spec)
+    source, target = [], []
+    for c in range(spec.classes):
+        cp = _class_params(spec, c)
+        period = 2.0 * np.pi / cp["freq"]
+        phases = draws(1, c).uniform(0.0, PHASE_WINDOW, n) * period
+        offsets = s * draws(3, c).uniform(*PHASE_OFFSET_RANGE, n) * period
+        noise = [draws(4, domain, c).normal(0.0, spec.noise_std, (n, k, d)) for domain in (0, 1)]
+
+        def clean(phase):
+            t = np.arange(k)[:, None] + phase
+            return cp["base"][None, :] + cp["amp"][None, :] * np.sin(cp["freq"] * t + cp["dim_phase"][None, :])
+
+        for i in range(n):
+            src = clean(phases[i])
+            tgt = clean(phases[i] + offsets[i]) @ rotation.T * gain[None, :] + bias[None, :] if s > 0.0 else src
+            if spec.noise_std > 0.0:
+                src, tgt = src + noise[0][i], tgt + noise[1][i]
+            source.append(src)
+            target.append(tgt)
+    return np.stack(source), np.stack(target)

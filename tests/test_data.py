@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import float64_base64, floats_of_base64
+from oracles import domain_pair_reference, float64_base64, floats_of_base64
 from sfvda import data as D
 
 _DELETE = object()
@@ -57,6 +57,34 @@ class TestGenerator:
         hard_src, hard_tgt = D.generate_domain_pair(small_spec(shift_severity=0.9))
         assert base_src.frames.tobytes() == hard_src.frames.tobytes()
         assert any(a.tobytes() != b.tobytes() for a, b in zip(base_tgt.frames, hard_tgt.frames))
+
+    @pytest.mark.parametrize(
+        "shift, noise", [(0.5, 0.05), (0.5, 0.0), (0.0, 0.05), (0.0, 0.0), (1.0, 0.3)],
+        ids=["shift-noise", "shift", "noise", "neither", "full-shift"],
+    )
+    def test_equals_the_per_video_reference(self, shift, noise):
+        for frames, frame_dim in ((4, 6), (8, 1), (3, 32)):
+            spec = small_spec(shift_severity=shift, noise_std=noise, frames=frames, frame_dim=frame_dim)
+            source, target = D.generate_domain_pair(spec)
+            ref_source, ref_target = domain_pair_reference(spec)
+            assert source.frames.tobytes() == ref_source.tobytes()
+            assert target.frames.tobytes() == ref_target.tobytes()
+
+    def test_first_videos_of_a_class_do_not_depend_on_videos_per_class(self):
+        short = D.generate_domain_pair(small_spec(videos_per_class=3))
+        long = D.generate_domain_pair(small_spec(videos_per_class=10))
+        for few, many in zip(short, long):
+            for c in range(3):
+                assert few.frames[3 * c : 3 * c + 3].tobytes() == many.frames[10 * c : 10 * c + 3].tobytes()
+                assert few.ids[3 * c : 3 * c + 3] == many.ids[10 * c : 10 * c + 3]
+
+    def test_a_class_does_not_depend_on_the_class_count(self):
+        three = D.generate_domain_pair(small_spec(classes=3))
+        five = D.generate_domain_pair(small_spec(classes=5))
+        for few, many in zip(three, five):
+            assert few.frames.tobytes() == many.frames[: len(few)].tobytes()
+            assert few.ids == many.ids[: len(few)]
+            assert few.labels.tolist() == many.labels[: len(few)].tolist()
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

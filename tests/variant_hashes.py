@@ -13,8 +13,11 @@ configuration is the one earlier listings used, so they stay comparable.
 Each run prints the sha256 of the in-memory parameters and batch-norm
 statistics (``params``), of the checkpoint, of its re-save after a load, of
 the metrics CSV and of both export levels, and the target accuracy. The
-first line, ``target/eval_clips``, hashes the target videos' eval clip
-arrays, so a change to their derivation shows even where no output moves. The
+first lines, ``source/data`` and ``target/data``, hash each domain's frames
+(little-endian float64), ids (UTF-8, one per line) and labels (little-endian
+int64), and ``target/eval_clips`` hashes the target videos' eval clip
+arrays, so a change to the generator or to the clip derivation shows even
+where no output moves. The
 ``params``, ``metrics``, ``export_*`` and ``accuracy`` lines do not depend on
 the checkpoint format, so a format change must leave them identical.
 pytest does not collect this file.
@@ -40,6 +43,10 @@ SETTINGS = {
 
 def main() -> None:
     source, target = generate_domain_pair(BASE.domain_spec())
+    for ds in (source, target):
+        ids = "\n".join(ds.ids).encode()
+        digest = hashlib.sha256(ds.frames.astype("<f8").tobytes() + ids + ds.labels.astype("<i8").tobytes())
+        print(f"{ds.domain}/data", digest.hexdigest())
     clips = M.eval_clip_set(target.ids, target.k, BASE.m_max)
     print("target/eval_clips", hashlib.sha256(b"".join(clips[r].astype("<i8").tobytes() for r in clips)).hexdigest())
     source_model, source_rows = P.train_source(source, BASE)
