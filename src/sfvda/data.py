@@ -180,8 +180,8 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
             src = src + _rng(spec.seed, "noise", 0, c).normal(0.0, spec.noise_std, src.shape)
             tgt = tgt + _rng(spec.seed, "noise", 1, c).normal(0.0, spec.noise_std, tgt.shape)
         source[c * n : (c + 1) * n], target[c * n : (c + 1) * n] = src, tgt
-    names = [f"c{c:02d}-v{i:04d}" for c in range(spec.classes) for i in range(spec.videos_per_class)]
-    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), spec.videos_per_class)
+    names = [f"c{c:02d}-v{i:04d}" for c in range(spec.classes) for i in range(n)]
+    labels = np.repeat(np.arange(spec.classes, dtype=np.int64), n)
     return (
         Dataset(source, [f"source-{name}" for name in names], labels, "source", spec.classes),
         Dataset(target, [f"target-{name}" for name in names], labels.copy(), "target", spec.classes),

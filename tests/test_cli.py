@@ -143,7 +143,7 @@ def test_ablate_bad_seed_names_the_flag(workspace):
     ],
     ids=["gen-data-set", "gen-data-config", "ablate-negative", "ablate-repeated-seed", "ablate-repeated-variant"],
 )
-def test_bad_seed_list_is_one_error_line_before_any_training(workspace, monkeypatch, capsys, command, error):
+def test_bad_seed_or_repeat_is_one_error_line_before_any_training(workspace, monkeypatch, capsys, command, error):
     from sfvda import cli
     from sfvda import pipeline as P
 

@@ -17,9 +17,9 @@ first lines, ``source/data`` and ``target/data``, hash each domain's frames
 (little-endian float64), ids (UTF-8, one per line) and labels (little-endian
 int64), and ``target/eval_clips`` hashes the target videos' eval clip
 arrays, so a change to the generator or to the clip derivation shows even
-where no output moves. The
-``params``, ``metrics``, ``export_*`` and ``accuracy`` lines do not depend on
-the checkpoint format, so a format change must leave them identical.
+where no output moves. The ``params``, ``metrics``, ``export_*`` and
+``accuracy`` lines do not depend on the checkpoint format, so a format
+change must leave them identical.
 pytest does not collect this file.
 """
 
