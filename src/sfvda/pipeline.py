@@ -9,7 +9,8 @@ bitwise after every run. All randomness derives from the config seed, so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,7 +51,8 @@ __all__ = [
     "check_compatible",
 ]
 
-_SHUFFLE_SOURCE, _CLIPS_SOURCE, _SHUFFLE_ADAPT, _CLIPS_ADAPT = 101, 102, 201, 202
+# (shuffle, clip) spawn tags of each training loop's random streams
+_STREAM_TAGS = {"train_source": (101, 102), "adapt_target": (201, 202)}
 
 EVAL_BATCH = 256
 
@@ -94,7 +96,7 @@ class MetricsRow:
     pl_accuracy: float | None = None
 
 
-METRICS_COLUMNS = ("epoch", "ce", "fc", "pc_local", "pc_overall", "im", "pl_ce", "total", "accuracy", "pl_accuracy")
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def write_metrics(rows: list[MetricsRow], path) -> None:
@@ -190,6 +192,36 @@ def evaluate(model: ModelParams, ds: Dataset) -> EvalResult:
     return EvalResult(float((predicted == ds.labels).mean()), per_class, eval_pass)
 
 
+def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD | None, epoch: int, caller: str, batch_loss):
+    """One epoch of mini-batch SGD over ``ds`` with ``caller``'s random
+    streams; returns each component's and the ``total`` loss's batch mean.
+
+    ``batch_loss(idx, lts)`` returns the loss of the videos ``idx`` from
+    their local temporal features, with its named components. With
+    ``opt=None`` the losses are computed but no parameter moves.
+    """
+    shuffle_tag, clips_tag = _STREAM_TAGS[caller]
+    sums: dict[str, float] = defaultdict(float)
+    n_batches = 0
+    shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(shuffle_tag, epoch))
+    for b, idx in enumerate(batch_iterator(ds, cfg.batch_size, shuffle_seed)):
+        clips = sample_clips(ds.k, cfg.m_max, _train_rng(cfg.seed, clips_tag, epoch, b))
+        lts = local_temporal_features(encode_frames(ds.frames[idx], model), clips, model)
+        loss, components = batch_loss(idx, lts)
+        total = loss.item()
+        if not np.isfinite(total):
+            raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
+        if opt is not None:
+            opt.zero_grad()
+            loss.backward(free_graph=True)
+            opt.step()
+        for name, value in components.items():
+            sums[name] += value.item()
+        sums["total"] += total
+        n_batches += 1
+    return {name: value / max(1, n_batches) for name, value in sums.items()}
+
+
 def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
     """Minimize smoothed cross-entropy; return the best-by-source-accuracy model."""
     if source.labels is None:
@@ -206,29 +238,18 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
         seed=cfg.seed,
     )
     opt = SGD(model.trainable_parameters(), cfg.lr_source, cfg.momentum, cfg.weight_decay)
+
+    def batch_loss(idx, lts):
+        logits = classify(aggregate_overall(lts, model.k - 1), model, mode="train")
+        loss = smoothed_cross_entropy(logits, source.labels[idx], cfg.eps_smooth)
+        return loss, {"ce": loss}
+
     rows: list[MetricsRow] = []
     best_acc, best_model = -1.0, None
     for epoch in range(1, cfg.epochs_source + 1):
-        ce_sum, n_batches = 0.0, 0
-        shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_SOURCE, epoch))
-        for b, idx in enumerate(batch_iterator(source, cfg.batch_size, shuffle_seed)):
-            clips = sample_clips(source.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_SOURCE, epoch, b))
-            enc = encode_frames(source.frames[idx], model)
-            lts = local_temporal_features(enc, clips, model)
-            overall = aggregate_overall(lts, model.k - 1)
-            logits = classify(overall, model, mode="train")
-            loss = smoothed_cross_entropy(logits, source.labels[idx], cfg.eps_smooth)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise RuntimeError(f"train_source: non-finite loss at epoch {epoch} batch {b}")
-            opt.zero_grad()
-            loss.backward(free_graph=True)
-            opt.step()
-            ce_sum += value
-            n_batches += 1
+        means = _epoch(model, source, cfg, opt, epoch, "train_source", batch_loss)
         acc = evaluate(model, source).accuracy
-        ce = ce_sum / max(1, n_batches)
-        rows.append(MetricsRow(epoch=epoch, ce=ce, total=ce, accuracy=acc))
+        rows.append(MetricsRow(epoch=epoch, accuracy=acc, **means))
         # ties prefer the later epoch: accuracy saturates early while the
         # smoothed objective keeps calibrating per-scale predictions
         if acc >= best_acc:
@@ -236,14 +257,13 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     return best_model, rows
 
 
-def _snapshot(tensors: list[tuple[str, Tensor]]) -> dict[str, np.ndarray]:
-    return {name: t.data.copy() for name, t in tensors}
-
-
-def _assert_unchanged(tensors: list[tuple[str, Tensor]], snap: dict[str, np.ndarray]) -> None:
-    for name, t in tensors:
-        if t.data.tobytes() != snap[name].tobytes():
-            raise RuntimeError(f"frozen parameter drift detected: {name}")
+def _frozen_state(model: ModelParams, scope: str) -> dict[str, bytes]:
+    """Bytes of the head parameters frozen under ``scope``, plus the
+    batch-norm running statistics when ``scope`` freezes them too."""
+    state = {name: t.data.tobytes() for name, t in model.head_parameters(scope)}
+    if scope == "head_all":
+        state["batch-norm running stats"] = model.bn_mean.tobytes() + model.bn_var.tobytes()
+    return state
 
 
 def _leaf_coefficients(tree, cfg: RunConfig, coeff: float = 1.0):
@@ -286,22 +306,41 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     n_scales = model.k - 1
     model.freeze_head(cfg.freeze_scope)
     head_frozen_bn = cfg.freeze_scope == "head_all"
-    frozen_named = model.head_parameters(cfg.freeze_scope)
-    frozen_snap = _snapshot(frozen_named)
-    bn_snap = (model.bn_mean.copy(), model.bn_var.copy())
+    frozen = _frozen_state(model, cfg.freeze_scope)
 
     coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     use_pl = "pl_ce" in coeffs
-    opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
-
     # a variant whose coefficients are all zero optimizes nothing and must
-    # behave exactly like source_only, so the aggregation switch only
-    # happens when something will actually train
-    objective_active = any(c > 0.0 for c in coeffs.values())
-    if objective_active and "feature" in sites:
-        model.aggregation = "entropy_weighted"
-    else:
-        model.aggregation = "mean"
+    # behave exactly like source_only, so it gets no optimizer, and the
+    # aggregation switch only happens when something will actually train
+    opt = None
+    if any(c > 0.0 for c in coeffs.values()):
+        opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
+    model.aggregation = "entropy_weighted" if opt is not None and "feature" in sites else "mean"
+
+    def batch_loss(idx, lts):
+        local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
+        if sites:
+            weights = lwm.local_relevance_weight(local_logits, n_scales)
+            overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, sites)
+        else:
+            overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
+        overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
+
+        components = {}
+        if "fc" in coeffs:
+            components["fc"] = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
+        if "pc_local" in coeffs:
+            preds = make_prediction_set(pc_logits, overall_logits)
+            components["pc_local"] = local_prediction_consistency(preds)
+            if "pc_overall" in coeffs:
+                components["pc_overall"] = overall_prediction_consistency(preds)
+        if "im" in coeffs:
+            components["im"] = information_maximization(overall_logits)
+        if use_pl:
+            # this epoch's pseudo-labels, bound below before its batches run
+            components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, pseudo[idx])
+        return _weighted_sum(variant.objective, components, cfg), components
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is
@@ -313,64 +352,15 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if target.labels is not None:
                 pl_acc = float((pseudo == target.labels).mean())
 
-        sums = dict.fromkeys(("fc", "pc_local", "pc_overall", "im", "pl_ce", "total"), 0.0)
-        n_batches = 0
-        shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(_SHUFFLE_ADAPT, epoch))
-        for b, idx in enumerate(batch_iterator(target, cfg.batch_size, shuffle_seed)):
-            clips = sample_clips(target.k, cfg.m_max, _train_rng(cfg.seed, _CLIPS_ADAPT, epoch, b))
-            enc = encode_frames(target.frames[idx], model)
-            lts = local_temporal_features(enc, clips, model)
-            local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
-
-            if sites:
-                weights = lwm.local_relevance_weight(local_logits, n_scales)
-                overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, sites)
-            else:
-                overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
-            overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
-
-            components = {}
-            if "fc" in coeffs:
-                components["fc"] = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
-            if "pc_local" in coeffs:
-                preds = make_prediction_set(pc_logits, overall_logits)
-                components["pc_local"] = local_prediction_consistency(preds)
-                if "pc_overall" in coeffs:
-                    components["pc_overall"] = overall_prediction_consistency(preds)
-            if "im" in coeffs:
-                components["im"] = information_maximization(overall_logits)
-            if use_pl:
-                components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, pseudo[idx])
-            loss = _weighted_sum(variant.objective, components, cfg)
-
-            total_v = loss.item()
-            if not np.isfinite(total_v):
-                raise RuntimeError(f"adapt_target: non-finite loss at epoch {epoch} batch {b}")
-            if objective_active and loss.requires_grad:
-                opt.zero_grad()
-                loss.backward(free_graph=True)
-                opt.step()
-
-            for name, value in components.items():
-                sums[name] += value.item()
-            sums["total"] += total_v
-            n_batches += 1
-
+        means = _epoch(model, target, cfg, opt, epoch, "adapt_target", batch_loss)
         last_eval = evaluate(model, target) if target.labels is not None else None
-        denom = max(1, n_batches)
-        rows.append(
-            MetricsRow(
-                epoch=epoch,
-                accuracy=None if last_eval is None else last_eval.accuracy,
-                pl_accuracy=pl_acc,
-                **{name: value / denom for name, value in sums.items()},
-            )
-        )
+        accuracy = None if last_eval is None else last_eval.accuracy
+        rows.append(MetricsRow(epoch=epoch, accuracy=accuracy, pl_accuracy=pl_acc, **means))
 
-    _assert_unchanged(frozen_named, frozen_snap)
-    if head_frozen_bn:
-        if model.bn_mean.tobytes() != bn_snap[0].tobytes() or model.bn_var.tobytes() != bn_snap[1].tobytes():
-            raise RuntimeError("frozen parameter drift detected: batch-norm running stats")
+    after = _frozen_state(model, cfg.freeze_scope)
+    for name, data in frozen.items():
+        if after[name] != data:
+            raise RuntimeError(f"frozen parameter drift detected: {name}")
     return model, rows
 
 
