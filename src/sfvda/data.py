@@ -82,6 +82,10 @@ class DomainSpec:
             raise ValueError("DomainSpec.videos_per_class must be >= 1")
         if self.noise_std < 0.0:
             raise ValueError("DomainSpec.noise_std must be >= 0")
+        if self.frame_dim < 1:
+            raise ValueError(f"DomainSpec.frame_dim must be >= 1, got {self.frame_dim}")
+        if self.seed < 0:
+            raise ValueError(f"DomainSpec.seed must be >= 0, got {self.seed}")
 
 
 @dataclass

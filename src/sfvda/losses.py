@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import aggregate_overall
 from .tensor import (
     Tensor,
     absolute,
@@ -127,15 +128,12 @@ def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: 
 def make_prediction_set(local: Tensor, overall: Tensor) -> PredictionSet:
     """Bundle the scale-major (S*B, C) local logits with their per-video
     logit mean over scales and the (B, C) overall logits."""
-    batch, n_classes = overall.shape
-    rows = local.shape[0]
+    batch, rows = overall.shape[0], local.shape[0]
     if rows == 0 or rows % batch or local.shape[1:] != overall.shape[1:]:
         raise ValueError(
             f"make_prediction_set: local logits {local.shape} are not whole scale blocks of {overall.shape}"
         )
-    n_scales = rows // batch
-    average = scale(tensor_sum(reshape(local, (n_scales, batch, n_classes)), axis=0), 1.0 / n_scales)
-    return PredictionSet(local=local, average=average, overall=overall)
+    return PredictionSet(local=local, average=aggregate_overall(local, rows // batch), overall=overall)
 
 
 def local_prediction_consistency(preds: PredictionSet) -> Tensor:

@@ -93,6 +93,10 @@ class TestGenerator:
             small_spec(frames=2)
         with pytest.raises(ValueError):
             small_spec(shift_severity=1.5)
+        with pytest.raises(ValueError, match=r"DomainSpec.seed must be >= 0, got -1"):
+            small_spec(seed=-1)
+        with pytest.raises(ValueError, match=r"DomainSpec.frame_dim must be >= 1, got 0"):
+            small_spec(frame_dim=0)
 
 
 class TestFileFormat:

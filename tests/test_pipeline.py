@@ -122,6 +122,31 @@ class TestAdaptTarget:
         # the feature extractor did move
         assert adapted.tensors["enc_w1"].data.tobytes() != model.tensors["enc_w1"].data.tobytes()
 
+    @pytest.mark.parametrize(
+        "scope, nudged",
+        [("head_all", "wn_v"), ("last_layer_only", "wn_v"), ("head_all", "batch-norm running stats")],
+    )
+    def test_frozen_head_drift_is_detected(self, trained, monkeypatch, scope, nudged):
+        cfg, _, target, model, _ = trained
+        adapted = []
+        freeze_head, step = M.ModelParams.freeze_head, P.SGD.step
+
+        def capturing_freeze_head(params, scope):
+            adapted.append(params)
+            freeze_head(params, scope)
+
+        def nudging_step(opt):
+            step(opt)
+            if nudged == "wn_v":
+                adapted[0].tensors["wn_v"].data[0, 0] += 1e-3
+            else:
+                adapted[0].bn_mean = adapted[0].bn_mean + 1e-3
+
+        monkeypatch.setattr(M.ModelParams, "freeze_head", capturing_freeze_head)
+        monkeypatch.setattr(P.SGD, "step", nudging_step)
+        with pytest.raises(RuntimeError, match=f"frozen parameter drift detected: {nudged}"):
+            P.adapt_target(model, target, replace(cfg, freeze_scope=scope))
+
     def test_last_layer_only_scope(self, trained):
         cfg, _, target, model, _ = trained
         adapted, _ = P.adapt_target(model, target, replace(cfg, freeze_scope="last_layer_only"))
@@ -418,11 +443,41 @@ class TestRunAblation:
 
 
 class TestWholeModelGradient:
-    """Central differences through encoder, relation MLPs, head and every
-    full-variant loss term. The head runs in ``last_layer_only`` scope, so
-    batch norm normalizes with batch statistics as it does while adapting.
+    """Central differences through encoder, relation MLPs and head, for the
+    full-variant adaptation loss and for the source objective. The head
+    normalizes with batch statistics in both: adaptation runs it in
+    ``last_layer_only`` scope, and source training has no frozen scope.
     The LWM weights are coefficients (never differentiated), so they are
     taken once at the base point and held fixed."""
+
+    @staticmethod
+    def tiny_batch():
+        model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
+        rng = np.random.default_rng(18)
+        frames = rng.normal(size=(6, 4, 5))
+        labels = rng.integers(0, 3, size=6)
+        return model, frames, labels, M.sample_clips(4, model.m_max, rng)
+
+    @staticmethod
+    def assert_gradients(model, names, loss, vanishing=()):
+        """Probe each named parameter; those in ``vanishing`` must get a zero gradient."""
+        for name in names:
+            original = model.tensors[name]
+            # probe the first two columns (entries of a bias); the rest stays fixed
+            axis = original.data.ndim - 1
+            rest = Tensor(original.data[..., 2:])
+
+            def f(x):
+                model.tensors[name] = concat([x, rest], axis=axis)
+                return loss()
+
+            report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)
+            model.tensors[name] = original
+            assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
+            if name in vanishing:
+                assert np.abs(report.analytic).max() < 1e-12, f"{name}: gradient should vanish"
+            else:
+                assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
 
     @staticmethod
     def full_variant_loss(model, frames, clips, weights, pseudo, cfg):
@@ -442,29 +497,31 @@ class TestWholeModelGradient:
         return P._weighted_sum(VARIANTS["full"].objective, components, cfg)
 
     def test_full_variant_loss_gradients(self):
-        model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
+        model, frames, pseudo, clips = self.tiny_batch()
         model.freeze_head("last_layer_only")
-        rng = np.random.default_rng(18)
-        frames = rng.normal(size=(6, 4, 5))
-        pseudo = rng.integers(0, 3, size=6)
-        clips = M.sample_clips(4, model.m_max, rng)
         cfg = tiny_cfg()
         enc = M.encode_frames(frames, model)
         lts = M.local_temporal_features(enc, clips, model)
         weights = lwm.local_relevance_weight(M.classify(lts, model, mode="train", blocks=3), 3)
-
         relation = [f"rel{r}_{n}" for r in range(2, 5) for n in ("w1", "b1", "w2", "b2")]
-        for name in ["enc_w1", "enc_b1", *relation, "wn_v"]:
-            original = model.tensors[name]
-            # probe the first two columns (entries of a bias); the rest stays fixed
-            axis = original.data.ndim - 1
-            rest = Tensor(original.data[..., 2:])
+        self.assert_gradients(
+            model,
+            ["enc_w1", "enc_b1", *relation, "wn_v"],
+            lambda: self.full_variant_loss(model, frames, clips, weights, pseudo, cfg),
+        )
 
-            def f(x):
-                model.tensors[name] = concat([x, rest], axis=axis)
-                return self.full_variant_loss(model, frames, clips, weights, pseudo, cfg)
+    def test_source_objective_gradients_of_every_parameter(self):
+        """Mean aggregation, the head with batch statistics in one block,
+        then smoothed cross-entropy: ``train_source``'s batch loss."""
+        model, frames, labels, clips = self.tiny_batch()
+        eps_smooth = tiny_cfg().eps_smooth
 
-            report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)
-            model.tensors[name] = original
-            assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
-            assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
+        def loss():
+            lts = M.local_temporal_features(M.encode_frames(frames, model), clips, model)
+            logits = M.classify(M.aggregate_overall(lts, model.k - 1), model, mode="train")
+            return losses.smoothed_cross_entropy(logits, labels, eps_smooth)
+
+        # batch norm over the whole batch cancels a shift shared by every
+        # video, so the biases that only shift the mean feature get none
+        shifts = {"bot_b", *(f"rel{r}_b2" for r in range(2, 5))}
+        self.assert_gradients(model, list(model.tensors), loss, vanishing=shifts)
