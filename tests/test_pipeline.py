@@ -125,15 +125,16 @@ class TestAdaptTarget:
     @pytest.mark.parametrize(
         "scope, nudged",
         [("head_all", "wn_v"), ("last_layer_only", "wn_v"), ("head_all", "batch-norm running stats")],
+        ids=["head_all-wn_v", "last_layer_only-wn_v", "head_all-bn_stats"],
     )
     def test_frozen_head_drift_is_detected(self, trained, monkeypatch, scope, nudged):
         cfg, _, target, model, _ = trained
         adapted = []
         freeze_head, step = M.ModelParams.freeze_head, P.SGD.step
 
-        def capturing_freeze_head(params, scope):
+        def capturing_freeze_head(params, freeze_scope):
             adapted.append(params)
-            freeze_head(params, scope)
+            freeze_head(params, freeze_scope)
 
         def nudging_step(opt):
             step(opt)
