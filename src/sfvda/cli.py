@@ -13,6 +13,8 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from .config import RunConfig, apply_overrides, emit_config, load_config
 from .data import generate_domain_pair, read_dataset, write_dataset
 from .model import load_checkpoint, save_checkpoint
@@ -64,6 +66,11 @@ def _read_model_and_data(model_path, data_path, labeled_for: str | None = None):
     model = load_checkpoint(model_path)
     ds = read_dataset(data_path) if labeled_for is None else _read_labeled(data_path, labeled_for)
     check_compatible(model, ds, f"{model_path}, {data_path}: ")
+    if not model.bn_initialized:
+        raise ValueError(
+            f"{model_path}: checkpoint: field 'batch_norm.initialized': must be true, got false "
+            "(an untrained model has no running statistics)"
+        )
     return model, ds
 
 
@@ -186,7 +193,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        args.fn(args)
+        # every op checks its own output for finiteness, so numpy's warnings
+        # would only print a second report ahead of the error line
+        with np.errstate(all="ignore"):
+            args.fn(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .data import DomainSpec, read_text
-from .model import HEAD_SCOPES
+from .data import _SPEC_BOUNDS, DomainSpec, _choice, _in_range, read_text
+from .model import _HYPERPARAMS, HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
 
@@ -95,17 +95,10 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        for key, bounds in _BOUNDS.items():
+            _in_range(getattr(self, key), f"config key {key!r}", *bounds)
         for key, choices in _CHOICES.items():
-            value = getattr(self, key)
-            if value not in choices:
-                raise ValueError(f"config key {key!r}: unknown value {value!r}; expected one of {choices}")
-        for key, least in _AT_LEAST.items():
-            if getattr(self, key) < least:
-                raise ValueError(f"config key {key!r}: must be >= {least}, got {getattr(self, key)}")
-        for key in (*_WEIGHTS, "eps_norm", "eps_smooth"):
-            value = getattr(self, key)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"config key {key!r}: must be finite and >= 0, got {value}")
+            _choice(getattr(self, key), choices, f"config key {key!r}")
         if self.eps_norm == 0.0:
             raise ValueError(f"config key 'eps_norm': must be > 0, got {self.eps_norm}")
         if self.eps_smooth >= 1.0:
@@ -118,14 +111,18 @@ class RunConfig:
         return DomainSpec(**values)
 
 
-_CHOICES = {
-    "variant": tuple(VARIANTS),
-    "freeze_scope": FREEZE_SCOPES,
-}
-_AT_LEAST = dict.fromkeys(("epochs_source", "epochs_adapt", "pl_rounds", "m_max", "frame_dim", "d_enc", "d", "d_b"), 1)
-_AT_LEAST["seed"] = 0
-_WEIGHTS = ("lam", "alpha_local", "alpha_overall", "beta_fc", "beta_pc", "beta_tc", "beta_im", "beta_ce")
+_CHOICES = {"variant": tuple(VARIANTS), "freeze_scope": FREEZE_SCOPES}
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
+# key -> (least,) or (least, most), as ``_in_range`` takes them: every float key
+# is finite and >= 0, the data keys take DomainSpec's bounds, and the model
+# sizes those a checkpoint is read with
+_BOUNDS = {
+    **{key: (0.0,) for key, kind in _FIELDS.items() if kind == "float"},
+    **_SPEC_BOUNDS,
+    **{attr: (least,) for attr, (_, least) in _HYPERPARAMS.items() if attr in _FIELDS},
+    **dict.fromkeys(("epochs_source", "epochs_adapt", "pl_rounds"), (1,)),
+    "batch_size": (2,),
+}
 
 
 def _parse_value(key: str, raw: str):
@@ -186,4 +183,8 @@ def _format(value) -> str:
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    return parse_config(read_text(path), base=base)
+    text = read_text(path)
+    try:
+        return parse_config(text, base=base)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -17,6 +17,7 @@ import base64
 import binascii
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,14 @@ def _rng(seed: int, tag: str, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_TAGS[tag], *key)))
 
 
+# DomainSpec field -> (least,) or (least, most), as ``_in_range`` takes them;
+# RunConfig checks its data keys, and the readers the sizes they store, by it
+_SPEC_BOUNDS = {
+    "classes": (2,), "videos_per_class": (1,), "frames": (3,), "frame_dim": (1,),
+    "shift_severity": (0.0, 1.0), "noise_std": (0.0,), "seed": (0,),
+}
+
+
 @dataclass
 class DomainSpec:
     """Shape and severity parameters of one synthetic domain pair."""
@@ -72,20 +81,8 @@ class DomainSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.classes < 2:
-            raise ValueError(f"DomainSpec.classes must be >= 2, got {self.classes}")
-        if self.frames < 3:
-            raise ValueError(f"DomainSpec.frames must be >= 3, got {self.frames}")
-        if not 0.0 <= self.shift_severity <= 1.0:
-            raise ValueError(f"DomainSpec.shift_severity must lie in [0, 1], got {self.shift_severity}")
-        if self.videos_per_class < 1:
-            raise ValueError("DomainSpec.videos_per_class must be >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError("DomainSpec.noise_std must be >= 0")
-        if self.frame_dim < 1:
-            raise ValueError(f"DomainSpec.frame_dim must be >= 1, got {self.frame_dim}")
-        if self.seed < 0:
-            raise ValueError(f"DomainSpec.seed must be >= 0, got {self.seed}")
+        for name, bounds in _SPEC_BOUNDS.items():
+            _in_range(getattr(self, name), f"DomainSpec.{name}", *bounds)
 
 
 @dataclass
@@ -103,8 +100,9 @@ class Dataset:
     def __post_init__(self):
         self.frames = np.asarray(self.frames, dtype=np.float64)
         self.ids = tuple(self.ids)
-        if self.frames.ndim != 3 or self.frames.shape[0] != len(self.ids) or self.frames.shape[1] < 3:
-            raise ValueError(f"frames shape {self.frames.shape} is not ({len(self.ids)} videos, k >= 3, d_in)")
+        least = _SPEC_BOUNDS["frames"][0]
+        if self.frames.ndim != 3 or self.frames.shape[0] != len(self.ids) or self.frames.shape[1] < least:
+            raise ValueError(f"frames shape {self.frames.shape} is not ({len(self.ids)} videos, k >= {least}, d_in)")
         if self.labels is None:
             if self.domain == "source":
                 raise ValueError("source requires labels")
@@ -192,18 +190,70 @@ def generate_domain_pair(spec: DomainSpec) -> tuple[Dataset, Dataset]:
     )
 
 
+# -- field checks -----------------------------------------------------------------
+# An error names where the value is (a file and line, a checkpoint field, a
+# config key), then what the value must be.
+
+
+def _require_fields(obj, names, where: str, parent: str = "") -> dict:
+    """``obj`` if it is a JSON object whose fields are exactly ``names`` (a
+    generator stops at the first missing one), named ``parent.name`` in errors."""
+    prefix = f"{parent}." if parent else ""
+    if not isinstance(obj, dict):
+        label = f"{where}: field {parent!r}" if parent else where
+        raise ValueError(f"{label}: must be a JSON object, got {type(obj).__name__}")
+    known = []
+    for name in names:
+        if name not in obj:
+            raise ValueError(f"{where}: missing field {prefix + name!r}")
+        known.append(name)
+    if len(obj) > len(known):
+        raise ValueError(f"{where}: unknown field {prefix + min(set(obj) - set(known))!r}")
+    return obj
+
+
+def _in_range(value, label: str, least, most=math.inf):
+    """``value`` if it lies in [least, most]: an integer, not a bool, when
+    ``least`` is an int, and otherwise a finite int or float."""
+    if type(least) is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"{label}: must be an integer, got {value!r}")
+    # compared, not converted: an integer too large for a float is rejected too
+    elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{label}: must be a finite number, got {value!r}")
+    if not least <= value <= most:
+        bound = f"be >= {least}" if most == math.inf else f"lie in [{least}, {most}]"
+        raise ValueError(f"{label}: must {bound}, got {value!r}")
+    return value
+
+
+def _choice(value, choices: tuple, label: str):
+    """``value`` if it is one of ``choices``, of the same type: 2.0 is not 2."""
+    if not any(type(value) is type(choice) and value == choice for choice in choices):
+        raise ValueError(f"{label}: must be one of {choices}, got {value!r}")
+    return value
+
+
+def _require_version(obj, version: int, where: str) -> None:
+    """Check ``obj``'s format first, so that a file of another one is named as such."""
+    found = obj.get("format_version") if isinstance(obj, dict) else None
+    if type(found) is not int or found != version:
+        raise ValueError(f"{where}: unsupported format_version {found!r}")
+
+
 # -- file format ----------------------------------------------------------------
 
 
 def read_text(path) -> str:
     """The whole file as UTF-8 text; a byte that is not UTF-8 is one
-    ValueError naming the file and the byte's offset."""
+    ValueError naming the file, the byte's line and its offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: byte {exc.start} (0x{raw[exc.start]:02x}) is not UTF-8") from None
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte {exc.start} (0x{raw[exc.start]:02x}) is not UTF-8") from None
 
 
 def encode_floats(values: np.ndarray) -> str:
@@ -215,12 +265,10 @@ def check_float_text(text, count: int, where: str) -> None:
     """Check that ``text`` is a string exactly as long as the base64 of
     ``count`` float64 values, without decoding it."""
     if not isinstance(text, str):
-        raise ValueError(f"{where} must be a base64 string, got {type(text).__name__}")
+        raise ValueError(f"{where}: must be a base64 string, got {type(text).__name__}")
     expected = (8 * count + 2) // 3 * 4
     if len(text) != expected:
-        raise ValueError(
-            f"{where} has {len(text)} base64 characters, expected {expected} for {count} float64 values"
-        )
+        raise ValueError(f"{where}: must be {expected} base64 characters for {count} float64 values, got {len(text)}")
 
 
 def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
@@ -240,10 +288,10 @@ def decode_floats(text, shape: tuple, where: str) -> np.ndarray:
         if len(raw) != 8 * count or (tail and base64.b64encode(raw[-tail:]).decode("ascii") != text[-4:]):
             raise binascii.Error
     except binascii.Error:
-        raise ValueError(f"{where} is not valid base64") from None
+        raise ValueError(f"{where}: must be canonical base64") from None
     values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(values).all():
-        raise ValueError(f"{where} has non-finite values")
+        raise ValueError(f"{where}: must hold only finite values")
     return values
 
 
@@ -268,50 +316,26 @@ def write_dataset(ds: Dataset, path) -> None:
             fh.write(f'{{"frames": "{encode_floats(frames)}", "id": {json.dumps(video_id)}, "label": {label_text}}}\n')
 
 
-DOMAINS = ("source", "target")
-HEADER_FIELDS = ("domain", "C", "k", "d_in", "count")
-RECORD_FIELDS = ("id", "label", "frames")
-
-
-def _require_fields(obj, names, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object")
-    for name in names:
-        if name not in obj:
-            raise ValueError(f"{where}: missing field {name!r}")
-
-
-def _reject_unknown_fields(obj: dict, names, where: str) -> None:
-    if len(obj) > len(names):
-        unknown = sorted(set(obj) - set(names))
-        raise ValueError(f"{where}: unknown field {unknown[0]!r}")
-
-
-def _require_int(obj, name: str, where: str) -> None:
-    if not isinstance(obj[name], int) or isinstance(obj[name], bool):
-        raise ValueError(f"{where}: field {name!r} must be an integer, got {obj[name]!r}")
+# header size -> its bounds: those of the DomainSpec field it records
+_HEADER_SIZES = {
+    "C": _SPEC_BOUNDS["classes"], "k": _SPEC_BOUNDS["frames"], "d_in": _SPEC_BOUNDS["frame_dim"], "count": (1,)
+}
 
 
 def read_dataset(path) -> Dataset:
     lines = read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
+    where = f"{path}: line 1"
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line 1: malformed header") from exc
-    _require_fields(header, ("format_version",), f"{path}: line 1")
-    version = header["format_version"]
-    if version != DATASET_FORMAT_VERSION:
-        raise ValueError(f"{path}: line 1: unsupported format_version {version}")
-    _require_fields(header, HEADER_FIELDS, f"{path}: line 1")
-    _reject_unknown_fields(header, ("format_version", *HEADER_FIELDS), f"{path}: line 1")
-    if header["domain"] not in DOMAINS:
-        raise ValueError(f"{path}: line 1: field 'domain' must be one of {DOMAINS}, got {header['domain']!r}")
-    for name, least in (("C", 2), ("k", 3), ("d_in", 1), ("count", 1)):
-        _require_int(header, name, f"{path}: line 1")
-        if header[name] < least:
-            raise ValueError(f"{path}: line 1: field {name!r} must be >= {least}, got {header[name]}")
+        raise ValueError(f"{where}: malformed header") from exc
+    _require_version(header, DATASET_FORMAT_VERSION, where)
+    _require_fields(header, ("format_version", "domain", *_HEADER_SIZES), where)
+    domain = _choice(header["domain"], ("source", "target"), f"{where}: field 'domain'")
+    for name, bounds in _HEADER_SIZES.items():
+        _in_range(header[name], f"{where}: field {name!r}", *bounds)
     shape = (header["k"], header["d_in"])
     # allocated once the first record's text has vouched for k * d_in, so an
     # edited header size fails on its length instead of allocating
@@ -324,14 +348,13 @@ def read_dataset(path) -> Dataset:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{where}: malformed record") from exc
-        _require_fields(rec, RECORD_FIELDS, where)
-        _reject_unknown_fields(rec, RECORD_FIELDS, where)
+        _require_fields(rec, ("id", "label", "frames"), where)
         video_id = rec["id"]
         if not isinstance(video_id, str):
-            raise ValueError(f"{where}: field 'id' must be a string, got {video_id!r}")
+            raise ValueError(f"{where}: field 'id': must be a string, got {video_id!r}")
         # an id names its video's export rows, unquoted, and seeds its eval clips
         if any(ch in video_id for ch in ',"\r\n'):
-            raise ValueError(f"{where}: field 'id' holds a comma, a double quote or a line break: {video_id!r}")
+            raise ValueError(f"{where}: field 'id': must hold no comma, double quote or line break, got {video_id!r}")
         first = id_lines.setdefault(video_id, row + 2)
         if first != row + 2:
             raise ValueError(f"{where}: duplicate id {video_id!r}, first on line {first}")
@@ -341,18 +364,16 @@ def read_dataset(path) -> Dataset:
         frames[row] = values
         label = rec["label"]
         if label is not None:
-            _require_int(rec, "label", where)
-            if not 0 <= label < header["C"]:
-                raise ValueError(f"{where}: label {label} out of range")
-        elif header["domain"] == "source":
+            _in_range(label, f"{where}: field 'label'", 0, header["C"] - 1)
+        elif domain == "source":
             raise ValueError(f"{where}: source requires labels")
         if labels and (label is None) != (labels[0] is None):
             raise ValueError(f"{where}: field 'label' is {json.dumps(label)}, but line 2's is {json.dumps(labels[0])}")
         labels.append(label)
     if len(labels) != header["count"]:
-        raise ValueError(f"{path}: header count {header['count']} does not match {len(labels)} records")
+        raise ValueError(f"{path}: line 1: field 'count': must match the {len(labels)} records, got {header['count']}")
     labels = None if labels[0] is None else np.array(labels, dtype=np.int64)
-    return Dataset(frames, list(id_lines), labels, header["domain"], header["C"])
+    return Dataset(frames, list(id_lines), labels, domain, header["C"])
 
 
 # -- batching ---------------------------------------------------------------------

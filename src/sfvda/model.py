@@ -28,11 +28,11 @@ import hashlib
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .data import _SPEC_BOUNDS, _choice, _in_range, _require_fields, _require_version
 from .data import check_float_text, decode_floats, encode_floats, read_text
 from .tensor import (
     Tensor,
@@ -90,10 +90,8 @@ def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> dict[int, np.n
     Tuples are drawn uniformly without replacement from all combinations and
     listed in lexicographic order so the summation order is reproducible.
     """
-    if k < 3:
-        raise ValueError(f"sample_clips: need k >= 3, got {k}")
-    if m_max < 1:
-        raise ValueError(f"sample_clips: need m_max >= 1, got {m_max}")
+    _in_range(k, "sample_clips: k", *_SPEC_BOUNDS["frames"])
+    _in_range(m_max, "sample_clips: m_max", _HYPERPARAMS["m_max"][1])
     clips = {}
     for r in range(2, k + 1):
         combos = _combinations(k, r)
@@ -235,8 +233,7 @@ def init_model(
 ) -> ModelParams:
     """Uniform fan-in initialization of every layer from one seed, drawn in
     ``parameter_layout`` order, which fixes every seeded byte."""
-    if k < 3:
-        raise ValueError(f"init_model: need k >= 3, got {k}")
+    _in_range(k, "init_model: k", *_SPEC_BOUNDS["frames"])
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     dims = dict(k=k, d_in=d_in, n_classes=n_classes, d_enc=d_enc, d=d, d_b=d_b, m_max=m_max)
     tensors: dict[str, Tensor] = {}
@@ -405,11 +402,15 @@ def classify(
 
 # -- checkpoints --------------------------------------------------------------
 
-# ModelParams attribute -> checkpoint hyperparams key; init_model takes the
-# attributes as keyword arguments
+# ModelParams attribute -> (checkpoint hyperparams key, least value): init_model
+# takes the attributes as keyword arguments, and the data sizes share the
+# bounds of the DomainSpec fields they come from
 _HYPERPARAMS = {
-    "k": "k", "d_in": "d_in", "d_enc": "d_enc", "d": "d", "d_b": "d_b", "n_classes": "C", "m_max": "M_max"
+    "k": ("k", _SPEC_BOUNDS["frames"][0]), "d_in": ("d_in", _SPEC_BOUNDS["frame_dim"][0]), "d_enc": ("d_enc", 1),
+    "d": ("d", 1), "d_b": ("d_b", 1), "n_classes": ("C", _SPEC_BOUNDS["classes"][0]), "m_max": ("M_max", 1),
 }
+_CHECKPOINT_FIELDS = ("format_version", "hyperparams", "aggregation", "rng_seed", "parameters", "batch_norm")
+_BATCH_NORM_FIELDS = ("running_mean", "running_var", "initialized", "momentum")
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -420,7 +421,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "hyperparams": {key: getattr(params, attr) for attr, key in _HYPERPARAMS.items()},
+        "hyperparams": {key: getattr(params, attr) for attr, (key, _) in _HYPERPARAMS.items()},
         "aggregation": params.aggregation,
         "rng_seed": params.seed,
         "parameters": {name: encode_floats(t.data) for name, t in params.tensors.items()},
@@ -435,75 +436,41 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
-def _field(mapping, name: str, path, where: str = ""):
-    if not isinstance(mapping, dict) or name not in mapping:
-        raise ValueError(f"{path}: checkpoint has no field {where + name!r}")
-    return mapping[name]
-
-
-def _int_field(mapping, name: str, path, where: str, least: int) -> int:
-    value = _field(mapping, name, path, where)
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        raise ValueError(
-            f"{path}: checkpoint field {where + name!r} must be an integer >= {least}, got {value!r}"
-        )
-    return value
-
-
-def _array_text(mapping, name: str, path, where: str, shape: tuple) -> tuple[str, tuple, str]:
-    """The stored text of one array, its length checked against ``shape``,
-    as the arguments ``decode_floats`` takes."""
-    label = f"{path}: checkpoint field {where + name!r}"
-    text = _field(mapping, name, path, where)
-    check_float_text(text, math.prod(shape), label)
-    return text, shape, label
-
-
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint. The text length of every stored array is compared
     with the element count its hyperparams give in ``parameter_layout``, and
     every scalar is checked, before any array is decoded; nothing is drawn,
     and every tensor must be finite."""
+    where = f"{path}: checkpoint"
     try:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: malformed checkpoint JSON") from exc
-    version = doc.get("format_version") if isinstance(doc, dict) else None
-    if version != CHECKPOINT_FORMAT_VERSION:
-        raise ValueError(f"{path}: checkpoint format_version {version} is not supported")
-    hp = _field(doc, "hyperparams", path)
+        raise ValueError(f"{where}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+    _require_version(doc, CHECKPOINT_FORMAT_VERSION, where)
+    _require_fields(doc, _CHECKPOINT_FIELDS, where)
+    hp = _require_fields(doc["hyperparams"], (key for key, _ in _HYPERPARAMS.values()), where, "hyperparams")
     dims = {
-        attr: _int_field(hp, key, path, "hyperparams.", 3 if key == "k" else 1)
-        for attr, key in _HYPERPARAMS.items()
+        attr: _in_range(hp[key], f"{where}: field 'hyperparams.{key}'", least)
+        for attr, (key, least) in _HYPERPARAMS.items()
     }
-    seed = _int_field(doc, "rng_seed", path, "", 0)
-    aggregation = doc.get("aggregation", AGGREGATIONS[0])
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"{path}: checkpoint field 'aggregation' must be one of {AGGREGATIONS}, got {aggregation!r}")
-    raw = _field(doc, "parameters", path)
-    stored = {
-        name: _array_text(raw, name, path, "parameters.", shape) for name, shape, _ in parameter_layout(**dims)
-    }
-    extra = sorted(set(raw) - set(stored))
-    if extra:
-        raise ValueError(f"{path}: checkpoint field 'parameters.{extra[0]}' is not a parameter of its hyperparams")
-    bn = _field(doc, "batch_norm", path)
-    running = {
-        f"bn_{stat}": _array_text(bn, f"running_{stat}", path, "batch_norm.", (dims["d_b"],))
-        for stat in ("mean", "var")
-    }
-    initialized = _field(bn, "initialized", path, "batch_norm.")
-    if not isinstance(initialized, bool):
-        raise ValueError(f"{path}: checkpoint field 'batch_norm.initialized' must be true or false")
-    momentum = _field(bn, "momentum", path, "batch_norm.")
-    # compared, not converted: an integer too large for a float is rejected too
-    if isinstance(momentum, bool) or not isinstance(momentum, (int, float)) or not abs(momentum) <= sys.float_info.max:
-        raise ValueError(f"{path}: checkpoint field 'batch_norm.momentum' must be a finite number, got {momentum!r}")
+    seed = _in_range(doc["rng_seed"], f"{where}: field 'rng_seed'", *_SPEC_BOUNDS["seed"])
+    aggregation = _choice(doc["aggregation"], AGGREGATIONS, f"{where}: field 'aggregation'")
+    stored = _require_fields(doc["parameters"], (name for name, _, _ in parameter_layout(**dims)), where, "parameters")
+    bn = _require_fields(doc["batch_norm"], _BATCH_NORM_FIELDS, where, "batch_norm")
+    # ModelParams name -> (checkpoint field, stored text, shape), parameters first
+    arrays = {name: (f"parameters.{name}", stored[name], shape) for name, shape, _ in parameter_layout(**dims)}
+    arrays |= {f"bn_{s}": (f"batch_norm.running_{s}", bn[f"running_{s}"], (dims["d_b"],)) for s in ("mean", "var")}
+    for field_name, text, shape in arrays.values():
+        check_float_text(text, math.prod(shape), f"{where}: field {field_name!r}")
+    initialized = _choice(bn["initialized"], (True, False), f"{where}: field 'batch_norm.initialized'")
+    momentum = _in_range(bn["momentum"], f"{where}: field 'batch_norm.momentum'", 0.0, 1.0)
+    values = {name: decode_floats(text, shape, f"{where}: field {f!r}") for name, (f, text, shape) in arrays.items()}
     return ModelParams(
         **dims,
         seed=seed,
-        tensors={name: Tensor(decode_floats(*text), requires_grad=True) for name, text in stored.items()},
-        **{key: decode_floats(*text) for key, text in running.items()},
+        bn_mean=values.pop("bn_mean"),
+        bn_var=values.pop("bn_var"),
+        tensors={name: Tensor(data, requires_grad=True) for name, data in values.items()},
         bn_initialized=initialized,
         bn_momentum=float(momentum),
         aggregation=aggregation,

@@ -293,8 +293,6 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     variant uses them), then mini-batch steps on the variant's loss. Target
     labels feed only the diagnostic accuracy columns.
     """
-    if cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {cfg.variant!r}")
     check_compatible(source_model, target)
     model = source_model.copy()
     variant = VARIANTS[cfg.variant]

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -91,7 +92,7 @@ def test_bad_weight_fails_before_any_file_is_read(tmp_path, capsys):
     code = cli.main(["adapt", "--set", "lam=-1", *args])
     lines = capsys.readouterr().err.strip().splitlines()
     assert code == 1 and len(lines) == 1
-    assert lines[0].startswith("error: config key 'lam': must be finite and >= 0"), lines
+    assert lines[0] == "error: config key 'lam': must be >= 0.0, got -1.0", lines
 
 
 def test_batch_size_larger_than_dataset_is_one_error_line(workspace):
@@ -133,15 +134,26 @@ def test_ablate_bad_seed_names_the_flag(workspace):
     [
         (["gen-data", "--config", "tiny.config", "--set", "seed=-1", "--out", "never"],
          "config key 'seed': must be >= 0, got -1"),
-        (["gen-data", "--config", "negative-seed.config", "--out", "never"], "config key 'seed': must be >= 0, got -1"),
+        (["gen-data", "--config", "negative-seed.config", "--out", "never"],
+         "negative-seed.config: config key 'seed': must be >= 0, got -1"),
         (["ablate", "--config", "tiny.config", "--variants", "full", "--seeds", "1,-2", "--out", "never.csv"],
          "config key 'seed': must be >= 0, got -2"),
         (["ablate", "--config", "tiny.config", "--variants", "full", "--seeds", "1,2,1", "--out", "never.csv"],
          "seed 1 is listed twice"),
         (["ablate", "--config", "tiny.config", "--variants", "fc,full,fc", "--seeds", "1", "--out", "never.csv"],
          "variant 'fc' is listed twice"),
+        # checked with the config, before the (here missing) dataset is opened
+        (["train-source", "--config", "tiny.config", "--set", "batch_size=1", "--data", "none.jsonl", "--out", "never"],
+         "config key 'batch_size': must be >= 2, got 1"),
+        (["gen-data", "--config", "tiny.config", "--set", "batch_size=0", "--out", "never"],
+         "config key 'batch_size': must be >= 2, got 0"),
+        (["train-source", "--config", "tiny.config", "--set", "lr_source=-1", "--data", "none.jsonl", "--out", "never"],
+         "config key 'lr_source': must be >= 0.0, got -1.0"),
     ],
-    ids=["gen-data-set", "gen-data-config", "ablate-negative", "ablate-repeated-seed", "ablate-repeated-variant"],
+    ids=[
+        "gen-data-set", "gen-data-config", "ablate-negative", "ablate-repeated-seed", "ablate-repeated-variant",
+        "train-source-batch-size", "gen-data-batch-size", "train-source-lr",
+    ],
 )
 def test_bad_seed_or_repeat_is_one_error_line_before_any_training(workspace, monkeypatch, capsys, command, error):
     from sfvda import cli
@@ -314,7 +326,7 @@ def test_non_utf8_file_is_one_error_line_naming_file_and_offset(workspace, monke
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert code == 1
-    assert len(lines) == 1 and lines[0] == f"error: {bad.name}: byte 22 (0xff) is not UTF-8", captured.err
+    assert len(lines) == 1 and lines[0] == f"error: {bad.name}: line 2: byte 22 (0xff) is not UTF-8", captured.err
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (workspace / "never").exists()
 
@@ -392,3 +404,53 @@ def test_previous_format_is_one_error_line_naming_file_and_format_version(worksp
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
     assert old in lines[0] and f"format_version {version}" in lines[0]
     assert out.stdout == ""
+
+
+def test_overflow_is_one_error_line_without_a_numpy_warning(tmp_path, capsys):
+    # every op checks its output, so a numpy warning would be a second report
+    import warnings
+
+    from sfvda import cli
+
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "quickstart"
+    command = [
+        "train-source", "--config", str(golden / "quickstart.config"), "--set", "lr_source=1e300",
+        "--data", str(golden / "demo-data__source.jsonl"), "--out", str(tmp_path / "never.json"),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == ["error: matmul: output contains non-finite values"]
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["eval", "--model", "untrained.ckpt.json", "--data", "data/source.jsonl"],
+        ["export-embeddings", "--model", "untrained.ckpt.json", "--data", "data/target.jsonl", "--level", "overall",
+         "--out", "never.csv"],
+        ["adapt", "--config", "tiny.config", "--source-model", "untrained.ckpt.json", "--target-data",
+         "data/target.jsonl", "--out", "never.json"],
+    ],
+    ids=["eval", "export-embeddings", "adapt"],
+)
+def test_untrained_checkpoint_is_one_error_line_naming_file_and_field(workspace, monkeypatch, capsys, command):
+    from sfvda import cli
+    from sfvda.model import init_model, load_checkpoint, save_checkpoint
+
+    path = workspace / "untrained.ckpt.json"
+    save_checkpoint(init_model(k=4, d_in=6, n_classes=3, d_enc=8, d=8, d_b=8), path)
+    assert not load_checkpoint(path).bn_initialized  # loading accepts it
+    monkeypatch.chdir(workspace)
+    code = cli.main(command)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.splitlines() == [
+        "error: untrained.ckpt.json: checkpoint: field 'batch_norm.initialized': must be true, got false "
+        "(an untrained model has no running statistics)"
+    ]
+    assert captured.out == ""
+    assert not (workspace / "never.json").exists() and not (workspace / "never.csv").exists()

@@ -112,6 +112,18 @@ def test_m_max_below_one_rejected():
         ("beta_fc", "-1"),
         ("eps_norm", "0"),
         ("eps_smooth", "1.0"),
+        ("batch_size", "0"),
+        ("batch_size", "1"),
+        ("batch_size", "-3"),
+        ("lr_source", "-1"),
+        ("lr_adapt", "-1"),
+        ("momentum", "-5"),
+        ("weight_decay", "-1"),
+        ("classes", "1"),
+        ("videos_per_class", "0"),
+        ("frames", "2"),
+        ("shift_severity", "1.5"),
+        ("noise_std", "-1"),
     ],
 )
 def test_invalid_value_names_the_key(key, raw):
@@ -119,3 +131,8 @@ def test_invalid_value_names_the_key(key, raw):
         apply_overrides(RunConfig(), {key: raw})
     with pytest.raises(ValueError, match=rf"config key '{key}'"):
         parse_config(f"{key} = {raw}")
+
+
+def test_zero_optimizer_values_are_valid():
+    cfg = RunConfig(lr_source=0.0, lr_adapt=0.0, momentum=0.0, weight_decay=0.0)
+    assert parse_config(emit_config(cfg)) == cfg

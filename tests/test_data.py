@@ -93,9 +93,9 @@ class TestGenerator:
             small_spec(frames=2)
         with pytest.raises(ValueError):
             small_spec(shift_severity=1.5)
-        with pytest.raises(ValueError, match=r"DomainSpec.seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match=r"DomainSpec\.seed: must be >= 0, got -1"):
             small_spec(seed=-1)
-        with pytest.raises(ValueError, match=r"DomainSpec.frame_dim must be >= 1, got 0"):
+        with pytest.raises(ValueError, match=r"DomainSpec\.frame_dim: must be >= 1, got 0"):
             small_spec(frame_dim=0)
 
 
@@ -161,7 +161,7 @@ class TestFileFormat:
         record["frames"] = float64_base64(values)
         lines[3] = json.dumps(record, sort_keys=True)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"nan\.jsonl: line 4: field 'frames' has non-finite values"):
+        with pytest.raises(ValueError, match=r"nan\.jsonl: line 4: field 'frames': must hold only finite values"):
             D.read_dataset(path)
 
     @pytest.mark.parametrize(
@@ -189,7 +189,7 @@ class TestFileFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as info:
             D.read_dataset(path)
-        assert str(info.value).startswith(f"{path}: line 3: field 'frames' ")
+        assert str(info.value).startswith(f"{path}: line 3: field 'frames': ")
 
     def test_extreme_values_roundtrip_bit_equal(self, tmp_path):
         source, _ = D.generate_domain_pair(small_spec())

@@ -469,6 +469,15 @@ class TestModelState:
             pytest.param(None, "rng_seed", 1.5, id="None-rng_seed-float"),
             pytest.param("batch_norm", "momentum", "fast", id="batch_norm-momentum-string"),
             pytest.param("batch_norm", "initialized", None, id="batch_norm-initialized-null"),
+            # every format-3 writer stores these fields exactly, so none may be
+            # missing, extra or of another type
+            pytest.param(None, "aggregation", _DELETE, id="None-aggregation"),
+            pytest.param(None, "format_version", 3.0, id="None-format_version-float"),
+            pytest.param(None, "bogus", 1, id="None-bogus-unknown"),
+            pytest.param("hyperparams", "bogus", 1, id="hyperparams-bogus-unknown"),
+            pytest.param("batch_norm", "bogus", 1, id="batch_norm-bogus-unknown"),
+            pytest.param("batch_norm", "initialized", 1, id="batch_norm-initialized-int"),
+            pytest.param("batch_norm", "momentum", 1.5, id="batch_norm-momentum-above-one"),
         ],
     )
     def test_checkpoint_missing_field_names_file_and_field(self, tmp_path, section, field, value):
@@ -536,7 +545,7 @@ class TestModelState:
         doc = json.loads(path.read_text())
         doc["hyperparams"]["k"] = 3  # rel4_* now belong to no scale
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint field 'parameters.rel4_b1'")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint: unknown field 'parameters.rel4_b1'")):
             M.load_checkpoint(path)
 
     def test_checkpoint_version_check(self, tmp_path):
