@@ -90,9 +90,8 @@ class RunConfig:
     variant: str = "full"
     freeze_scope: str = "head_all"
     pl_rounds: int = 1
-    # reproducibility and output
+    # reproducibility
     seed: int = 42
-    out_dir: str = "runs"
 
     def __post_init__(self):
         for key, bounds in _BOUNDS.items():

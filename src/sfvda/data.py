@@ -30,6 +30,7 @@ __all__ = [
     "read_dataset",
     "batch_iterator",
     "read_text",
+    "parse_json",
     "encode_floats",
     "check_float_text",
     "decode_floats",
@@ -256,6 +257,18 @@ def read_text(path) -> str:
         raise ValueError(f"{path}: line {line}: byte {exc.start} (0x{raw[exc.start]:02x}) is not UTF-8") from None
 
 
+def parse_json(text: str, where: str, malformed: str):
+    """``json.loads`` whose failures are one ValueError that starts with
+    ``where``: a syntax error is ``malformed``, formatted with the error as
+    ``exc``, and nesting deeper than the interpreter's recursion limit says so."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: {malformed.format(exc=exc)}") from exc
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
+
+
 def encode_floats(values: np.ndarray) -> str:
     """Base64 text of the little-endian float64 bytes of ``values``, C order."""
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
@@ -327,10 +340,7 @@ def read_dataset(path) -> Dataset:
     if not lines:
         raise ValueError(f"{path}: empty dataset file")
     where = f"{path}: line 1"
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: malformed header") from exc
+    header = parse_json(lines[0], where, "malformed header")
     _require_version(header, DATASET_FORMAT_VERSION, where)
     _require_fields(header, ("format_version", "domain", *_HEADER_SIZES), where)
     domain = _choice(header["domain"], ("source", "target"), f"{where}: field 'domain'")
@@ -344,10 +354,7 @@ def read_dataset(path) -> Dataset:
     id_lines: dict[str, int] = {}
     for row, line in enumerate(lines[1:]):
         where = f"{path}: line {row + 2}"
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{where}: malformed record") from exc
+        rec = parse_json(line, where, "malformed record")
         _require_fields(rec, ("id", "label", "frames"), where)
         video_id = rec["id"]
         if not isinstance(video_id, str):

@@ -2,10 +2,13 @@
 across local temporal scales, source prediction consistency, information
 maximization, and pseudo-label cross-entropy.
 
-All functions take tensors from :mod:`sfvda.tensor`, return scalar tensors,
-and reduce over the batch with an arithmetic mean. Cross-correlation uses a
-1/B factor so that the self-correlation diagonal of well-spread features is
-1 and "close to the identity" is batch-size independent.
+Each objective is one op with a closed-form VJP on :mod:`sfvda.tensor`
+tensors, reducing over the batch with an arithmetic mean. Feature
+consistency acts on the local features; every other term acts on logits and
+goes through ``prediction_objective``, which evaluates the terms a variant
+asks for in one pass and returns their weighted sum. Cross-correlation uses
+a 1/B factor so that the self-correlation diagonal of well-spread features
+is 1 and "close to the identity" is batch-size independent.
 """
 
 from __future__ import annotations
@@ -14,24 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import aggregate_overall
-from .tensor import (
-    Tensor,
-    absolute,
-    add,
-    log,
-    log_softmax,
-    mean,
-    mul,
-    reshape,
-    scale,
-    softmax,
-    sub,
-    tensor_sum,
-)
+from .tensor import Tensor, _ensure_finite
 
 __all__ = [
+    "PREDICTION_TERMS",
     "PredictionSet",
+    "prediction_objective",
     "smoothed_cross_entropy",
     "pseudo_label_cross_entropy",
     "feature_consistency_total",
@@ -41,37 +32,17 @@ __all__ = [
     "information_maximization",
 ]
 
+# the terms of ``prediction_objective``; ``ce`` and ``pl_ce`` are one
+# cross-entropy against ``labels``, named for source training and adaptation
+PREDICTION_TERMS = ("pc_local", "pc_overall", "im", "ce", "pl_ce")
+
 
 @dataclass
 class PredictionSet:
-    """Scale-major (S*B, C) local logits, their (B, C) logit average over
-    scales, and the (B, C) overall logits."""
+    """Scale-major (S*B, C) local logits and the (B, C) overall logits."""
 
     local: Tensor
-    average: Tensor
     overall: Tensor
-
-
-def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, eps_smooth: float) -> Tensor:
-    """Mean cross-entropy against smoothed one-hot targets.
-
-    Targets are (1 - eps) * onehot + eps / C.
-    """
-    if not 0.0 <= eps_smooth < 1.0:
-        raise ValueError(f"eps_smooth must lie in [0, 1), got {eps_smooth}")
-    labels = np.asarray(labels, dtype=np.int64)
-    batch, n_classes = logits.shape
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError("smoothed_cross_entropy: label out of range")
-    target = np.full((batch, n_classes), eps_smooth / n_classes)
-    target[np.arange(batch), labels] += 1.0 - eps_smooth
-    logp = log_softmax(logits)
-    return scale(tensor_sum(mul(Tensor(target), logp)), -1.0 / batch)
-
-
-def pseudo_label_cross_entropy(logits: Tensor, pseudo: np.ndarray) -> Tensor:
-    """Unsmoothed mean cross-entropy against pseudo-labels."""
-    return smoothed_cross_entropy(logits, pseudo, 0.0)
 
 
 def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: float) -> Tensor:
@@ -125,37 +96,119 @@ def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: 
     return Tensor._from_op(np.asarray(value), "feature_consistency_total", (lts,), vjp)
 
 
+def _log_softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax and softmax over the last axis, with max subtraction."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return _ensure_finite(shifted - np.log(total), "log_softmax"), e / total
+
+
+def prediction_objective(
+    local: Tensor | None,
+    overall: Tensor,
+    coeffs: dict[str, float],
+    weights: np.ndarray | None = None,
+    labels=None,
+    eps_smooth: float = 0.0,
+) -> tuple[Tensor, dict[str, float]]:
+    """Every term on the logits as one op: returns sum_n coeffs[n] * term_n
+    and each term's value, for the terms named in ``coeffs``.
+
+    ``local`` holds the scale-major (S*B, C) local logits, scaled per
+    (video, scale) by the (B, S) prediction-site ``weights`` when given, and
+    A is their logit mean over scales. With p = softmax, lp = log_softmax:
+      * pc_local: mean over scales and videos of KL(p(local) || p(A));
+      * pc_overall: mean over videos of |lp(overall) - lp(A)|_1;
+      * im: mean entropy of p(overall) plus KL of its batch marginal to
+        uniform;
+      * ce / pl_ce: mean cross-entropy of ``overall`` against the
+        ``labels`` one-hot, smoothed to (1 - eps) * onehot + eps / C.
+    The VJP sums the terms' closed-form input gradients, each scaled by its
+    coefficient.
+    """
+    unknown = set(coeffs) - set(PREDICTION_TERMS)
+    if unknown:
+        raise ValueError(f"prediction_objective: unknown terms {sorted(unknown)}")
+    batch, n_classes = overall.shape
+    lo, po = _log_softmax(overall.data)
+    g_over = np.zeros_like(po)
+    values: dict[str, float] = {}
+    parents = (overall,)
+    if "pc_local" in coeffs or "pc_overall" in coeffs:
+        rows = local.shape[0]
+        if rows == 0 or rows % batch or local.shape[1:] != overall.shape[1:]:
+            raise ValueError(f"local logits {local.shape} are not whole scale blocks of {overall.shape}")
+        n_scales = rows // batch
+        stack = local.data.reshape(n_scales, batch, n_classes)
+        column = None if weights is None else np.asarray(weights, dtype=np.float64).T[:, :, None]
+        if column is not None:
+            stack = _ensure_finite(stack * column, "mul")
+        la, pa = _log_softmax(stack.sum(axis=0) * (1.0 / n_scales))
+        g_stack = np.zeros_like(stack)
+        g_avg = np.zeros_like(pa)
+        if "pc_local" in coeffs:
+            ls, ps = _log_softmax(stack)
+            kl = np.sum(ps * (ls - la), axis=2)
+            values["pc_local"] = float(kl.mean())
+            c = coeffs["pc_local"] / (n_scales * batch)
+            g_stack += c * ps * (ls - la - kl[:, :, None])
+            g_avg += c * (n_scales * pa - ps.sum(axis=0))
+        if "pc_overall" in coeffs:
+            gap = lo - la
+            values["pc_overall"] = float(np.abs(gap).sum(axis=1).mean())
+            sign = np.sign(gap) * (coeffs["pc_overall"] / batch)
+            sign_sum = sign.sum(axis=1, keepdims=True)
+            g_over += sign - po * sign_sum
+            g_avg -= sign - pa * sign_sum
+        g_stack += g_avg * (1.0 / n_scales)
+        g_local = (g_stack if column is None else g_stack * column).reshape(rows, n_classes)
+        parents = (overall, local)
+    if "im" in coeffs:
+        marginal = po.mean(axis=0)
+        with np.errstate(divide="ignore"):
+            log_marginal = _ensure_finite(np.log(marginal), "log")
+        entropy = -np.sum(po * lo, axis=1).mean()
+        values["im"] = float(entropy + np.sum(marginal * (log_marginal + np.log(n_classes))))
+        # d/dlogits of both parts: p * (u - sum(p * u)) / B, u = log marginal - lp
+        u = log_marginal - lo
+        g_over += (coeffs["im"] / batch) * po * (u - np.sum(po * u, axis=1, keepdims=True))
+    for name in ("ce", "pl_ce"):
+        if name in coeffs:
+            if not 0.0 <= eps_smooth < 1.0:
+                raise ValueError(f"eps_smooth must lie in [0, 1), got {eps_smooth}")
+            labels = np.asarray(labels, dtype=np.int64)
+            if labels.shape != (batch,):
+                raise ValueError(f"{name}: labels of shape {labels.shape} for a batch of {batch}")
+            if labels.min() < 0 or labels.max() >= n_classes:
+                raise ValueError(f"{name}: label out of range")
+            target = np.full((batch, n_classes), eps_smooth / n_classes)
+            target[np.arange(batch), labels] += 1.0 - eps_smooth
+            values[name] = float(np.sum(target * lo) * (-1.0 / batch))
+            g_over += (coeffs[name] / batch) * (po - target)
+    total = sum(coeffs[name] * values[name] for name in coeffs)
+
+    def vjp(g):
+        g = float(g)
+        return (g * g_over, g * g_local) if len(parents) == 2 else (g * g_over,)
+
+    return Tensor._from_op(np.asarray(total), "prediction_objective", parents, vjp), values
+
+
 def make_prediction_set(local: Tensor, overall: Tensor) -> PredictionSet:
-    """Bundle the scale-major (S*B, C) local logits with their per-video
-    logit mean over scales and the (B, C) overall logits."""
-    batch, rows = overall.shape[0], local.shape[0]
-    if rows == 0 or rows % batch or local.shape[1:] != overall.shape[1:]:
-        raise ValueError(
-            f"make_prediction_set: local logits {local.shape} are not whole scale blocks of {overall.shape}"
-        )
-    return PredictionSet(local=local, average=aggregate_overall(local, rows // batch), overall=overall)
+    """Bundle the scale-major (S*B, C) local logits with the (B, C) overall
+    logits; the consistency losses check that they fit."""
+    return PredictionSet(local=local, overall=overall)
 
 
 def local_prediction_consistency(preds: PredictionSet) -> Tensor:
-    """Divergence of each scale's prediction from the scales' average: the
-    mean over scales and batch of KL(softmax(p_r) || softmax(p_avg)), taken
-    over the (S, B, C) view of the stack against the broadcast average."""
-    batch, n_classes = preds.average.shape
-    local = reshape(preds.local, (preds.local.shape[0] // batch, batch, n_classes))
-    lq = log_softmax(preds.average)
-    lp = log_softmax(local)
-    return mean(tensor_sum(mul(softmax(local), sub(lp, lq)), axis=2))
+    """Mean KL of each scale's prediction to that of the scales' logit average."""
+    return prediction_objective(preds.local, preds.overall, {"pc_local": 1.0})[0]
 
 
 def overall_prediction_consistency(preds: PredictionSet) -> Tensor:
     """Mean L1 distance between overall and average log-probability vectors."""
-    if preds.overall.shape != preds.average.shape:
-        raise ValueError(
-            f"overall_prediction_consistency: shape mismatch "
-            f"{preds.overall.shape} vs {preds.average.shape}"
-        )
-    gap = absolute(sub(log_softmax(preds.overall), log_softmax(preds.average)))
-    return mean(tensor_sum(gap, axis=1))
+    return prediction_objective(preds.local, preds.overall, {"pc_overall": 1.0})[0]
 
 
 def information_maximization(logits: Tensor) -> Tensor:
@@ -164,10 +217,14 @@ def information_maximization(logits: Tensor) -> Tensor:
     Low when each prediction is certain and the batch covers classes evenly;
     log C on a uniform batch; bounded by 2 log C.
     """
-    batch, n_classes = logits.shape
-    probs = softmax(logits)
-    logp = log_softmax(logits)
-    entropy = scale(mean(tensor_sum(mul(probs, logp), axis=1)), -1.0)
-    marginal = mean(probs, axis=0)
-    diversity = tensor_sum(mul(marginal, add(log(marginal), Tensor(np.full(n_classes, np.log(n_classes))))))
-    return add(entropy, diversity)
+    return prediction_objective(None, logits, {"im": 1.0})[0]
+
+
+def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, eps_smooth: float) -> Tensor:
+    """Mean cross-entropy against (1 - eps) * onehot + eps / C targets."""
+    return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=eps_smooth)[0]
+
+
+def pseudo_label_cross_entropy(logits: Tensor, pseudo: np.ndarray) -> Tensor:
+    """Unsmoothed mean cross-entropy against pseudo-labels."""
+    return prediction_objective(None, logits, {"pl_ce": 1.0}, labels=pseudo)[0]

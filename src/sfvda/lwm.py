@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import aggregate_overall
-from .tensor import Tensor, mul, softmax_rows
+from .tensor import Tensor, softmax_rows
 
 __all__ = [
     "confidence",
@@ -44,12 +44,13 @@ def local_relevance_weight(local_logits, n_scales: int) -> np.ndarray:
     return 1.0 + confidence(local_logits).reshape(n_scales, -1).T
 
 
-def apply_weights(lts: Tensor, local_logits: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, Tensor]:
+def apply_weights(lts: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, np.ndarray | None]:
     """Apply (B, S) relevance weights at the requested sites.
 
     Returns the overall temporal feature (weighted when ``feature`` is in
-    ``sites``, plain mean otherwise) and the stacked local logits (scaled
-    when ``prediction`` is in ``sites``, passed through otherwise).
+    ``sites``, plain mean otherwise) and the weights that scale the local
+    logits in ``losses.prediction_objective`` (None unless ``prediction`` is
+    in ``sites``).
     """
     sites = set(sites)
     if not sites:
@@ -59,6 +60,4 @@ def apply_weights(lts: Tensor, local_logits: Tensor, weights: np.ndarray, sites)
         raise ValueError(f"apply_weights: unknown sites {sorted(unknown)}")
     weights = np.asarray(weights, dtype=np.float64)
     overall = aggregate_overall(lts, weights.shape[1], weights if FEATURE_SITE in sites else None)
-    if PREDICTION_SITE in sites:
-        return overall, mul(local_logits, Tensor(weights.T.reshape(-1, 1)))
-    return overall, local_logits
+    return overall, weights if PREDICTION_SITE in sites else None

@@ -9,8 +9,9 @@ weight normalization on the final affine. Weights are stored (fan_in,
 fan_out) except the weight-normalized direction matrix, which keeps one row
 per class so the per-row norm invariant is directly checkable.
 
-Each layer runs on stacked rows, and the encoder and each scale's relation
-MLP are one op each. The encoder sees all B*k frames of a batch as one
+Each layer runs on stacked rows as one op with a closed-form VJP: the
+encoder, each scale's relation MLP, the aggregation over scales and the
+head. The encoder sees all B*k frames of a batch as one
 frame-major (k*B, d_in) matrix. Scale r gathers its M_r clips of every video
 from that output into one (B*M_r, r*d_enc) matrix and sums each video's
 hidden rows before the output layer, which is affine:
@@ -33,25 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import _SPEC_BOUNDS, _choice, _in_range, _require_fields, _require_version
-from .data import check_float_text, decode_floats, encode_floats, read_text
-from .tensor import (
-    Tensor,
-    _ensure_finite,
-    add,
-    concat,
-    div,
-    matmul,
-    mean,
-    mul,
-    reshape,
-    scale,
-    sqrt,
-    square,
-    sub,
-    tensor_sum,
-    transpose,
-    variance,
-)
+from .data import check_float_text, decode_floats, encode_floats, parse_json, read_text
+from .tensor import Tensor, _ensure_finite, concat
 
 __all__ = [
     "ModelParams",
@@ -331,15 +315,16 @@ def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], par
 
 def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = None) -> Tensor:
     """Mean over scales of the scale-major (S*B, d) local features,
-    optionally per-scale weighted.
+    optionally per-scale weighted, as one op.
 
-    With weights w of shape (B, S): (1/S) * sum_s w[:, s] * lt_s, as one
-    weight column, one reshape and one sum over the scale axis.
+    With weights w of shape (B, S): (1/S) * sum_s w[:, s] * lt_s.
     """
     rows, d = lts.shape
     if n_scales < 1 or rows % n_scales:
         raise ValueError(f"aggregate_overall: {rows} rows do not split into {n_scales} scales")
     batch = rows // n_scales
+    stack = lts.data.reshape(n_scales, batch, d)
+    column = None
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (batch, n_scales):
@@ -347,21 +332,27 @@ def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = N
                 f"aggregate_overall: weights shape {weights.shape} does not match "
                 f"batch {batch} x scales {n_scales}"
             )
-        lts = mul(lts, Tensor(weights.T.reshape(rows, 1)))
-    return scale(tensor_sum(reshape(lts, (n_scales, batch, d)), axis=0), 1.0 / n_scales)
+        column = weights.T[:, :, None]
+        stack = _ensure_finite(stack * column, "mul")
+    inv = 1.0 / n_scales
+    out = _ensure_finite(stack.sum(axis=0), "sum") * inv
+
+    def vjp(g):
+        g_stack = np.broadcast_to(g * inv, stack.shape)
+        return ((g_stack if column is None else g_stack * column).reshape(rows, d),)
+
+    return Tensor._from_op(out, "scale", (lts,), vjp)
 
 
-def _weight_norm_logits(x: Tensor, params: ModelParams) -> Tensor:
-    t = params.tensors
-    norms = sqrt(tensor_sum(square(t["wn_v"]), axis=1, keepdims=True))
-    w_eff = mul(t["wn_v"], div(t["wn_g"], norms))
-    return add(matmul(x, transpose(w_eff)), t["wn_b"])
+_HEAD = ("bot_w", "bot_b", "bn_gamma", "bn_beta", "wn_v", "wn_g", "wn_b")
 
 
+@np.errstate(all="ignore")  # every stage is checked, so a warning would be a second report
 def classify(
     features: Tensor, params: ModelParams, mode: str = "train", frozen: bool = False, blocks: int = 1
 ) -> Tensor:
-    """Logits from bottleneck -> batch norm -> weight-normalized affine.
+    """Logits from bottleneck -> batch norm -> weight-normalized affine, as
+    one op with a closed-form VJP.
 
     ``features`` holds ``blocks`` equal row blocks (the scale-major local
     stack has S), and all of them go through one head pass: one bottleneck
@@ -370,34 +361,86 @@ def classify(
     block, in block order; ``mode="eval"`` uses the running statistics. A
     frozen head always uses running statistics and never updates them (the
     classifier is a fixed function regardless of mode), but gradients still
-    flow to ``features``.
+    flow to ``features``. Every stage is checked for finiteness under the
+    name of the operation it once was.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"classify: unknown mode {mode!r}")
     rows = features.shape[0]
     if blocks < 1 or rows % blocks:
         raise ValueError(f"classify: {rows} rows do not split into {blocks} blocks")
-    h = add(matmul(features, params.tensors["bot_w"]), params.tensors["bot_b"])
-    use_batch_stats = mode == "train" and not frozen
-    if use_batch_stats:
-        grouped = reshape(h, (blocks, rows // blocks, params.d_b))
-        mu = mean(grouped, axis=1, keepdims=True)
-        var = variance(grouped, axis=1, keepdims=True)
-        hat = reshape(div(sub(grouped, mu), sqrt(add(var, Tensor(np.array([[[BN_EPS]]]))))), (rows, params.d_b))
+    head = [params.tensors[name] for name in _HEAD]
+    bot_w, bot_b, gamma, beta, v, g, wn_b = (t.data for t in head)
+    x = features.data
+    h = _ensure_finite(x @ bot_w, "matmul")
+    h += bot_b
+    _ensure_finite(h, "add")
+    batch_stats = mode == "train" and not frozen
+    if batch_stats:
+        grouped = h.reshape(blocks, rows // blocks, -1)
+        mu = _ensure_finite(grouped.mean(axis=1, keepdims=True), "mean")
+        centered = grouped - mu
+        var = _ensure_finite(np.mean(centered * centered, axis=1, keepdims=True), "variance")
+        _ensure_finite(centered, "sub")
+        sigma = _ensure_finite(np.sqrt(_ensure_finite(var + BN_EPS, "add")), "sqrt")
+        hat = _ensure_finite(centered / sigma, "div").reshape(rows, -1)
         m = params.bn_momentum
-        for block_mu, block_var in zip(mu.data, var.data):
+        for block_mu, block_var in zip(mu, var):
             params.bn_mean = m * params.bn_mean + (1.0 - m) * block_mu.reshape(-1)
             params.bn_var = m * params.bn_var + (1.0 - m) * block_var.reshape(-1)
         params.bn_initialized = True
     else:
         if not params.bn_initialized:
             raise RuntimeError("classify: eval requested before any train-mode pass")
-        hat = div(
-            sub(h, Tensor(params.bn_mean[None, :])),
-            Tensor(np.sqrt(params.bn_var + BN_EPS)[None, :]),
-        )
-    normed = add(mul(hat, params.tensors["bn_gamma"]), params.tensors["bn_beta"])
-    return _weight_norm_logits(normed, params)
+        mu = _ensure_finite(params.bn_mean, "tensor")
+        sigma = _ensure_finite(np.sqrt(params.bn_var + BN_EPS), "tensor")
+        hat = _ensure_finite(_ensure_finite(h - mu, "sub") / sigma, "div")
+    normed = _ensure_finite(hat * gamma, "mul")
+    normed += beta
+    _ensure_finite(normed, "add")
+    squares = _ensure_finite(v * v, "square")
+    norms = _ensure_finite(np.sqrt(_ensure_finite(squares.sum(axis=1, keepdims=True), "sum")), "sqrt")
+    gain = _ensure_finite(g / norms, "div")
+    w_eff = _ensure_finite(v * gain, "mul")
+    logits = _ensure_finite(normed @ w_eff.T, "matmul")
+    logits += wn_b
+    _ensure_finite(logits, "add")
+
+    def vjp(grad):
+        # parents: features, then the head in _HEAD order
+        needs = [features.requires_grad] + [t.requires_grad for t in head]
+        grads = [None] * 8
+        if needs[7]:
+            grads[7] = grad.sum(axis=0)
+        if needs[5] or needs[6]:
+            # w_eff = v * g / |v| per class row
+            g_w = grad.T @ normed
+            g_gain = np.sum(g_w * v, axis=1, keepdims=True)
+            grads[5] = g_w * gain - (g_gain * gain / (norms * norms)) * v
+            grads[6] = g_gain / norms
+        if not any(needs[:5]):
+            return grads
+        g_normed = grad @ w_eff
+        if needs[3]:
+            grads[3] = np.sum(g_normed * hat, axis=0)
+        grads[4] = g_normed.sum(axis=0)
+        g_hat = g_normed * gamma
+        if batch_stats:
+            # back through (h - mean) / sigma, both taken over each block
+            g_hat = g_hat.reshape(grouped.shape)
+            z = hat.reshape(grouped.shape)
+            g_h = (g_hat - g_hat.mean(axis=1, keepdims=True) - z * np.mean(g_hat * z, axis=1, keepdims=True)) / sigma
+            g_h = g_h.reshape(rows, -1)
+        else:
+            g_h = g_hat / sigma
+        if needs[0]:
+            grads[0] = g_h @ bot_w.T
+        if needs[1]:
+            grads[1] = x.T @ g_h
+        grads[2] = g_h.sum(axis=0)
+        return grads
+
+    return Tensor._from_op(logits, "add", (features, *head), vjp)
 
 
 # -- checkpoints --------------------------------------------------------------
@@ -442,10 +485,7 @@ def load_checkpoint(path) -> ModelParams:
     every scalar is checked, before any array is decoded; nothing is drawn,
     and every tensor must be finite."""
     where = f"{path}: checkpoint"
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{where}: malformed JSON at line {exc.lineno}, column {exc.colno}") from exc
+    doc = parse_json(read_text(path), where, "malformed JSON at line {exc.lineno}, column {exc.colno}")
     _require_version(doc, CHECKPOINT_FORMAT_VERSION, where)
     _require_fields(doc, _CHECKPOINT_FIELDS, where)
     hp = _require_fields(doc["hyperparams"], (key for key, _ in _HYPERPARAMS.values()), where, "hyperparams")

@@ -17,15 +17,7 @@ import numpy as np
 from . import lwm, pseudolabel
 from .config import VARIANTS, RunConfig
 from .data import Dataset, batch_iterator, generate_domain_pair
-from .losses import (
-    information_maximization,
-    local_prediction_consistency,
-    make_prediction_set,
-    overall_prediction_consistency,
-    feature_consistency_total,
-    pseudo_label_cross_entropy,
-    smoothed_cross_entropy,
-)
+from .losses import feature_consistency_total, prediction_objective
 from .model import (
     ModelParams,
     aggregate_overall,
@@ -36,7 +28,7 @@ from .model import (
     local_temporal_features,
     sample_clips,
 )
-from .tensor import Tensor, add, no_grad, scale
+from .tensor import Tensor, no_grad, weighted_sum
 
 __all__ = [
     "SGD",
@@ -197,7 +189,7 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD | None, epo
     streams; returns each component's and the ``total`` loss's batch mean.
 
     ``batch_loss(idx, lts)`` returns the loss of the videos ``idx`` from
-    their local temporal features, with its named components. With
+    their local temporal features, with its named components' values. With
     ``opt=None`` the losses are computed but no parameter moves.
     """
     shuffle_tag, clips_tag = _STREAM_TAGS[caller]
@@ -216,10 +208,18 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD | None, epo
             loss.backward(free_graph=True)
             opt.step()
         for name, value in components.items():
-            sums[name] += value.item()
+            sums[name] += value
         sums["total"] += total
         n_batches += 1
     return {name: value / max(1, n_batches) for name, value in sums.items()}
+
+
+def _source_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, labels: np.ndarray):
+    """``train_source``'s loss of one batch from its local temporal features:
+    smoothed cross-entropy of the head, with batch statistics, on the mean
+    over scales. Returns the loss and {"ce": its value}."""
+    logits = classify(aggregate_overall(lts, model.k - 1), model, mode="train")
+    return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=cfg.eps_smooth)
 
 
 def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
@@ -240,9 +240,7 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     opt = SGD(model.trainable_parameters(), cfg.lr_source, cfg.momentum, cfg.weight_decay)
 
     def batch_loss(idx, lts):
-        logits = classify(aggregate_overall(lts, model.k - 1), model, mode="train")
-        loss = smoothed_cross_entropy(logits, source.labels[idx], cfg.eps_smooth)
-        return loss, {"ce": loss}
+        return _source_batch_loss(model, cfg, lts, source.labels[idx])
 
     rows: list[MetricsRow] = []
     best_acc, best_model = -1.0, None
@@ -276,14 +274,34 @@ def _leaf_coefficients(tree, cfg: RunConfig, coeff: float = 1.0):
             yield from _leaf_coefficients(child, cfg, c)
 
 
-def _weighted_sum(tree, components: dict[str, Tensor], cfg: RunConfig) -> Tensor:
-    """The objective tree as nested weighted sums, folded left to right."""
-    total = None
-    for name, child in tree:
-        value = components[child] if isinstance(child, str) else _weighted_sum(child, components, cfg)
-        term = scale(value, getattr(cfg, name))
-        total = term if total is None else add(total, term)
-    return total
+def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, pseudo: np.ndarray | None):
+    """``adapt_target``'s loss of one batch from its local temporal features:
+    the variant's objective with its leaf coefficients, built from
+    ``feature_consistency_total`` and one ``prediction_objective``, with the
+    head frozen under ``cfg.freeze_scope``. Returns the loss and each
+    component's value."""
+    variant = VARIANTS[cfg.variant]
+    n_scales = model.k - 1
+    head_frozen_bn = cfg.freeze_scope == "head_all"
+    local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
+    if variant.sites:
+        weights = lwm.local_relevance_weight(local_logits, n_scales)
+        overall, pc_weights = lwm.apply_weights(lts, weights, variant.sites)
+    else:
+        overall, pc_weights = aggregate_overall(lts, n_scales), None
+    overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
+
+    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
+    terms, components = [], {}
+    if "fc" in coeffs:
+        fc = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
+        terms.append((coeffs.pop("fc"), fc))
+        components["fc"] = fc.item()
+    if coeffs:
+        loss, values = prediction_objective(local_logits, overall_logits, coeffs, pc_weights, pseudo)
+        terms.append((1.0, loss))
+        components |= values
+    return weighted_sum(terms), components
 
 
 def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
@@ -300,10 +318,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
         return model, []
     _check_batch_size(cfg.batch_size, target, "adapt_target")
 
-    sites = variant.sites
-    n_scales = model.k - 1
     model.freeze_head(cfg.freeze_scope)
-    head_frozen_bn = cfg.freeze_scope == "head_all"
     frozen = _frozen_state(model, cfg.freeze_scope)
 
     coeffs = dict(_leaf_coefficients(variant.objective, cfg))
@@ -314,31 +329,11 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     opt = None
     if any(c > 0.0 for c in coeffs.values()):
         opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
-    model.aggregation = "entropy_weighted" if opt is not None and "feature" in sites else "mean"
+    model.aggregation = "entropy_weighted" if opt is not None and "feature" in variant.sites else "mean"
 
     def batch_loss(idx, lts):
-        local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
-        if sites:
-            weights = lwm.local_relevance_weight(local_logits, n_scales)
-            overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, sites)
-        else:
-            overall, pc_logits = aggregate_overall(lts, n_scales), local_logits
-        overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
-
-        components = {}
-        if "fc" in coeffs:
-            components["fc"] = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
-        if "pc_local" in coeffs:
-            preds = make_prediction_set(pc_logits, overall_logits)
-            components["pc_local"] = local_prediction_consistency(preds)
-            if "pc_overall" in coeffs:
-                components["pc_overall"] = overall_prediction_consistency(preds)
-        if "im" in coeffs:
-            components["im"] = information_maximization(overall_logits)
-        if use_pl:
-            # this epoch's pseudo-labels, bound below before its batches run
-            components["pl_ce"] = pseudo_label_cross_entropy(overall_logits, pseudo[idx])
-        return _weighted_sum(variant.objective, components, cfg), components
+        # this epoch's pseudo-labels, bound below before its batches run
+        return _adapt_batch_loss(model, cfg, lts, pseudo[idx] if use_pl else None)
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is

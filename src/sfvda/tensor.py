@@ -6,11 +6,15 @@ and a local vector-Jacobian closure. ``Tensor.backward`` walks the recorded
 graph once in reverse topological order and accumulates gradients into the
 ``.grad`` buffer of every leaf that requires them.
 
+The model and the losses build their layers as fused operations with
+closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
+ones, ``concat`` and ``weighted_sum``.
+
 Design constraints honoured throughout:
   * float64 everywhere (finite-difference checks are meaningless in 32-bit),
-  * every public operation validates that its output is finite and raises
+  * every operation validates that its output is finite and raises
     instead of propagating NaN/Inf,
-  * softmax / log_softmax act over the last axis and subtract the row max,
+  * ``softmax_rows`` acts over the last axis and subtracts the row max,
   * gradient accumulation is additive; callers zero grads between steps.
 """
 
@@ -25,25 +29,8 @@ __all__ = [
     "Graph",
     "no_grad",
     "softmax_rows",
-    "matmul",
-    "add",
-    "sub",
-    "scale",
     "concat",
-    "relu",
-    "log_softmax",
-    "softmax",
-    "mean",
-    "variance",
-    "absolute",
-    "square",
-    "mul",
-    "div",
-    "log",
-    "sqrt",
-    "tensor_sum",
-    "transpose",
-    "reshape",
+    "weighted_sum",
     "GradCheckReport",
     "finite_diff_check",
 ]
@@ -146,7 +133,9 @@ class Graph:
 
     Each node appears exactly once, parents before children, so the reverse
     sweep in :meth:`run` visits every operation a single time and leaf
-    gradients accumulate additively across all their uses.
+    gradients accumulate additively across all their uses. A leaf keeps the
+    array a VJP returns as its gradient, uncopied, so every VJP returns
+    arrays that nothing else holds or writes.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -181,7 +170,7 @@ class Graph:
                 continue
             if node._vjp is None:
                 if node.requires_grad:
-                    node.grad = g.copy() if node.grad is None else node.grad + g
+                    node.grad = g if node.grad is None else node.grad + g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:
@@ -200,91 +189,7 @@ class Graph:
                 node._consumed = True
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to ``shape``."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 # -- primitive operations ---------------------------------------------------------
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul: expected 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: shape mismatch {a.shape} @ {b.shape}")
-    out = a.data @ b.data
-
-    def vjp(g):
-        ga = g @ b.data.T if a.requires_grad else None
-        gb = a.data.T @ g if b.requires_grad else None
-        return ga, gb
-
-    return Tensor._from_op(out, "matmul", (a, b), vjp)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data + b.data
-    except ValueError as exc:
-        raise ValueError(f"add: shape mismatch {a.shape} + {b.shape}") from exc
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return Tensor._from_op(out, "add", (a, b), vjp)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ValueError(f"sub: shape mismatch {a.shape} - {b.shape}") from exc
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return Tensor._from_op(out, "sub", (a, b), vjp)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return Tensor._from_op(a.data * s, "scale", (a,), lambda g: (g * s,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out = a.data * b.data
-    except ValueError as exc:
-        raise ValueError(f"mul: shape mismatch {a.shape} * {b.shape}") from exc
-
-    def vjp(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return Tensor._from_op(out, "mul", (a, b), vjp)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = a.data / b.data
-    except ValueError as exc:
-        raise ValueError(f"div: shape mismatch {a.shape} / {b.shape}") from exc
-
-    def vjp(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return Tensor._from_op(out, "div", (a, b), vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -292,8 +197,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise ValueError("concat: need at least one tensor")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def vjp(g):
         return tuple(
@@ -304,130 +208,28 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out, "concat", tuple(tensors), vjp)
 
 
-def relu(a: Tensor) -> Tensor:
-    out = np.maximum(a.data, 0.0)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return Tensor._from_op(out, "relu", (a,), vjp)
+def weighted_sum(terms) -> Tensor:
+    """sum_i c_i * t_i over (coefficient, tensor) pairs of one shape, as one
+    op; a lone term with coefficient 1 is returned as it is."""
+    terms = [(float(c), t) for c, t in terms]
+    if not terms:
+        raise ValueError("weighted_sum: need at least one term")
+    if len(terms) == 1 and terms[0][0] == 1.0:
+        return terms[0][1]
+    shapes = {t.shape for _, t in terms}
+    if len(shapes) > 1:
+        raise ValueError(f"weighted_sum: shape mismatch {sorted(shapes)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = terms[0][0] * terms[0][1].data
+        for c, t in terms[1:]:
+            out = out + c * t.data
+    return Tensor._from_op(out, "weighted_sum", tuple(t for _, t in terms), lambda g: tuple(c * g for c, _ in terms))
 
 
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax of a plain array over the last axis, with max subtraction."""
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max subtraction."""
-    out = softmax_rows(a.data)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor._from_op(out, "softmax", (a,), vjp)
-
-
-def log_softmax(a: Tensor) -> Tensor:
-    """Log of softmax over the last axis, same max-subtraction stabilisation."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    out = shifted - lse
-    soft = np.exp(out)
-
-    def vjp(g):
-        return (g - soft * g.sum(axis=-1, keepdims=True),)
-
-    return Tensor._from_op(out, "log_softmax", (a,), vjp)
-
-
-def _expand_reduced(g: np.ndarray, shape, axis, keepdims) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
-
-
-def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.data.size if axis is None else a.shape[axis]
-
-    def vjp(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims) / n,)
-
-    return Tensor._from_op(out, "mean", (a,), vjp)
-
-
-def variance(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Population variance (divide by n) along ``axis``."""
-    centered = a.data - a.data.mean(axis=axis, keepdims=True)
-    out = np.mean(centered * centered, axis=axis, keepdims=keepdims)
-    n = a.data.size if axis is None else a.shape[axis]
-
-    def vjp(g):
-        return (_expand_reduced(g, a.shape, axis, keepdims) * 2.0 * centered / n,)
-
-    return Tensor._from_op(out, "variance", (a,), vjp)
-
-
-def tensor_sum(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        return (np.array(_expand_reduced(g, a.shape, axis, keepdims)),)
-
-    return Tensor._from_op(out, "sum", (a,), vjp)
-
-
-def absolute(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g * np.sign(a.data),)
-
-    return Tensor._from_op(np.abs(a.data), "abs", (a,), vjp)
-
-
-def square(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g * 2.0 * a.data,)
-
-    return Tensor._from_op(a.data * a.data, "square", (a,), vjp)
-
-
-def log(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g / a.data,)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(a.data)
-    return Tensor._from_op(out, "log", (a,), vjp)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
-
-    return Tensor._from_op(out, "sqrt", (a,), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose: expected a matrix, got shape {a.shape}")
-
-    def vjp(g):
-        return (g.T,)
-
-    return Tensor._from_op(a.data.T, "transpose", (a,), vjp)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    out = a.data.reshape(shape)
-    return Tensor._from_op(out, "reshape", (a,), lambda g: (g.reshape(a.shape),))
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Independent brute-force references used by the test suite.
 
 Written with plain Python loops and math so they share no code path with
-the library implementations they check. The one exception is
-``unfused_relation_chain``: a numpy reference for the fused relation op that
-runs its arithmetic one operation at a time, so it can be compared with the
-library bit for bit where the arithmetic is the same.
+the library implementations they check. The exceptions are the
+``unfused_*`` references: numpy references for the fused ops (relation MLP,
+classifier head, prediction objective) that run their arithmetic one
+operation at a time and take each gradient by the chain rule through those
+operations, so they can be compared with the library's closed forms.
 """
 
 import base64
@@ -221,6 +222,156 @@ def unfused_relation_chain(x, rows, w1, b1, w2, b2, g):
         "b2": g_clip.sum(axis=0),
     }
     return out, grads
+
+
+def unfused_head(x, head, running, batch_stats, g, blocks=1, eps=1e-5):
+    """The classifier head as separate numpy operations: bottleneck affine,
+    batch norm, then the weight-normalized affine w = v * g / |v| per class.
+
+    ``head`` maps bot_w, bot_b, bn_gamma, bn_beta, wn_v, wn_g, wn_b to
+    arrays; ``running`` is [mean, var, momentum]. With ``batch_stats`` each
+    of the ``blocks`` row blocks is normalized by its own statistics and the
+    running ones are updated in place, block by block; otherwise the running
+    statistics normalize. ``g`` is the gradient of the logits. Returns the
+    logits and the gradients of x and of every head parameter, each by the
+    chain rule through the operations in forward order.
+    """
+    h = x @ head["bot_w"] + head["bot_b"]
+    if batch_stats:
+        grouped = h.reshape(blocks, -1, h.shape[1])
+        n = grouped.shape[1]
+        mu = grouped.mean(axis=1, keepdims=True)
+        centered = grouped - grouped.mean(axis=1, keepdims=True)
+        var = (centered * centered).mean(axis=1, keepdims=True)
+        diff = grouped - mu
+        denom = np.sqrt(var + eps)
+        hat = (diff / denom).reshape(h.shape)
+        for block_mu, block_var in zip(mu, var):
+            running[0] = running[2] * running[0] + (1.0 - running[2]) * block_mu.reshape(-1)
+            running[1] = running[2] * running[1] + (1.0 - running[2]) * block_var.reshape(-1)
+    else:
+        denom = np.sqrt(running[1] + eps)
+        hat = (h - running[0]) / denom
+    normed = hat * head["bn_gamma"] + head["bn_beta"]
+    v, gain_num = head["wn_v"], head["wn_g"]
+    norms = np.sqrt((v * v).sum(axis=1, keepdims=True))
+    gain = gain_num / norms
+    w_eff = v * gain
+    logits = normed @ w_eff.T + head["wn_b"]
+
+    grads = {"wn_b": g.sum(axis=0)}
+    g_normed = g @ w_eff
+    g_w = (normed.T @ g).T
+    g_v = g_w * gain
+    g_gain = (g_w * v).sum(axis=1, keepdims=True)
+    grads["wn_g"] = g_gain / norms
+    g_norms = -g_gain * gain_num / (norms * norms)
+    g_sq = g_norms * 0.5 / norms
+    grads["wn_v"] = g_v + g_sq * 2.0 * v
+    grads["bn_gamma"] = (g_normed * hat).sum(axis=0)
+    grads["bn_beta"] = g_normed.sum(axis=0)
+    g_hat = g_normed * head["bn_gamma"]
+    if batch_stats:
+        g_hat = g_hat.reshape(grouped.shape)
+        g_diff = g_hat / denom
+        g_denom = (-g_hat * diff / (denom * denom)).sum(axis=1, keepdims=True)
+        g_var = g_denom * 0.5 / denom
+        g_grouped = g_var * 2.0 * centered / n + g_diff
+        g_mu = -g_diff.sum(axis=1, keepdims=True)
+        g_grouped = g_grouped + np.broadcast_to(g_mu / n, grouped.shape)
+        g_h = g_grouped.reshape(h.shape)
+    else:
+        g_h = g_hat / denom
+    grads["bot_w"] = x.T @ g_h
+    grads["bot_b"] = g_h.sum(axis=0)
+    grads["x"] = g_h @ head["bot_w"].T
+    return logits, grads
+
+
+def _unfused_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _unfused_softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax_vjp(out, g):
+    return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(out, g):
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
+def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=None, eps_smooth=0.0):
+    """The terms on the logits as separate numpy operations, each term's
+    gradient by the chain rule through them, scaled by its coefficient.
+
+    ``local`` is the scale-major (S*B, C) stack, scaled per (video, scale)
+    by the (B, S) ``weights`` when given; A is its logit mean over scales.
+    pc_local is the mean over scales and videos of KL(softmax(local) ||
+    softmax(A)), pc_overall the mean L1 distance of the log-softmaxes of
+    ``overall`` and A, im the mean entropy of softmax(overall) plus the KL of
+    its batch marginal to uniform, and ce / pl_ce the mean cross-entropy of
+    ``overall`` against (1 - eps) * onehot(labels) + eps / C. Returns the
+    weighted sum, each term's value, and the gradients of local and overall.
+    """
+    batch, n_classes = overall.shape
+    values = {}
+    g_overall = np.zeros_like(overall)
+    g_local = None
+    if "pc_local" in coeffs or "pc_overall" in coeffs:
+        n_scales = local.shape[0] // batch
+        stack = local.reshape(n_scales, batch, n_classes)
+        column = None if weights is None else weights.T.reshape(n_scales, batch, 1)
+        scaled = stack if column is None else stack * column
+        average = scaled.sum(axis=0) * (1.0 / n_scales)
+        lq = _unfused_log_softmax(average)
+        g_scaled = np.zeros_like(scaled)
+        g_average = np.zeros_like(average)
+        if "pc_local" in coeffs:
+            lp = _unfused_log_softmax(scaled)
+            sp = _unfused_softmax(scaled)
+            diff = lp - lq
+            per = (sp * diff).sum(axis=2)
+            values["pc_local"] = per.mean()
+            g_prod = np.broadcast_to((coeffs["pc_local"] / per.size) * np.ones(per.shape)[:, :, None], scaled.shape)
+            g_diff = g_prod * sp
+            g_scaled = g_scaled + _softmax_vjp(sp, g_prod * diff) + _log_softmax_vjp(lp, g_diff)
+            g_average = g_average + _log_softmax_vjp(lq, -g_diff.sum(axis=0))
+        if "pc_overall" in coeffs:
+            lo = _unfused_log_softmax(overall)
+            gap = lo - lq
+            values["pc_overall"] = np.abs(gap).sum(axis=1).mean()
+            g_gap = (coeffs["pc_overall"] / batch) * np.ones(gap.shape) * np.sign(gap)
+            g_overall = g_overall + _log_softmax_vjp(lo, g_gap)
+            g_average = g_average + _log_softmax_vjp(lq, -g_gap)
+        g_scaled = g_scaled + np.broadcast_to(g_average * (1.0 / n_scales), scaled.shape)
+        g_local = (g_scaled if column is None else g_scaled * column).reshape(local.shape)
+    if "im" in coeffs:
+        probs = _unfused_softmax(overall)
+        logp = _unfused_log_softmax(overall)
+        plogp = (probs * logp).sum(axis=1)
+        marginal = probs.mean(axis=0)
+        shifted = np.log(marginal) + np.log(n_classes)
+        values["im"] = -plogp.mean() + (marginal * shifted).sum()
+        c = coeffs["im"]
+        g_plogp = np.full((batch, 1), -c / batch)
+        g_marginal = c * shifted + c * marginal / marginal
+        g_probs = g_plogp * logp + np.broadcast_to(g_marginal / batch, probs.shape)
+        g_overall = g_overall + _softmax_vjp(probs, g_probs) + _log_softmax_vjp(logp, g_plogp * probs)
+    for name in ("ce", "pl_ce"):
+        if name in coeffs:
+            target = np.full((batch, n_classes), eps_smooth / n_classes)
+            target[np.arange(batch), labels] += 1.0 - eps_smooth
+            logp = _unfused_log_softmax(overall)
+            values[name] = (target * logp).sum() * (-1.0 / batch)
+            g_overall = g_overall + _log_softmax_vjp(logp, target * (-coeffs[name] / batch))
+    total = sum(coeffs[name] * values[name] for name in coeffs)
+    return total, values, {"local": g_local, "overall": g_overall}
 
 
 _MOD64 = 1 << 64

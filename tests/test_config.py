@@ -16,7 +16,6 @@ def test_emit_parse_roundtrip_modified():
         variant="tc",
         freeze_scope="last_layer_only",
         lr_adapt=5e-4,
-        out_dir="elsewhere",
     )
     assert parse_config(emit_config(cfg)) == cfg
 
@@ -24,6 +23,9 @@ def test_emit_parse_roundtrip_modified():
 def test_unknown_key_rejected():
     with pytest.raises(ValueError, match="betaa_fc"):
         parse_config("betaa_fc = 1.0")
+    # no command wrote to an output directory, so the key is gone
+    with pytest.raises(ValueError, match="line 1: unknown config key 'out_dir'"):
+        parse_config("out_dir = runs")
 
 
 def test_values_override_base():

@@ -6,9 +6,13 @@ import pytest
 import oracles
 from sfvda import losses
 from sfvda.config import VARIANTS, RunConfig
-from sfvda.losses import make_prediction_set
-from sfvda.pipeline import _weighted_sum
+from sfvda.losses import make_prediction_set, prediction_objective
+from sfvda.pipeline import _leaf_coefficients
 from sfvda.tensor import Tensor, concat, finite_diff_check
+
+
+def leaf_coefficients(variant, **cfg):
+    return dict(_leaf_coefficients(VARIANTS[variant].objective, RunConfig(**cfg)))
 
 
 def test_loss_weights_validation():
@@ -182,8 +186,8 @@ class TestPredictionConsistency:
             assert losses.local_prediction_consistency(preds).item() >= 0.0
 
     def test_overall_scripted_value(self):
-        preds = make_prediction_set(concat([Tensor([[1.0, 0.0]])]), Tensor([[1.0, 0.0]]))
-        preds.average = Tensor([[0.0, 1.0]])
+        # one scale, so the average is [0, 1]: the log-softmaxes differ by 1 per class
+        preds = make_prediction_set(Tensor([[0.0, 1.0]]), Tensor([[1.0, 0.0]]))
         assert abs(losses.overall_prediction_consistency(preds).item() - 2.0) < 1e-12
 
     def test_shift_invariance(self):
@@ -201,22 +205,22 @@ class TestPredictionConsistency:
         p = Tensor(np.array([[0.5, -0.5]]))
         q = Tensor(np.array([[1.5, 0.5]]))
         preds = make_prediction_set(concat([p, q]), q)
-        components = {
-            "pc_local": losses.local_prediction_consistency(preds),
-            "pc_overall": losses.overall_prediction_consistency(preds),
-        }
-        local, overall = components["pc_local"].item(), components["pc_overall"].item()
-        pc = VARIANTS["pc"].objective
-        combined = _weighted_sum(pc, components, RunConfig(alpha_local=2.0, alpha_overall=0.5)).item()
-        assert abs(combined - (2.0 * local + 0.5 * overall)) < 1e-12
-        assert _weighted_sum(pc, components, RunConfig(alpha_overall=0.0)).item() == pytest.approx(local)
+        local = losses.local_prediction_consistency(preds).item()
+        overall = losses.overall_prediction_consistency(preds).item()
+        coeffs = leaf_coefficients("pc", alpha_local=2.0, alpha_overall=0.5)
+        combined, values = prediction_objective(preds.local, preds.overall, coeffs)
+        assert values == {"pc_local": local, "pc_overall": overall}
+        assert abs(combined.item() - (2.0 * local + 0.5 * overall)) < 1e-12
+        only_local = prediction_objective(preds.local, preds.overall, leaf_coefficients("pc", alpha_overall=0.0))[0]
+        assert only_local.item() == pytest.approx(local)
 
     def test_average_is_mean_of_local_rows(self):
+        # overall logits equal to the mean of the local rows leave no gap
         rng = np.random.default_rng(6)
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(5)]
-        preds = make_prediction_set(concat(local), local[0])
         manual = np.mean([p.data for p in local], axis=0)
-        assert np.max(np.abs(preds.average.data - manual)) < 1e-10
+        preds = make_prediction_set(concat(local), Tensor(manual))
+        assert losses.overall_prediction_consistency(preds).item() < 1e-10
 
 
 def test_stacked_local_consistency_is_mean_of_per_scale_kls():
@@ -238,11 +242,11 @@ def test_local_consistency_is_finite_on_a_certain_class():
 
 def test_temporal_consistency_weighting():
     # prediction consistency 0.1 + 0.2 = 0.3 at unit alphas
-    components = {"fc": Tensor(np.array(0.2)), "pc_local": Tensor(np.array(0.1)), "pc_overall": Tensor(np.array(0.2))}
+    components = {"fc": 0.2, "pc_local": 0.1, "pc_overall": 0.2}
 
     def tc(beta_fc, beta_pc):
-        cfg = RunConfig(beta_fc=beta_fc, beta_pc=beta_pc)
-        return _weighted_sum(VARIANTS["tc"].objective, components, cfg).item()
+        coeffs = leaf_coefficients("tc", beta_fc=beta_fc, beta_pc=beta_pc)
+        return sum(c * components[name] for name, c in coeffs.items())
 
     assert tc(1.0, 1.0) == pytest.approx(0.5)
     assert tc(0.0, 1.0) == pytest.approx(0.3)
@@ -337,12 +341,7 @@ class TestGradients:
         overall = rng.normal(size=(5, 3))
 
         def f(x):
-            preds = make_prediction_set(concat([x, Tensor(other)]), Tensor(overall))
-            components = {
-                "pc_local": losses.local_prediction_consistency(preds),
-                "pc_overall": losses.overall_prediction_consistency(preds),
-            }
-            return _weighted_sum(VARIANTS["pc"].objective, components, RunConfig())
+            return prediction_objective(concat([x, Tensor(other)]), Tensor(overall), leaf_coefficients("pc"))[0]
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(5, 3))), rel_tol=1e-4).passed
 
@@ -373,3 +372,70 @@ class TestGradients:
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(8, 4))), rel_tol=1e-4).passed
 
+
+
+class TestFusedPredictionObjective:
+    """The fused op against ``oracles.unfused_prediction_objective``, which
+    takes every term and gradient one operation at a time."""
+
+    @staticmethod
+    def assert_close(got, want, what):
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"{what}: relative error {err:.1e}"
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "prediction-site"])
+    @pytest.mark.parametrize("zero", [None, "pc_overall", "im"], ids=["all-terms", "pc_overall-zero", "im-zero"])
+    def test_values_and_input_gradients_match_the_unfused_chain(self, weighted, zero):
+        rng = np.random.default_rng(50)
+        n_scales, batch, n_classes = 4, 6, 5
+        local = rng.normal(size=(n_scales * batch, n_classes)) * 2.0
+        overall = rng.normal(size=(batch, n_classes)) * 2.0
+        weights = rng.uniform(0.1, 1.0, size=(batch, n_scales)) if weighted else None
+        labels = rng.integers(0, n_classes, size=batch)
+        coeffs = {"pc_local": 0.7, "pc_overall": 1.3, "im": 0.9, "pl_ce": 1.1}
+        if zero:
+            coeffs[zero] = 0.0
+        total, values, grads = oracles.unfused_prediction_objective(local, overall, coeffs, weights, labels)
+        local_t, overall_t = Tensor(local, requires_grad=True), Tensor(overall, requires_grad=True)
+        loss, got = prediction_objective(local_t, overall_t, coeffs, weights, labels)
+        loss.backward()
+        for name, value in values.items():
+            assert abs(got[name] - value) <= 1e-12 * abs(value), name
+        assert abs(loss.item() - total) <= 1e-12 * abs(total)
+        self.assert_close(local_t.grad, grads["local"], "local logits")
+        self.assert_close(overall_t.grad, grads["overall"], "overall logits")
+
+    def test_smoothed_cross_entropy_matches_the_unfused_chain(self):
+        rng = np.random.default_rng(51)
+        logits = rng.normal(size=(7, 4))
+        labels = rng.integers(0, 4, size=7)
+        total, _, grads = oracles.unfused_prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=0.1)
+        leaf = Tensor(logits, requires_grad=True)
+        loss = losses.smoothed_cross_entropy(leaf, labels, 0.1)
+        loss.backward()
+        assert abs(loss.item() - total) <= 1e-12 * abs(total)
+        self.assert_close(leaf.grad, grads["overall"], "logits")
+
+    def test_each_named_loss_is_its_term(self):
+        rng = np.random.default_rng(52)
+        preds = make_prediction_set(Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4))))
+        pseudo = rng.integers(0, 4, size=3)
+        coeffs = {"pc_local": 1.0, "pc_overall": 1.0, "im": 1.0, "pl_ce": 1.0}
+        _, values = prediction_objective(preds.local, preds.overall, coeffs, labels=pseudo)
+        assert values == {
+            "pc_local": losses.local_prediction_consistency(preds).item(),
+            "pc_overall": losses.overall_prediction_consistency(preds).item(),
+            "im": losses.information_maximization(preds.overall).item(),
+            "pl_ce": losses.pseudo_label_cross_entropy(preds.overall, pseudo).item(),
+        }
+
+    def test_unknown_term_rejected(self):
+        with pytest.raises(ValueError, match="unknown terms"):
+            prediction_objective(None, Tensor(np.zeros((2, 3))), {"fc": 1.0})
+
+
+def test_log_softmax_matches_log_of_softmax():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        logp, p = losses._log_softmax(rng.uniform(-20.0, 20.0, size=(6, 8)))
+        assert np.max(np.abs(logp - np.log(p))) < 1e-12

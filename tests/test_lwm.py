@@ -80,44 +80,41 @@ def test_weighted_logits_preserve_argmax():
 def test_apply_weights_identity_when_all_one():
     rng = np.random.default_rng(3)
     lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-    logits = [Tensor(rng.normal(size=(3, 5))) for _ in range(2)]
     ones = np.ones((3, 2))
-    overall, preds = lwm.apply_weights(concat(lts), concat(logits), ones, {"feature", "prediction"})
+    overall, weights = lwm.apply_weights(concat(lts), ones, {"feature", "prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall.data - plain)) < 1e-12
-    assert np.array_equal(preds.data, concat(logits).data)
+    assert np.array_equal(weights, ones)
 
 
 def test_apply_weights_zero_scale():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
-    logits = [Tensor([[1.0, -1.0]]), Tensor([[0.5, 0.5]])]
     w = np.array([[1.0, 0.0]])
-    overall, preds = lwm.apply_weights(concat(lts), concat(logits), w, {"feature", "prediction"})
+    overall, weights = lwm.apply_weights(concat(lts), w, {"feature", "prediction"})
     assert np.allclose(overall.data, [[1.0, 0.0]])
-    assert np.array_equal(preds.data[1:], [[0.0, 0.0]])  # scale 1 of the one video
+    assert np.array_equal(weights, w)  # scale 1 of the one video scales its logits to 0
 
 
 def test_apply_weights_scripted_feature_site():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
-    logits = [Tensor([[0.0, 0.0]]), Tensor([[0.0, 0.0]])]
     w = np.array([[1.0, 0.5]])
-    overall, _ = lwm.apply_weights(concat(lts), concat(logits), w, {"feature"})
+    overall, weights = lwm.apply_weights(concat(lts), w, {"feature"})
     assert np.allclose(overall.data, [[1.0, 1.0]])
+    assert weights is None
 
 
 def test_apply_weights_site_selection():
     rng = np.random.default_rng(4)
     lts = [Tensor(rng.normal(size=(2, 3))) for _ in range(2)]
-    logits = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
     w = rng.uniform(0.2, 0.9, size=(2, 2))
-    overall_p, preds_p = lwm.apply_weights(concat(lts), concat(logits), w, {"prediction"})
+    overall_p, weights_p = lwm.apply_weights(concat(lts), w, {"prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall_p.data - plain)) < 1e-12
-    assert not np.array_equal(preds_p.data[:2], logits[0].data)  # scale 0 block
+    assert np.array_equal(weights_p, w)
     with pytest.raises(ValueError, match="nonempty"):
-        lwm.apply_weights(concat(lts), concat(logits), w, set())
+        lwm.apply_weights(concat(lts), w, set())
     with pytest.raises(ValueError, match="unknown"):
-        lwm.apply_weights(concat(lts), concat(logits), w, {"bogus"})
+        lwm.apply_weights(concat(lts), w, {"bogus"})
 
 
 def test_weights_are_detached():
@@ -136,6 +133,6 @@ def test_one_hot_confident_weighting_equals_plain_mean():
         block[np.arange(3), rng.integers(0, 5, size=3)] = 40.0
         logits.append(Tensor(block))
     w = lwm.local_relevance_weight(concat(logits), 3)
-    overall, _ = lwm.apply_weights(concat(lts), concat(logits), w, {"feature"})
+    overall, _ = lwm.apply_weights(concat(lts), w, {"feature"})
     plain = np.mean([lt.data for lt in lts], axis=0)
     assert np.max(np.abs(overall.data - plain)) < 1e-12

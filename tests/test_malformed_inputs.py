@@ -7,7 +7,9 @@ every parameter and ``batch_norm``) and each config key is deleted, given a
 value of another JSON type, set to NaN or infinity, emptied, cut off
 mid-line, or given a byte that is not UTF-8. Each base64 array also gets a
 character outside the alphabet, bad padding, and one value too few or too
-many. Every case runs in-process through ``cli.main``.
+many. JSON nested deeper than the recursion limit is one more case for a
+checkpoint and for a dataset record. Every case runs in-process through
+``cli.main``.
 """
 
 import copy
@@ -110,17 +112,14 @@ def json_cases(kind, lines, row, sections=(), arrays=()):
 
 def config_cases():
     """The same mutations for each config key, as text. Deleting a key is
-    valid (every key has a default), and so is any text for ``out_dir``,
-    which only a cut or a bad byte can break."""
+    valid (every key has a default)."""
     lines = CONFIG.read_text().splitlines()
     defaults = RunConfig()
     for row, line in enumerate(lines):
         key, _, raw = line.partition(" = ")
         kind = type(getattr(defaults, key))
-        mutations = {}
-        if key != "out_dir":
-            retypes = retyped(kind(raw), _JSON_KINDS[kind])
-            mutations = {"nan": "nan", "inf": "inf", "empty": "", **{m: json.dumps(v) for m, v in retypes.items()}}
+        retypes = retyped(kind(raw), _JSON_KINDS[kind])
+        mutations = {"nan": "nan", "inf": "inf", "empty": "", **{m: json.dumps(v) for m, v in retypes.items()}}
         for mutation, text in mutations.items():
             changed = "\n".join([*lines[:row], f"{key} = {text}", *lines[row + 1 :]]) + "\n"
             yield f"config-{key}-{mutation}", "config", changed.encode(), f"'{key}'"
@@ -128,6 +127,14 @@ def config_cases():
         yield f"config-{key}-cut", "config", cut.encode(), f"line {row + 1}"
         bad = "\n".join([*lines[:row], f"{key} = \udcff", *lines[row + 1 :]]) + "\n"
         yield f"config-{key}-utf8", "config", bad.encode("utf-8", "surrogateescape"), f"line {row + 1}"
+
+
+def deep_nesting_cases(depth=200_000):
+    """JSON nested deeper than the interpreter's recursion limit: a whole
+    checkpoint, and the first record of a dataset."""
+    header = DATASET.read_text().splitlines()[0]
+    yield "checkpoint-deep-nesting", "checkpoint", b"[" * depth, "checkpoint: JSON nested too deeply"
+    yield "dataset-record-deep-nesting", "dataset", f"{header}\n{'[' * depth}\n".encode(), "line 2"
 
 
 CASES = [
@@ -141,6 +148,7 @@ CASES = [
         arrays=("parameters", "running_mean", "running_var"),
     ),
     *config_cases(),
+    *deep_nesting_cases(),
 ]
 
 

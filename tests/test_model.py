@@ -10,10 +10,12 @@ from oracles import (
     float64_base64,
     json_checkpoint_text,
     per_scale_head,
+    unfused_head,
     unfused_relation_chain,
 )
+from probes import inner, squared_norm
 from sfvda import model as M
-from sfvda.tensor import Tensor, concat, finite_diff_check, mean, mul, no_grad, square, tensor_sum
+from sfvda.tensor import Tensor, concat, finite_diff_check, no_grad
 
 
 _DELETE = object()
@@ -225,7 +227,7 @@ class TestLocalTemporalFeatures:
         enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
         lts = M.local_temporal_features(enc, clips, params)
         g = rng.normal(size=lts.shape)
-        tensor_sum(mul(lts, Tensor(g))).backward()
+        inner(lts, g).backward()
         grad_enc = 0.0
         for s, (r, idx) in enumerate(clips.items()):
             rows = np.broadcast_to(idx, (batch, *idx.shape[-2:])) * batch + np.arange(batch).reshape(batch, 1, 1)
@@ -247,7 +249,7 @@ class TestLocalTemporalFeatures:
         grads = []
         for clips in (shared, {r: np.stack([index] * 5) for r, index in shared.items()}):
             enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
-            tensor_sum(square(M.local_temporal_features(enc, clips, params))).backward()
+            squared_norm(M.local_temporal_features(enc, clips, params)).backward()
             grads.append(enc.grad.tobytes())
         assert grads[0] == grads[1]
 
@@ -259,7 +261,7 @@ class TestLocalTemporalFeatures:
         frames = rng.normal(size=(3, 4, 5))
         enc = M.encode_frames(frames, params)
         g = rng.normal(size=enc.shape)
-        tensor_sum(mul(enc, Tensor(g))).backward()
+        inner(enc, g).backward()
         stacked = frames.transpose(1, 0, 2).reshape(12, 5)
         weights = [params.tensors[f"enc_{n}"] for n in ("w1", "b1", "w2", "b2")]
         out, grads = unfused_relation_chain(stacked, np.arange(12).reshape(12, 1, 1), *(w.data for w in weights), g)
@@ -274,7 +276,7 @@ class TestLocalTemporalFeatures:
         enc = M.encode_frames(frames, params)
 
         def f(x):
-            return mean(square(M.local_temporal_features(x, clips, params)))
+            return squared_norm(M.local_temporal_features(x, clips, params))
 
         report = finite_diff_check(f, Tensor(enc.data), rel_tol=1e-4)
         assert report.passed, f"rel err {report.max_rel_error:.2e}"
@@ -387,6 +389,62 @@ class TestStackedClassify:
         params = tiny_model()
         with pytest.raises(ValueError, match="do not split into 3 blocks"):
             M.classify(Tensor(np.zeros((4, params.d))), params, mode="train", blocks=3)
+
+
+class TestFusedHead:
+    """The one-op head against ``oracles.unfused_head``, which runs it one
+    operation at a time and takes every gradient by the chain rule."""
+
+    @staticmethod
+    def setup(seed):
+        params = tiny_model(k=4, d_in=5, n_classes=4, d=6, d_b=5, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for t in params.tensors.values():
+            t.data[...] = rng.normal(size=t.shape)
+        params.bn_mean = rng.normal(size=params.d_b)
+        params.bn_var = rng.uniform(0.5, 2.0, size=params.d_b)
+        params.bn_initialized = True
+        x = rng.normal(size=(12, params.d)) * 2.0
+        return params, x, rng.normal(size=(12, params.n_classes))
+
+    @pytest.mark.parametrize(
+        "mode, frozen, blocks",
+        [("train", False, 3), ("train", False, 1), ("eval", False, 1), ("train", True, 3)],
+        ids=["train-blocks", "train-one-block", "eval", "frozen"],
+    )
+    def test_matches_the_unfused_chain(self, mode, frozen, blocks):
+        params, x, g = self.setup(23)
+        if frozen:
+            params.freeze_head("head_all")
+        batch_stats = mode == "train" and not frozen
+        head = {name: t.data.copy() for name, t in params.head_parameters("head_all")}
+        running = [params.bn_mean.copy(), params.bn_var.copy(), params.bn_momentum]
+        want, grads = unfused_head(x, head, running, batch_stats, g, blocks=blocks)
+        features = Tensor(x, requires_grad=True)
+        logits = M.classify(features, params, mode=mode, frozen=frozen, blocks=blocks)
+        inner(logits, g).backward()
+        # relative to the largest entry, at least 1: with batch statistics
+        # bot_b's gradient is zero up to rounding
+        assert_close(logits.data, want, "logits")
+        assert_close(features.grad, grads["x"], "features")
+        for name, t in params.head_parameters("head_all"):
+            if frozen:
+                assert t.grad is None, name
+            else:
+                assert_close(t.grad, grads[name], name)
+        # running statistics move once per block in train mode only
+        assert np.max(np.abs(params.bn_mean - running[0])) <= 1e-12 * np.max(np.abs(running[0]))
+        assert np.max(np.abs(params.bn_var - running[1])) <= 1e-12 * np.max(np.abs(running[1]))
+
+    def test_overflow_names_the_stage(self):
+        params, x, _ = self.setup(24)
+        params.tensors["wn_v"].data[0] = 0.0  # a zero direction row has no norm
+        with pytest.raises(ValueError, match="^div: output contains non-finite values$"):
+            M.classify(Tensor(x), params, mode="eval")
+        params, x, _ = self.setup(24)
+        params.tensors["bot_w"].data[...] = 1e300
+        with pytest.raises(ValueError, match="^matmul: output contains non-finite values$"):
+            M.classify(Tensor(x * 1e10), params, mode="train")
 
 
 class TestModelState:

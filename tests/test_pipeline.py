@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfvda import losses, lwm
+from sfvda import lwm
 from sfvda import model as M
 from sfvda import pipeline as P
 from sfvda import tensor as T
@@ -259,7 +259,11 @@ class TestAdaptTarget:
         # the scales travel as one (S*B, d) stack through the head, the local
         # weights and the consistency losses (277 nodes when each of those
         # looped over the 7 scales), and the encoder and each scale's relation
-        # MLP are one op each (160 nodes as chains of 5 and 8 ops): 107 nodes
+        # MLP are one op each (160 nodes as chains of 5 and 8 ops): 107 nodes.
+        # The head and the prediction terms are one op each (75 op nodes as
+        # chains of primitives), so 32 trainable leaves and 15 ops remain:
+        # encoder, 7 relation scales, concat, 2 heads, aggregation,
+        # feature consistency, prediction objective and their weighted sum
         cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
         source, target = generate_domain_pair(cfg.domain_spec())
         model, _ = P.train_source(source, cfg)
@@ -274,7 +278,7 @@ class TestAdaptTarget:
         monkeypatch.setattr(T.Graph, "trace", staticmethod(counting_trace))
         P.adapt_target(model, target, cfg)
         assert len(sizes) == 1
-        assert sizes[0] <= 110
+        assert sizes[0] == 32 + 15
 
     @pytest.mark.parametrize("variant", ["pc", "tc", "na", "full"])
     def test_pc_overall_vanishes_without_a_weighting_site(self, trained, variant):
@@ -443,86 +447,87 @@ class TestRunAblation:
         assert float(cells[3]) == pytest.approx(0.6)
 
 
+def _gradient_cases():
+    """(objective, freeze scope, parameter) for every trainable parameter of
+    the tiny model: three adaptation variants under both scopes, and the
+    source objective, which freezes nothing."""
+    names = [name for name, _, _ in M.parameter_layout(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, m_max=3)]
+    for variant in ("full", "tc", "shot_baseline"):
+        for scope in M.HEAD_SCOPES:
+            for name in names:
+                if not name.startswith(M.HEAD_SCOPES[scope]):
+                    yield variant, scope, name
+    for name in names:
+        yield "ce", None, name
+
+
 class TestWholeModelGradient:
-    """Central differences through encoder, relation MLPs and head, for the
-    full-variant adaptation loss and for the source objective. The head
-    normalizes with batch statistics in both: adaptation runs it in
-    ``last_layer_only`` scope, and source training has no frozen scope.
-    The LWM weights are coefficients (never differentiated), so they are
-    taken once at the base point and held fixed."""
+    """Central differences through encoder, relation MLPs and head, for each
+    trainable parameter, of the batch loss ``_epoch`` minimizes: the
+    adaptation variants' ``_adapt_batch_loss`` and source training's
+    ``_source_batch_loss``. The LWM weights are coefficients (never
+    differentiated), so they are taken once at the base point and held fixed."""
 
     @staticmethod
     def tiny_batch():
         model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
+        # one train-mode pass, as source training leaves it, for the running statistics
+        M.classify(Tensor(np.random.default_rng(19).normal(size=(8, 6))), model, mode="train")
         rng = np.random.default_rng(18)
         frames = rng.normal(size=(6, 4, 5))
         labels = rng.integers(0, 3, size=6)
         return model, frames, labels, M.sample_clips(4, model.m_max, rng)
 
     @staticmethod
-    def assert_gradients(model, names, loss, vanishing=()):
-        """Probe each named parameter; those in ``vanishing`` must get a zero gradient."""
-        for name in names:
-            original = model.tensors[name]
-            # probe the first two columns (entries of a bias); the rest stays fixed
-            axis = original.data.ndim - 1
-            rest = Tensor(original.data[..., 2:])
+    def vanishes(objective, scope, name):
+        """Batch norm over a block with batch statistics cancels a shift
+        shared by every row of the block. ``bot_b`` shifts every row of
+        every block; ``rel<r>_b2`` shifts all of scale r's rows, which the
+        overall feature passes on to every video alike unless the feature
+        site weights it per video."""
+        if scope == "head_all":
+            return False
+        if name == "bot_b":
+            return True
+        return name.startswith("rel") and name.endswith("_b2") and objective != "full"
 
-            def f(x):
-                model.tensors[name] = concat([x, rest], axis=axis)
-                return loss()
-
-            report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)
-            model.tensors[name] = original
-            assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
-            if name in vanishing:
-                assert np.abs(report.analytic).max() < 1e-12, f"{name}: gradient should vanish"
-            else:
-                assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
-
-    @staticmethod
-    def full_variant_loss(model, frames, clips, weights, pseudo, cfg):
-        enc = M.encode_frames(frames, model)
-        lts = M.local_temporal_features(enc, clips, model)
-        local_logits = M.classify(lts, model, mode="train", blocks=model.k - 1)
-        overall, pc_logits = lwm.apply_weights(lts, local_logits, weights, VARIANTS["full"].sites)
-        overall_logits = M.classify(overall, model, mode="train")
-        preds = losses.make_prediction_set(pc_logits, overall_logits)
-        components = {
-            "fc": losses.feature_consistency_total(lts, model.k - 1, cfg.lam, cfg.eps_norm),
-            "pc_local": losses.local_prediction_consistency(preds),
-            "pc_overall": losses.overall_prediction_consistency(preds),
-            "im": losses.information_maximization(overall_logits),
-            "pl_ce": losses.pseudo_label_cross_entropy(overall_logits, pseudo),
-        }
-        return P._weighted_sum(VARIANTS["full"].objective, components, cfg)
-
-    def test_full_variant_loss_gradients(self):
-        model, frames, pseudo, clips = self.tiny_batch()
-        model.freeze_head("last_layer_only")
-        cfg = tiny_cfg()
-        enc = M.encode_frames(frames, model)
-        lts = M.local_temporal_features(enc, clips, model)
-        weights = lwm.local_relevance_weight(M.classify(lts, model, mode="train", blocks=3), 3)
-        relation = [f"rel{r}_{n}" for r in range(2, 5) for n in ("w1", "b1", "w2", "b2")]
-        self.assert_gradients(
-            model,
-            ["enc_w1", "enc_b1", *relation, "wn_v"],
-            lambda: self.full_variant_loss(model, frames, clips, weights, pseudo, cfg),
-        )
-
-    def test_source_objective_gradients_of_every_parameter(self):
-        """Mean aggregation, the head with batch statistics in one block,
-        then smoothed cross-entropy: ``train_source``'s batch loss."""
+    @pytest.mark.parametrize("objective, scope, name", list(_gradient_cases()))
+    def test_gradient_matches_central_differences(self, monkeypatch, objective, scope, name):
         model, frames, labels, clips = self.tiny_batch()
-        eps_smooth = tiny_cfg().eps_smooth
+        cfg = tiny_cfg(variant=objective if scope else "full", freeze_scope=scope or "head_all")
 
-        def loss():
-            lts = M.local_temporal_features(M.encode_frames(frames, model), clips, model)
-            logits = M.classify(M.aggregate_overall(lts, model.k - 1), model, mode="train")
-            return losses.smoothed_cross_entropy(logits, labels, eps_smooth)
+        def features():
+            return M.local_temporal_features(M.encode_frames(frames, model), clips, model)
 
-        # batch norm over the whole batch cancels a shift shared by every
-        # video, so the biases that only shift the mean feature get none
-        shifts = {"bot_b", *(f"rel{r}_b2" for r in range(2, 5))}
-        self.assert_gradients(model, list(model.tensors), loss, vanishing=shifts)
+        if scope:
+            model.freeze_head(scope)
+            # the weights at the base point, as pipeline's lwm calls them
+            fixed = lwm.local_relevance_weight(M.classify(features(), model, mode="train", blocks=3), 3)
+            monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits, n_scales: fixed)
+
+            def loss():
+                return P._adapt_batch_loss(model, cfg, features(), labels)[0]
+        else:
+
+            def loss():
+                return P._source_batch_loss(model, cfg, features(), labels)[0]
+
+        original = model.tensors[name]
+        # probe the first two columns (entries of a bias); the rest stays fixed
+        axis = original.data.ndim - 1
+        rest = Tensor(original.data[..., 2:])
+
+        def f(x):
+            model.tensors[name] = concat([x, rest], axis=axis)
+            return loss()
+
+        report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)
+        model.tensors[name] = original
+        assert report.passed, f"{name}: rel err {report.max_rel_error:.2e}"
+        if self.vanishes(objective, scope, name):
+            assert np.abs(report.analytic).max() < 1e-12, f"{name}: gradient should vanish"
+        else:
+            assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
+        loss().backward()
+        for other, t in model.tensors.items():
+            assert (t.grad is None) == (not t.requires_grad), f"{other}: frozen iff no gradient"
