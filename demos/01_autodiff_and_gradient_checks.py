@@ -19,7 +19,7 @@ labels = rng.integers(0, 4, size=8)
 
 
 def head_loss(features):
-    return losses.smoothed_cross_entropy(M.classify(features, params, mode="train"), labels, 0.1)
+    return losses.smoothed_cross_entropy(M.classify(features, params, batch_stats=True), labels, 0.1)
 
 
 features = Tensor(x, requires_grad=True)

@@ -22,21 +22,25 @@ print("feature consistency, identical scales :", f"{losses.feature_consistency_t
 print("feature consistency, independent ones :", f"{losses.feature_consistency_total(independent, 3, 5e-3, 1e-5).item():.5f}")
 
 
-def prediction_consistency(preds):
-    """Local plus overall prediction consistency, both weighted 1."""
-    return losses.local_prediction_consistency(preds).item() + losses.overall_prediction_consistency(preds).item()
+def prediction_consistency(local, overall):
+    """Local plus overall prediction consistency, both weighted 1, of the
+    scale-major (S*B, C) local logits and the (B, C) overall logits."""
+    return (
+        losses.local_prediction_consistency(local, overall).item()
+        + losses.overall_prediction_consistency(local, overall).item()
+    )
 
 
 # Prediction consistency vanishes when every scale agrees.
 agreeing = Tensor(rng.normal(size=(batch, n_classes)))
-preds = losses.make_prediction_set(Tensor(np.concatenate([agreeing.data, agreeing.data])), agreeing)
-print("prediction consistency when agreeing  :", f"{prediction_consistency(preds):.2e}")
+both_scales = Tensor(np.concatenate([agreeing.data, agreeing.data]))
+print("prediction consistency when agreeing  :", f"{prediction_consistency(both_scales, agreeing):.2e}")
 
-disagreeing = losses.make_prediction_set(
+disagreeing = prediction_consistency(
     Tensor(rng.normal(size=(2 * batch, n_classes))),
     Tensor(rng.normal(size=(batch, n_classes))),
 )
-print("prediction consistency when disagreeing:", f"{prediction_consistency(disagreeing):.4f}")
+print("prediction consistency when disagreeing:", f"{disagreeing:.4f}")
 
 # Local weights: confident scales keep weight 1, uniform ones drop to 0.
 confident = np.zeros((1, n_classes)); confident[0, 2] = 40.0

@@ -23,8 +23,8 @@ logits = np.eye(n_classes)[noisy] * 3.0 + rng.normal(scale=0.3, size=(len(truth)
 
 print("classifier argmax accuracy:", round(float((logits.argmax(1) == truth).mean()), 3))
 
-table = PL.init_centroids(features, logits)
-initial = PL.assign_labels(features, table)
+centroids = PL.init_centroids(features, logits)  # (C, D)
+initial = PL.assign_labels(features, centroids)
 print("after weighted centroids  :", round(float((initial == truth).mean()), 3))
 
 labels = PL.generate_pseudo_labels(features, logits, rounds=1)

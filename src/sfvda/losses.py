@@ -13,20 +13,16 @@ is 1 and "close to the identity" is batch-size independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .tensor import Tensor, _ensure_finite
+from .tensor import Tensor, _ensure_finite, log_softmax_rows
 
 __all__ = [
     "PREDICTION_TERMS",
-    "PredictionSet",
     "prediction_objective",
     "smoothed_cross_entropy",
     "pseudo_label_cross_entropy",
     "feature_consistency_total",
-    "make_prediction_set",
     "local_prediction_consistency",
     "overall_prediction_consistency",
     "information_maximization",
@@ -35,14 +31,6 @@ __all__ = [
 # the terms of ``prediction_objective``; ``ce`` and ``pl_ce`` are one
 # cross-entropy against ``labels``, named for source training and adaptation
 PREDICTION_TERMS = ("pc_local", "pc_overall", "im", "ce", "pl_ce")
-
-
-@dataclass
-class PredictionSet:
-    """Scale-major (S*B, C) local logits and the (B, C) overall logits."""
-
-    local: Tensor
-    overall: Tensor
 
 
 def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: float) -> Tensor:
@@ -96,14 +84,6 @@ def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: 
     return Tensor._from_op(np.asarray(value), "feature_consistency_total", (lts,), vjp)
 
 
-def _log_softmax(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax and softmax over the last axis, with max subtraction."""
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    total = e.sum(axis=-1, keepdims=True)
-    return _ensure_finite(shifted - np.log(total), "log_softmax"), e / total
-
-
 def prediction_objective(
     local: Tensor | None,
     overall: Tensor,
@@ -131,7 +111,7 @@ def prediction_objective(
     if unknown:
         raise ValueError(f"prediction_objective: unknown terms {sorted(unknown)}")
     batch, n_classes = overall.shape
-    lo, po = _log_softmax(overall.data)
+    lo, po = log_softmax_rows(overall.data)
     g_over = np.zeros_like(po)
     values: dict[str, float] = {}
     parents = (overall,)
@@ -144,11 +124,11 @@ def prediction_objective(
         column = None if weights is None else np.asarray(weights, dtype=np.float64).T[:, :, None]
         if column is not None:
             stack = _ensure_finite(stack * column, "mul")
-        la, pa = _log_softmax(stack.sum(axis=0) * (1.0 / n_scales))
+        la, pa = log_softmax_rows(stack.sum(axis=0) * (1.0 / n_scales))
         g_stack = np.zeros_like(stack)
         g_avg = np.zeros_like(pa)
         if "pc_local" in coeffs:
-            ls, ps = _log_softmax(stack)
+            ls, ps = log_softmax_rows(stack)
             kl = np.sum(ps * (ls - la), axis=2)
             values["pc_local"] = float(kl.mean())
             c = coeffs["pc_local"] / (n_scales * batch)
@@ -195,20 +175,15 @@ def prediction_objective(
     return Tensor._from_op(np.asarray(total), "prediction_objective", parents, vjp), values
 
 
-def make_prediction_set(local: Tensor, overall: Tensor) -> PredictionSet:
-    """Bundle the scale-major (S*B, C) local logits with the (B, C) overall
-    logits; the consistency losses check that they fit."""
-    return PredictionSet(local=local, overall=overall)
+def local_prediction_consistency(local: Tensor, overall: Tensor) -> Tensor:
+    """Mean KL of each scale's prediction to that of the scales' logit average,
+    from the scale-major (S*B, C) local and the (B, C) overall logits."""
+    return prediction_objective(local, overall, {"pc_local": 1.0})[0]
 
 
-def local_prediction_consistency(preds: PredictionSet) -> Tensor:
-    """Mean KL of each scale's prediction to that of the scales' logit average."""
-    return prediction_objective(preds.local, preds.overall, {"pc_local": 1.0})[0]
-
-
-def overall_prediction_consistency(preds: PredictionSet) -> Tensor:
+def overall_prediction_consistency(local: Tensor, overall: Tensor) -> Tensor:
     """Mean L1 distance between overall and average log-probability vectors."""
-    return prediction_objective(preds.local, preds.overall, {"pc_overall": 1.0})[0]
+    return prediction_objective(local, overall, {"pc_overall": 1.0})[0]
 
 
 def information_maximization(logits: Tensor) -> Tensor:

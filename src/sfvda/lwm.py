@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import aggregate_overall
-from .tensor import Tensor, softmax_rows
+from .tensor import Tensor, log_softmax_rows
 
 __all__ = [
     "confidence",
@@ -24,24 +24,24 @@ FEATURE_SITE = "feature"
 PREDICTION_SITE = "prediction"
 
 
-def confidence(logits):
+def confidence(logits: np.ndarray) -> np.ndarray:
     """Negated softmax entropy over the last axis divided by log C, in [-1, 0]."""
-    data = logits.data if isinstance(logits, Tensor) else np.asarray(logits, dtype=np.float64)
-    n_classes = data.shape[-1]
+    logits = np.asarray(logits, dtype=np.float64)
+    n_classes = logits.shape[-1]
     if n_classes < 2:
         raise ValueError("confidence: need at least two classes")
-    p = softmax_rows(data)
+    p = log_softmax_rows(logits)[1]
     neg_entropy = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1)
     return neg_entropy / np.log(n_classes)
 
 
-def local_relevance_weight(local_logits, n_scales: int) -> np.ndarray:
+def local_relevance_weight(local_logits: Tensor, n_scales: int) -> np.ndarray:
     """Residual weights 1 + C(p), one per (video, scale), gradient-detached.
 
     ``local_logits`` is the scale-major (S*B, C) stack of local logits with
     S = ``n_scales``; the result is a (B, S) float array.
     """
-    return 1.0 + confidence(local_logits).reshape(n_scales, -1).T
+    return 1.0 + confidence(local_logits.data).reshape(n_scales, -1).T
 
 
 def apply_weights(lts: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, np.ndarray | None]:

@@ -348,24 +348,20 @@ _HEAD = ("bot_w", "bot_b", "bn_gamma", "bn_beta", "wn_v", "wn_g", "wn_b")
 
 
 @np.errstate(all="ignore")  # every stage is checked, so a warning would be a second report
-def classify(
-    features: Tensor, params: ModelParams, mode: str = "train", frozen: bool = False, blocks: int = 1
-) -> Tensor:
+def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks: int = 1) -> Tensor:
     """Logits from bottleneck -> batch norm -> weight-normalized affine, as
     one op with a closed-form VJP.
 
     ``features`` holds ``blocks`` equal row blocks (the scale-major local
     stack has S), and all of them go through one head pass: one bottleneck
-    GEMM and one weight-norm matrix. ``mode="train"`` normalizes each block
-    with its own batch statistics and updates the running ones once per
-    block, in block order; ``mode="eval"`` uses the running statistics. A
-    frozen head always uses running statistics and never updates them (the
-    classifier is a fixed function regardless of mode), but gradients still
-    flow to ``features``. Every stage is checked for finiteness under the
-    name of the operation it once was.
+    GEMM and one weight-norm matrix. With ``batch_stats`` each block is
+    normalized with its own batch statistics and the running ones are
+    updated once per block, in block order (source training, and adaptation
+    under ``last_layer_only``); otherwise the running statistics normalize
+    and stay as they are (evaluation, and a head frozen with its batch norm),
+    while gradients still flow to ``features``. Every stage is checked for
+    finiteness under the name of the operation it once was.
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"classify: unknown mode {mode!r}")
     rows = features.shape[0]
     if blocks < 1 or rows % blocks:
         raise ValueError(f"classify: {rows} rows do not split into {blocks} blocks")
@@ -375,7 +371,6 @@ def classify(
     h = _ensure_finite(x @ bot_w, "matmul")
     h += bot_b
     _ensure_finite(h, "add")
-    batch_stats = mode == "train" and not frozen
     if batch_stats:
         grouped = h.reshape(blocks, rows // blocks, -1)
         mu = _ensure_finite(grouped.mean(axis=1, keepdims=True), "mean")
@@ -391,7 +386,7 @@ def classify(
         params.bn_initialized = True
     else:
         if not params.bn_initialized:
-            raise RuntimeError("classify: eval requested before any train-mode pass")
+            raise RuntimeError("classify: running statistics requested before any train-mode pass")
         mu = _ensure_finite(params.bn_mean, "tensor")
         sigma = _ensure_finite(np.sqrt(params.bn_var + BN_EPS), "tensor")
         hat = _ensure_finite(_ensure_finite(h - mu, "sub") / sigma, "div")
@@ -404,7 +399,6 @@ def classify(
     w_eff = _ensure_finite(v * gain, "mul")
     logits = _ensure_finite(normed @ w_eff.T, "matmul")
     logits += wn_b
-    _ensure_finite(logits, "add")
 
     def vjp(grad):
         # parents: features, then the head in _HEAD order

@@ -141,14 +141,14 @@ def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
 
 
 def _overall_eval_logits(model: ModelParams, lts: Tensor):
-    """Overall feature and logits with the model's aggregation, eval mode."""
+    """Overall feature and logits with the model's aggregation and the running batch-norm statistics."""
     n_scales = model.k - 1
     weights = None
     if model.aggregation == "entropy_weighted":
-        local_logits = classify(lts, model, mode="eval")
+        local_logits = classify(lts, model, batch_stats=False)
         weights = lwm.local_relevance_weight(local_logits, n_scales)
     overall = aggregate_overall(lts, n_scales, weights)
-    return overall, classify(overall, model, mode="eval")
+    return overall, classify(overall, model, batch_stats=False)
 
 
 def _eval_batches(model: ModelParams, ds: Dataset):
@@ -184,13 +184,12 @@ def evaluate(model: ModelParams, ds: Dataset) -> EvalResult:
     return EvalResult(float((predicted == ds.labels).mean()), per_class, eval_pass)
 
 
-def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD | None, epoch: int, caller: str, batch_loss):
+def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int, caller: str, batch_loss):
     """One epoch of mini-batch SGD over ``ds`` with ``caller``'s random
     streams; returns each component's and the ``total`` loss's batch mean.
 
     ``batch_loss(idx, lts)`` returns the loss of the videos ``idx`` from
-    their local temporal features, with its named components' values. With
-    ``opt=None`` the losses are computed but no parameter moves.
+    their local temporal features, with its named components' values.
     """
     shuffle_tag, clips_tag = _STREAM_TAGS[caller]
     sums: dict[str, float] = defaultdict(float)
@@ -203,10 +202,9 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD | None, epo
         total = loss.item()
         if not np.isfinite(total):
             raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
-        if opt is not None:
-            opt.zero_grad()
-            loss.backward(free_graph=True)
-            opt.step()
+        opt.zero_grad()
+        loss.backward(free_graph=True)
+        opt.step()
         for name, value in components.items():
             sums[name] += value
         sums["total"] += total
@@ -218,7 +216,7 @@ def _source_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, labels: 
     """``train_source``'s loss of one batch from its local temporal features:
     smoothed cross-entropy of the head, with batch statistics, on the mean
     over scales. Returns the loss and {"ce": its value}."""
-    logits = classify(aggregate_overall(lts, model.k - 1), model, mode="train")
+    logits = classify(aggregate_overall(lts, model.k - 1), model, batch_stats=True)
     return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=cfg.eps_smooth)
 
 
@@ -282,14 +280,15 @@ def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, pseudo: n
     component's value."""
     variant = VARIANTS[cfg.variant]
     n_scales = model.k - 1
-    head_frozen_bn = cfg.freeze_scope == "head_all"
-    local_logits = classify(lts, model, mode="train", frozen=head_frozen_bn, blocks=n_scales)
+    # a head frozen with its batch norm normalizes with the running statistics
+    batch_stats = cfg.freeze_scope != "head_all"
+    local_logits = classify(lts, model, batch_stats=batch_stats, blocks=n_scales)
     if variant.sites:
         weights = lwm.local_relevance_weight(local_logits, n_scales)
         overall, pc_weights = lwm.apply_weights(lts, weights, variant.sites)
     else:
         overall, pc_weights = aggregate_overall(lts, n_scales), None
-    overall_logits = classify(overall, model, mode="train", frozen=head_frozen_bn)
+    overall_logits = classify(overall, model, batch_stats=batch_stats)
 
     coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     terms, components = [], {}
@@ -314,22 +313,18 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     check_compatible(source_model, target)
     model = source_model.copy()
     variant = VARIANTS[cfg.variant]
-    if not variant.objective:
+    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
+    # source_only, or a variant whose coefficients are all zero, optimizes
+    # nothing: it returns the source model as it is, with no metrics rows
+    if not any(c > 0.0 for c in coeffs.values()):
         return model, []
     _check_batch_size(cfg.batch_size, target, "adapt_target")
 
     model.freeze_head(cfg.freeze_scope)
     frozen = _frozen_state(model, cfg.freeze_scope)
-
-    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     use_pl = "pl_ce" in coeffs
-    # a variant whose coefficients are all zero optimizes nothing and must
-    # behave exactly like source_only, so it gets no optimizer, and the
-    # aggregation switch only happens when something will actually train
-    opt = None
-    if any(c > 0.0 for c in coeffs.values()):
-        opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
-    model.aggregation = "entropy_weighted" if opt is not None and "feature" in variant.sites else "mean"
+    opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
+    model.aggregation = "entropy_weighted" if "feature" in variant.sites else "mean"
 
     def batch_loss(idx, lts):
         # this epoch's pseudo-labels, bound below before its batches run

@@ -8,13 +8,14 @@ graph once in reverse topological order and accumulates gradients into the
 
 The model and the losses build their layers as fused operations with
 closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
-ones, ``concat`` and ``weighted_sum``.
+ones, ``concat`` and ``weighted_sum``, and the package's one softmax,
+``log_softmax_rows``.
 
 Design constraints honoured throughout:
   * float64 everywhere (finite-difference checks are meaningless in 32-bit),
   * every operation validates that its output is finite and raises
     instead of propagating NaN/Inf,
-  * ``softmax_rows`` acts over the last axis and subtracts the row max,
+  * ``log_softmax_rows`` acts over the last axis and subtracts the row max,
   * gradient accumulation is additive; callers zero grads between steps.
 """
 
@@ -28,7 +29,7 @@ __all__ = [
     "Tensor",
     "Graph",
     "no_grad",
-    "softmax_rows",
+    "log_softmax_rows",
     "concat",
     "weighted_sum",
     "GradCheckReport",
@@ -226,10 +227,13 @@ def weighted_sum(terms) -> Tensor:
     return Tensor._from_op(out, "weighted_sum", tuple(t for _, t in terms), lambda g: tuple(c * g for c, _ in terms))
 
 
-def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Softmax of a plain array over the last axis, with max subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def log_softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax and softmax of a plain array over the last axis, with max
+    subtraction."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=-1, keepdims=True)
+    return _ensure_finite(shifted - np.log(total), "log_softmax"), e / total
 
 
 # -- gradient checking ---------------------------------------------------------------

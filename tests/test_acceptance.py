@@ -19,7 +19,6 @@ from sfvda import pipeline as P
 from sfvda import pseudolabel as PL
 from sfvda.config import RunConfig
 from sfvda.data import generate_domain_pair
-from sfvda.losses import make_prediction_set
 from sfvda.tensor import Tensor, concat, finite_diff_check
 
 from cli_runner import run_sfvda
@@ -52,12 +51,10 @@ def _loss_cases(rng):
         return losses.feature_consistency_total(concat([x] + [Tensor(s) for s in fixed_scales]), k - 1, 5e-3, 1e-5)
 
     def pc_local(x):
-        preds = make_prediction_set(concat([x] + [Tensor(p) for p in fixed_logits]), Tensor(overall))
-        return losses.local_prediction_consistency(preds)
+        return losses.local_prediction_consistency(concat([x] + [Tensor(p) for p in fixed_logits]), Tensor(overall))
 
     def pc_overall(x):
-        preds = make_prediction_set(concat([Tensor(p) for p in fixed_logits] + [Tensor(overall)]), x)
-        return losses.overall_prediction_consistency(preds)
+        return losses.overall_prediction_consistency(concat([Tensor(p) for p in fixed_logits] + [Tensor(overall)]), x)
 
     def im(x):
         return losses.information_maximization(x)
@@ -113,10 +110,10 @@ def test_criterion_2_loss_identities():
     assert losses.feature_consistency_total(Tensor(np.concatenate([lt, lt])), 2, 0.0, 1e-5).item() <= 8 * 1e-6**2
 
     p = Tensor(rng.normal(size=(8, 4)))
-    preds = make_prediction_set(concat([p, p, p]), p)
-    assert abs(losses.local_prediction_consistency(preds).item()) <= 1e-10
-    assert abs(losses.overall_prediction_consistency(preds).item()) <= 1e-10
-    pc_sum = losses.local_prediction_consistency(preds).item() + losses.overall_prediction_consistency(preds).item()
+    preds = (concat([p, p, p]), p)
+    assert abs(losses.local_prediction_consistency(*preds).item()) <= 1e-10
+    assert abs(losses.overall_prediction_consistency(*preds).item()) <= 1e-10
+    pc_sum = losses.local_prediction_consistency(*preds).item() + losses.overall_prediction_consistency(*preds).item()
     assert abs(pc_sum) <= 1e-10
 
     for n_classes in (2, 8, 12):

@@ -6,9 +6,9 @@ import pytest
 import oracles
 from sfvda import losses
 from sfvda.config import VARIANTS, RunConfig
-from sfvda.losses import make_prediction_set, prediction_objective
+from sfvda.losses import prediction_objective
 from sfvda.pipeline import _leaf_coefficients
-from sfvda.tensor import Tensor, concat, finite_diff_check
+from sfvda.tensor import Tensor, concat, finite_diff_check, log_softmax_rows
 
 
 def leaf_coefficients(variant, **cfg):
@@ -166,52 +166,49 @@ class TestFusedFeatureConsistency:
 class TestPredictionConsistency:
     def test_equal_logits_give_zero(self):
         p = Tensor(np.array([[0.3, -0.2, 1.0]] * 4))
-        preds = make_prediction_set(concat([p, p, p]), p)
+        preds = (concat([p, p, p]), p)
         # the logit average reintroduces ~1 ulp of rounding noise
-        assert abs(losses.local_prediction_consistency(preds).item()) < 1e-12
-        assert abs(losses.overall_prediction_consistency(preds).item()) < 1e-12
+        assert abs(losses.local_prediction_consistency(*preds).item()) < 1e-12
+        assert abs(losses.overall_prediction_consistency(*preds).item()) < 1e-12
 
     def test_scripted_two_scale_value(self):
         p2 = Tensor([[math.log(2.0), 0.0]])
         p3 = Tensor([[0.0, math.log(2.0)]])
-        preds = make_prediction_set(concat([p2, p3]), p2)
-        value = losses.local_prediction_consistency(preds).item()
+        value = losses.local_prediction_consistency(concat([p2, p3]), p2).item()
         assert abs(value - 0.0566330122651324) < 1e-12
 
     def test_local_consistency_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             local = [Tensor(rng.normal(size=(5, 3))) for _ in range(4)]
-            preds = make_prediction_set(concat(local), local[0])
-            assert losses.local_prediction_consistency(preds).item() >= 0.0
+            assert losses.local_prediction_consistency(concat(local), local[0]).item() >= 0.0
 
     def test_overall_scripted_value(self):
         # one scale, so the average is [0, 1]: the log-softmaxes differ by 1 per class
-        preds = make_prediction_set(Tensor([[0.0, 1.0]]), Tensor([[1.0, 0.0]]))
-        assert abs(losses.overall_prediction_consistency(preds).item() - 2.0) < 1e-12
+        assert abs(losses.overall_prediction_consistency(Tensor([[0.0, 1.0]]), Tensor([[1.0, 0.0]])).item() - 2.0) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         local = [rng.normal(size=(3, 4)) for _ in range(3)]
         overall = rng.normal(size=(3, 4))
-        base = make_prediction_set(concat([Tensor(p) for p in local]), Tensor(overall))
-        shifted = make_prediction_set(
+        base = (concat([Tensor(p) for p in local]), Tensor(overall))
+        shifted = (
             concat([Tensor(p + 2.5) for p in local]), Tensor(overall + 2.5)
         )
         for fn in (losses.local_prediction_consistency, losses.overall_prediction_consistency):
-            assert abs(fn(base).item() - fn(shifted).item()) < 1e-9
+            assert abs(fn(*base).item() - fn(*shifted).item()) < 1e-9
 
     def test_weighted_sum(self):
         p = Tensor(np.array([[0.5, -0.5]]))
         q = Tensor(np.array([[1.5, 0.5]]))
-        preds = make_prediction_set(concat([p, q]), q)
-        local = losses.local_prediction_consistency(preds).item()
-        overall = losses.overall_prediction_consistency(preds).item()
+        stack = concat([p, q])
+        local = losses.local_prediction_consistency(stack, q).item()
+        overall = losses.overall_prediction_consistency(stack, q).item()
         coeffs = leaf_coefficients("pc", alpha_local=2.0, alpha_overall=0.5)
-        combined, values = prediction_objective(preds.local, preds.overall, coeffs)
+        combined, values = prediction_objective(stack, q, coeffs)
         assert values == {"pc_local": local, "pc_overall": overall}
         assert abs(combined.item() - (2.0 * local + 0.5 * overall)) < 1e-12
-        only_local = prediction_objective(preds.local, preds.overall, leaf_coefficients("pc", alpha_overall=0.0))[0]
+        only_local = prediction_objective(stack, q, leaf_coefficients("pc", alpha_overall=0.0))[0]
         assert only_local.item() == pytest.approx(local)
 
     def test_average_is_mean_of_local_rows(self):
@@ -219,15 +216,13 @@ class TestPredictionConsistency:
         rng = np.random.default_rng(6)
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(5)]
         manual = np.mean([p.data for p in local], axis=0)
-        preds = make_prediction_set(concat(local), Tensor(manual))
-        assert losses.overall_prediction_consistency(preds).item() < 1e-10
+        assert losses.overall_prediction_consistency(concat(local), Tensor(manual)).item() < 1e-10
 
 
 def test_stacked_local_consistency_is_mean_of_per_scale_kls():
     rng = np.random.default_rng(22)
     blocks = [rng.normal(size=(6, 4)) for _ in range(5)]
-    preds = make_prediction_set(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4))))
-    stacked = losses.local_prediction_consistency(preds).item()
+    stacked = losses.local_prediction_consistency(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4)))).item()
     reference = oracles.per_scale_prediction_consistency([b.tolist() for b in blocks])
     assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
@@ -236,8 +231,7 @@ def test_local_consistency_is_finite_on_a_certain_class():
     # a class probability of 1 is a log-probability of 0; the KL weighs it
     # by the probability, not through log(lp / lq), so it stays finite
     local = Tensor([[800.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    preds = make_prediction_set(local, Tensor([[1.0, 0.0, 0.0]]))
-    assert np.isfinite(losses.local_prediction_consistency(preds).item())
+    assert np.isfinite(losses.local_prediction_consistency(local, Tensor([[1.0, 0.0, 0.0]])).item())
 
 
 def test_temporal_consistency_weighting():
@@ -350,8 +344,7 @@ class TestGradients:
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
 
         def f(x):
-            preds = make_prediction_set(concat(local), x)
-            return losses.overall_prediction_consistency(preds)
+            return losses.overall_prediction_consistency(concat(local), x)
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(4, 3))), rel_tol=1e-4).passed
 
@@ -418,15 +411,15 @@ class TestFusedPredictionObjective:
 
     def test_each_named_loss_is_its_term(self):
         rng = np.random.default_rng(52)
-        preds = make_prediction_set(Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4))))
+        local, overall = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4)))
         pseudo = rng.integers(0, 4, size=3)
         coeffs = {"pc_local": 1.0, "pc_overall": 1.0, "im": 1.0, "pl_ce": 1.0}
-        _, values = prediction_objective(preds.local, preds.overall, coeffs, labels=pseudo)
+        _, values = prediction_objective(local, overall, coeffs, labels=pseudo)
         assert values == {
-            "pc_local": losses.local_prediction_consistency(preds).item(),
-            "pc_overall": losses.overall_prediction_consistency(preds).item(),
-            "im": losses.information_maximization(preds.overall).item(),
-            "pl_ce": losses.pseudo_label_cross_entropy(preds.overall, pseudo).item(),
+            "pc_local": losses.local_prediction_consistency(local, overall).item(),
+            "pc_overall": losses.overall_prediction_consistency(local, overall).item(),
+            "im": losses.information_maximization(overall).item(),
+            "pl_ce": losses.pseudo_label_cross_entropy(overall, pseudo).item(),
         }
 
     def test_unknown_term_rejected(self):
@@ -437,5 +430,5 @@ class TestFusedPredictionObjective:
 def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        logp, p = losses._log_softmax(rng.uniform(-20.0, 20.0, size=(6, 8)))
+        logp, p = log_softmax_rows(rng.uniform(-20.0, 20.0, size=(6, 8)))
         assert np.max(np.abs(logp - np.log(p))) < 1e-12

@@ -320,13 +320,13 @@ class TestClassify:
     def test_eval_before_train_raises(self):
         params = tiny_model()
         with pytest.raises(RuntimeError, match="train-mode"):
-            M.classify(Tensor(np.zeros((2, params.d))), params, mode="eval")
+            M.classify(Tensor(np.zeros((2, params.d))), params, batch_stats=False)
 
     def test_zero_features_zero_bias_uniform(self):
         params = tiny_model()
         params.tensors["bot_b"] = Tensor(np.zeros_like(params.tensors["bot_b"].data), requires_grad=True)
         params.bn_initialized = True  # fresh running stats: mean 0, var 1
-        logits = M.classify(Tensor(np.zeros((2, params.d))), params, mode="eval")
+        logits = M.classify(Tensor(np.zeros((2, params.d))), params, batch_stats=False)
         assert np.allclose(logits.data, logits.data[:, :1], atol=1e-12)
 
     def test_eval_matches_scripted_forward(self):
@@ -336,7 +336,7 @@ class TestClassify:
         params.bn_var = rng.uniform(0.5, 2.0, size=params.d_b)
         params.bn_initialized = True
         x = rng.normal(size=(4, params.d))
-        logits = M.classify(Tensor(x), params, mode="eval")
+        logits = M.classify(Tensor(x), params, batch_stats=False)
         t = params.tensors
         h = x @ t["bot_w"].data + t["bot_b"].data
         hat = (h - params.bn_mean) / np.sqrt(params.bn_var + M.BN_EPS)
@@ -350,10 +350,10 @@ class TestClassify:
         params = tiny_model()
         x = Tensor(np.random.default_rng(9).normal(size=(8, params.d)))
         before = params.bn_mean.copy()
-        M.classify(x, params, mode="train")
+        M.classify(x, params, batch_stats=True)
         assert not np.array_equal(params.bn_mean, before)
         frozen_before = params.bn_mean.copy()
-        M.classify(x, params, mode="train", frozen=True)
+        M.classify(x, params, batch_stats=False)
         assert np.array_equal(params.bn_mean, frozen_before)
 
     def test_weight_norm_row_norms_equal_magnitude(self):
@@ -378,7 +378,7 @@ class TestStackedClassify:
         head = {name: t.data.tolist() for name, t in params.head_parameters("head_all")}
         running = [params.bn_mean.tolist(), params.bn_var.tolist(), params.bn_momentum]
         want = per_scale_head([b.tolist() for b in blocks], head, running, batch_stats=not frozen)
-        logits = M.classify(Tensor(np.concatenate(blocks)), params, mode="train", frozen=frozen, blocks=params.k - 1)
+        logits = M.classify(Tensor(np.concatenate(blocks)), params, batch_stats=not frozen, blocks=params.k - 1)
         assert np.max(np.abs(logits.data - np.array(want))) < 1e-12
         # last_layer_only updates the running statistics once per scale, in
         # scale order; head_all leaves them as they were
@@ -388,7 +388,7 @@ class TestStackedClassify:
     def test_rows_must_split_into_blocks(self):
         params = tiny_model()
         with pytest.raises(ValueError, match="do not split into 3 blocks"):
-            M.classify(Tensor(np.zeros((4, params.d))), params, mode="train", blocks=3)
+            M.classify(Tensor(np.zeros((4, params.d))), params, batch_stats=True, blocks=3)
 
 
 class TestFusedHead:
@@ -421,7 +421,7 @@ class TestFusedHead:
         running = [params.bn_mean.copy(), params.bn_var.copy(), params.bn_momentum]
         want, grads = unfused_head(x, head, running, batch_stats, g, blocks=blocks)
         features = Tensor(x, requires_grad=True)
-        logits = M.classify(features, params, mode=mode, frozen=frozen, blocks=blocks)
+        logits = M.classify(features, params, batch_stats=batch_stats, blocks=blocks)
         inner(logits, g).backward()
         # relative to the largest entry, at least 1: with batch statistics
         # bot_b's gradient is zero up to rounding
@@ -440,17 +440,17 @@ class TestFusedHead:
         params, x, _ = self.setup(24)
         params.tensors["wn_v"].data[0] = 0.0  # a zero direction row has no norm
         with pytest.raises(ValueError, match="^div: output contains non-finite values$"):
-            M.classify(Tensor(x), params, mode="eval")
+            M.classify(Tensor(x), params, batch_stats=False)
         params, x, _ = self.setup(24)
         params.tensors["bot_w"].data[...] = 1e300
         with pytest.raises(ValueError, match="^matmul: output contains non-finite values$"):
-            M.classify(Tensor(x * 1e10), params, mode="train")
+            M.classify(Tensor(x * 1e10), params, batch_stats=True)
 
 
 class TestModelState:
     def test_copy_is_bitwise(self):
         params = tiny_model(seed=21)
-        M.classify(Tensor(np.random.default_rng(0).normal(size=(4, params.d))), params, mode="train")
+        M.classify(Tensor(np.random.default_rng(0).normal(size=(4, params.d))), params, batch_stats=True)
         clone = params.copy()
         for (name_a, a), (name_b, b) in zip(params.named_parameters(), clone.named_parameters()):
             assert name_a == name_b
@@ -474,7 +474,7 @@ class TestModelState:
 
     def test_checkpoint_roundtrip_value_exact(self, tmp_path):
         params = tiny_model(k=4, d_in=6, n_classes=5, seed=33)
-        M.classify(Tensor(np.random.default_rng(1).normal(size=(4, params.d))), params, mode="train")
+        M.classify(Tensor(np.random.default_rng(1).normal(size=(4, params.d))), params, batch_stats=True)
         params.aggregation = "entropy_weighted"
         path = tmp_path / "model.json"
         M.save_checkpoint(params, path)
@@ -558,7 +558,7 @@ class TestModelState:
 
     def test_checkpoint_bytes_equal_the_one_shot_encoder(self, tmp_path):
         params = tiny_model(k=4, d_in=5, n_classes=3, seed=8)
-        M.classify(Tensor(np.random.default_rng(3).normal(size=(4, params.d))), params, mode="train")
+        M.classify(Tensor(np.random.default_rng(3).normal(size=(4, params.d))), params, batch_stats=True)
         doc = {
             "format_version": M.CHECKPOINT_FORMAT_VERSION,
             "hyperparams": {"k": 4, "d_in": 5, "d_enc": params.d_enc, "d": params.d, "d_b": params.d_b,
@@ -579,7 +579,7 @@ class TestModelState:
 
     def test_checkpoint_extreme_values_roundtrip_bit_equal(self, tmp_path):
         params = tiny_model(k=4, d_in=6, n_classes=5, seed=12)
-        M.classify(Tensor(np.random.default_rng(5).normal(size=(4, params.d))), params, mode="train")
+        M.classify(Tensor(np.random.default_rng(5).normal(size=(4, params.d))), params, batch_stats=True)
         params.tensors["wn_b"].data[:4] = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         params.bn_mean[:2] = [-0.0, 5e-324]
         M.save_checkpoint(params, tmp_path / "a.json")
@@ -619,7 +619,7 @@ class TestModelState:
 
 def test_eval_forward_is_permutation_invariant():
     params = tiny_model(k=4, d_in=5, n_classes=3, seed=3)
-    M.classify(Tensor(np.random.default_rng(2).normal(size=(6, params.d))), params, mode="train")
+    M.classify(Tensor(np.random.default_rng(2).normal(size=(6, params.d))), params, batch_stats=True)
     rng = np.random.default_rng(10)
     frames = rng.normal(size=(5, 4, 5))
     ids = [f"v{i}" for i in range(5)]
@@ -629,7 +629,7 @@ def test_eval_forward_is_permutation_invariant():
             enc = M.encode_frames(frames, params)
             lts = M.local_temporal_features(enc, M.eval_clip_set(ids, params.k, params.m_max), params)
             overall = M.aggregate_overall(lts, params.k - 1)
-            return M.classify(overall, params, mode="eval").data
+            return M.classify(overall, params, batch_stats=False).data
 
     base = forward(frames, ids)
     perm = np.array([3, 0, 4, 1, 2])

@@ -100,12 +100,17 @@ class TestAdaptTarget:
         "shot_baseline": ("beta_im", "beta_ce"),
     }
 
+    @pytest.mark.parametrize("scope", ["head_all", "last_layer_only"])
     @pytest.mark.parametrize("variant", list(ZEROED_WEIGHTS))
-    def test_all_zero_weights_change_nothing(self, trained, variant):
+    def test_all_zero_weights_change_nothing(self, trained, variant, scope):
         cfg, _, target, model, _ = trained
-        zeroed = replace(cfg, variant=variant, **{f: 0.0 for f in self.ZEROED_WEIGHTS[variant]})
-        adapted, _ = P.adapt_target(model, target, zeroed)
+        zeroed = replace(cfg, variant=variant, freeze_scope=scope, **{f: 0.0 for f in self.ZEROED_WEIGHTS[variant]})
+        adapted, rows = P.adapt_target(model, target, zeroed)
         assert params_bytes(adapted) == params_bytes(model)
+        # a head pass with batch statistics would move the running ones
+        assert adapted.bn_mean.tobytes() == model.bn_mean.tobytes()
+        assert adapted.bn_var.tobytes() == model.bn_var.tobytes()
+        assert rows == []
         acc_a = P.evaluate(adapted, target).accuracy
         acc_b = P.evaluate(model, target).accuracy
         assert acc_a == acc_b
@@ -472,7 +477,7 @@ class TestWholeModelGradient:
     def tiny_batch():
         model = M.init_model(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, seed=17)
         # one train-mode pass, as source training leaves it, for the running statistics
-        M.classify(Tensor(np.random.default_rng(19).normal(size=(8, 6))), model, mode="train")
+        M.classify(Tensor(np.random.default_rng(19).normal(size=(8, 6))), model, batch_stats=True)
         rng = np.random.default_rng(18)
         frames = rng.normal(size=(6, 4, 5))
         labels = rng.integers(0, 3, size=6)
@@ -502,7 +507,7 @@ class TestWholeModelGradient:
         if scope:
             model.freeze_head(scope)
             # the weights at the base point, as pipeline's lwm calls them
-            fixed = lwm.local_relevance_weight(M.classify(features(), model, mode="train", blocks=3), 3)
+            fixed = lwm.local_relevance_weight(M.classify(features(), model, batch_stats=True, blocks=3), 3)
             monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits, n_scales: fixed)
 
             def loss():

@@ -9,78 +9,72 @@ class TestInitCentroids:
     def test_single_sample_centroids_equal_its_feature(self):
         feature = np.array([[1.5, -2.0, 0.25]])
         logits = np.array([[3.0, -1.0]])
-        table = PL.init_centroids(feature, logits)
-        assert table.generation == 0
+        centroids = PL.init_centroids(feature, logits)
         # weights cancel up to the eps denominator guard
-        assert np.allclose(table.centroids, feature[0], rtol=1e-5, atol=1e-6)
+        assert np.allclose(centroids, feature[0], rtol=1e-5, atol=1e-6)
 
     def test_uniform_logits_give_global_mean(self):
         rng = np.random.default_rng(0)
         features = rng.normal(size=(10, 4))
-        table = PL.init_centroids(features, np.zeros((10, 3)))
+        centroids = PL.init_centroids(features, np.zeros((10, 3)))
         mean = features.mean(axis=0)
-        assert np.max(np.abs(table.centroids - mean)) < 1e-6
+        assert np.max(np.abs(centroids - mean)) < 1e-6
 
     def test_scripted_weighted_mean(self):
         features = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
         logits = np.array([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        table = PL.init_centroids(features, logits)
+        centroids = PL.init_centroids(features, logits)
         shifted = logits - logits.max(axis=1, keepdims=True)
         probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
         for c in range(2):
             w = probs[:, c]
             expected = (w[:, None] * features).sum(axis=0) / (w.sum() + 1e-8)
-            assert np.max(np.abs(table.centroids[c] - expected)) < 1e-12
+            assert np.max(np.abs(centroids[c] - expected)) < 1e-12
 
     def test_convex_hull_membership(self):
         rng = np.random.default_rng(1)
         features = rng.normal(size=(20, 3))
         logits = rng.normal(size=(20, 4))
-        table = PL.init_centroids(features, logits)
+        centroids = PL.init_centroids(features, logits)
         lo, hi = features.min(axis=0), features.max(axis=0)
-        assert np.all(table.centroids >= lo - 1e-9)
-        assert np.all(table.centroids <= hi + 1e-9)
+        assert np.all(centroids >= lo - 1e-9)
+        assert np.all(centroids <= hi + 1e-9)
 
 
 class TestAssignLabels:
     def test_feature_equal_to_centroid(self):
         centroids = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 1.0]])
-        table = PL.CentroidTable(0, centroids)
-        labels = PL.assign_labels(np.array([[-1.0, 1.0]]), table)
+        labels = PL.assign_labels(np.array([[-1.0, 1.0]]), centroids)
         assert labels.tolist() == [2]
 
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-        table = PL.CentroidTable(0, centroids)
-        labels = PL.assign_labels(np.array([[1.0, 1.0]]), table)
+        labels = PL.assign_labels(np.array([[1.0, 1.0]]), centroids)
         assert labels.tolist() == [0]
 
     def test_cosine_scale_invariance(self):
         centroids = np.array([[1.0, 2.0], [2.0, -1.0]])
-        table = PL.CentroidTable(0, centroids)
-        labels = PL.assign_labels(3.0 * centroids[1][None, :], table)
+        labels = PL.assign_labels(3.0 * centroids[1][None, :], centroids)
         assert labels.tolist() == [1]
 
     def test_scaling_all_features_keeps_assignments(self):
         rng = np.random.default_rng(2)
         features = rng.normal(size=(30, 5))
-        table = PL.init_centroids(features, rng.normal(size=(30, 3)))
-        base = PL.assign_labels(features, table)
+        centroids = PL.init_centroids(features, rng.normal(size=(30, 3)))
+        base = PL.assign_labels(features, centroids)
         for factor in (0.01, 7.0, 1234.5):
-            assert np.array_equal(base, PL.assign_labels(factor * features, table))
+            assert np.array_equal(base, PL.assign_labels(factor * features, centroids))
 
 
 class TestUpdateCentroids:
     def test_all_one_class_keeps_others(self):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(6, 2))
-        prev = PL.CentroidTable(0, rng.normal(size=(3, 2)))
-        table = PL.update_centroids(features, np.ones(6, dtype=int), prev)
-        assert table.generation == 1
-        assert np.max(np.abs(table.centroids[1] - features.mean(axis=0))) < 1e-12
-        assert np.array_equal(table.centroids[0], prev.centroids[0])
-        assert np.array_equal(table.centroids[2], prev.centroids[2])
-        assert table.counts.tolist() == [0, 6, 0]
+        prev = rng.normal(size=(3, 2))
+        centroids = PL.update_centroids(features, np.ones(6, dtype=int), prev)
+        assert np.max(np.abs(centroids[1] - features.mean(axis=0))) < 1e-12
+        assert np.array_equal(centroids[0], prev[0])
+        assert np.array_equal(centroids[2], prev[2])
 
     def test_perfect_clusters_recover_means(self):
         rng = np.random.default_rng(4)
@@ -88,26 +82,26 @@ class TestUpdateCentroids:
         b = rng.normal(size=(4, 3)) - 10.0
         features = np.concatenate([a, b])
         labels = np.array([0] * 5 + [1] * 4)
-        prev = PL.CentroidTable(0, np.zeros((2, 3)))
-        table = PL.update_centroids(features, labels, prev)
-        assert np.max(np.abs(table.centroids[0] - a.mean(axis=0))) < 1e-12
-        assert np.max(np.abs(table.centroids[1] - b.mean(axis=0))) < 1e-12
+        prev = np.zeros((2, 3))
+        centroids = PL.update_centroids(features, labels, prev)
+        assert np.max(np.abs(centroids[0] - a.mean(axis=0))) < 1e-12
+        assert np.max(np.abs(centroids[1] - b.mean(axis=0))) < 1e-12
 
     def test_seeded_case_matches_brute_force_means(self):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(6, 2))
         labels = np.array([0, 1, 0, 1, 0, 1])
-        prev = PL.CentroidTable(0, rng.normal(size=(2, 2)))
-        table = PL.update_centroids(features, labels, prev)
+        prev = rng.normal(size=(2, 2))
+        centroids = PL.update_centroids(features, labels, prev)
         for c in range(2):
             members = [i for i in range(6) if labels[i] == c]
             expected = [
                 sum(features[i][j] for i in members) / len(members) for j in range(2)
             ]
-            assert np.max(np.abs(table.centroids[c] - expected)) < 1e-12
+            assert np.max(np.abs(centroids[c] - expected)) < 1e-12
 
     def test_label_out_of_range(self):
-        prev = PL.CentroidTable(0, np.zeros((2, 2)))
+        prev = np.zeros((2, 2))
         with pytest.raises(ValueError, match="out of range"):
             PL.update_centroids(np.zeros((1, 2)), np.array([5]), prev)
 

@@ -7,7 +7,7 @@ from sfvda.tensor import Tensor, finite_diff_check
 
 
 def test_softmax_rows_symmetry():
-    assert np.allclose(T.softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5], atol=0, rtol=0)
+    assert np.allclose(T.log_softmax_rows(np.array([0.0, 0.0]))[1], [0.5, 0.5], atol=0, rtol=0)
 
 
 def test_backward_sum_of_squares():
