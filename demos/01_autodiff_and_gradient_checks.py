@@ -7,7 +7,7 @@ import numpy as np
 
 from sfvda import losses
 from sfvda import model as M
-from sfvda.tensor import Tensor, concat, finite_diff_check, weighted_sum
+from sfvda.tensor import Tensor, finite_diff_check, stack, weighted_sum
 
 rng = np.random.default_rng(0)
 params = M.init_model(k=3, d_in=4, n_classes=4, d=6, d_b=5, seed=0)
@@ -39,8 +39,8 @@ overall = Tensor(rng.normal(size=(6, 4)))
 
 
 def objective(local):
-    stack = concat([local, other_scale])
-    pred, _ = losses.prediction_objective(stack, overall, {"pc_local": 1.0, "pc_overall": 0.5, "im": 0.25})
+    scales = stack([local, other_scale])
+    pred, _ = losses.prediction_objective(scales, overall, {"pc_local": 1.0, "pc_overall": 0.5, "im": 0.25})
     return weighted_sum([(1.0, pred), (0.1, losses.information_maximization(local))])
 
 

@@ -103,11 +103,8 @@ class RunConfig:
         if self.eps_smooth >= 1.0:
             raise ValueError(f"config key 'eps_smooth': must lie in [0, 1), got {self.eps_smooth}")
 
-    def domain_spec(self, seed: int | None = None) -> DomainSpec:
-        values = {f.name: getattr(self, f.name) for f in fields(DomainSpec)}
-        if seed is not None:
-            values["seed"] = seed
-        return DomainSpec(**values)
+    def domain_spec(self) -> DomainSpec:
+        return DomainSpec(**{f.name: getattr(self, f.name) for f in fields(DomainSpec)})
 
 
 _CHOICES = {"variant": tuple(VARIANTS), "freeze_scope": FREEZE_SCOPES}
@@ -118,7 +115,7 @@ _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _BOUNDS = {
     **{key: (0.0,) for key, kind in _FIELDS.items() if kind == "float"},
     **_SPEC_BOUNDS,
-    **{attr: (least,) for attr, (_, least) in _HYPERPARAMS.items() if attr in _FIELDS},
+    **{attr: bounds for attr, (_, bounds) in _HYPERPARAMS.items() if attr in _FIELDS},
     **dict.fromkeys(("epochs_source", "epochs_adapt", "pl_rounds"), (1,)),
     "batch_size": (2,),
 }

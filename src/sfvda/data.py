@@ -64,7 +64,7 @@ def _rng(seed: int, tag: str, *key: int) -> np.random.Generator:
 # DomainSpec field -> (least,) or (least, most), as ``_in_range`` takes them;
 # RunConfig checks its data keys, and the readers the sizes they store, by it
 _SPEC_BOUNDS = {
-    "classes": (2,), "videos_per_class": (1,), "frames": (3,), "frame_dim": (1,),
+    "classes": (2,), "videos_per_class": (1,), "frames": (3, 16), "frame_dim": (1,),
     "shift_severity": (0.0, 1.0), "noise_std": (0.0,), "seed": (0,),
 }
 

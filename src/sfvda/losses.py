@@ -33,28 +33,24 @@ __all__ = [
 PREDICTION_TERMS = ("pc_local", "pc_overall", "im", "ce", "pl_ce")
 
 
-def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: float) -> Tensor:
+def feature_consistency_total(lts: Tensor, lam: float, eps_norm: float) -> Tensor:
     """Mean pair penalty over all ordered pairs of local-feature scales.
 
-    ``lts`` is the scale-major (S*B, d) stack of local features with
-    S = ``n_scales``, rows s*B ... (s+1)*B - 1 holding scale s+2; the pair
-    count is S(S-1). One fused op: the stack is viewed as Z (S, B, d) and
-    normalized over the batch. With K_s = Z_s Z_s^T the per-scale B x B
+    ``lts`` is the (S, B, d) stack of local features, index s holding scale
+    s+2; the pair count is S(S-1). One fused op: the stack is normalized
+    over the batch to Z (S, B, d). With K_s = Z_s Z_s^T the per-scale B x B
     Gram, the cross-correlation C_st = Z_s^T Z_t / B has diagonal
     D[s,t,i] = sum_b Z[s,b,i] Z[t,b,i] / B and squared Frobenius norm
     <K_s, K_t> / B^2, so the off-diagonal mass of all pairs together is
     (||sum_s K_s||^2 - sum_s ||K_s||^2) / B^2 - sum_{s != t} ||D[s,t]||^2.
     No pair loop and no d x d matrix is formed; the VJP is closed form.
     """
+    n_scales, batch, _ = lts.shape
     if n_scales < 2:
         raise ValueError("feature_consistency_total: need at least two scales")
-    rows, d = lts.shape
-    if rows % n_scales:
-        raise ValueError(f"feature_consistency_total: {rows} rows do not split into {n_scales} scales")
-    batch = rows // n_scales
     if batch < 2:
         raise ValueError("feature_consistency_total: need a batch of at least 2")
-    x = lts.data.reshape(n_scales, batch, d)
+    x = lts.data
     centered = x - x.mean(axis=1, keepdims=True)
     sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps_norm)
     z = centered / sigma  # (S, B, d)
@@ -78,8 +74,7 @@ def feature_consistency_total(lts: Tensor, n_scales: int, lam: float, eps_norm: 
         dz_by_dim = (2.0 / batch) * (g_diag @ by_dim)  # (d, S, B)
         dz = dz_by_dim.transpose(1, 2, 0) + (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ z)
         # back through z = (x - mean) / sigma, both taken over the batch
-        dx = (dz - dz.mean(axis=1, keepdims=True) - z * (dz * z).mean(axis=1, keepdims=True)) / sigma
-        return (dx.reshape(rows, d),)
+        return ((dz - dz.mean(axis=1, keepdims=True) - z * (dz * z).mean(axis=1, keepdims=True)) / sigma,)
 
     return Tensor._from_op(np.asarray(value), "feature_consistency_total", (lts,), vjp)
 
@@ -95,7 +90,7 @@ def prediction_objective(
     """Every term on the logits as one op: returns sum_n coeffs[n] * term_n
     and each term's value, for the terms named in ``coeffs``.
 
-    ``local`` holds the scale-major (S*B, C) local logits, scaled per
+    ``local`` holds the (S, B, C) local logits, scaled per
     (video, scale) by the (B, S) prediction-site ``weights`` when given, and
     A is their logit mean over scales. With p = softmax, lp = log_softmax:
       * pc_local: mean over scales and videos of KL(p(local) || p(A));
@@ -116,19 +111,21 @@ def prediction_objective(
     values: dict[str, float] = {}
     parents = (overall,)
     if "pc_local" in coeffs or "pc_overall" in coeffs:
-        rows = local.shape[0]
-        if rows == 0 or rows % batch or local.shape[1:] != overall.shape[1:]:
-            raise ValueError(f"local logits {local.shape} are not whole scale blocks of {overall.shape}")
-        n_scales = rows // batch
-        stack = local.data.reshape(n_scales, batch, n_classes)
-        column = None if weights is None else np.asarray(weights, dtype=np.float64).T[:, :, None]
-        if column is not None:
-            stack = _ensure_finite(stack * column, "mul")
-        la, pa = log_softmax_rows(stack.sum(axis=0) * (1.0 / n_scales))
-        g_stack = np.zeros_like(stack)
+        n_scales = local.shape[0]
+        if n_scales == 0 or local.shape[1:] != overall.shape:
+            raise ValueError(f"local logits {local.shape} are not a stack of {overall.shape} logits")
+        scaled, column = local.data, None
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (batch, n_scales):
+                raise ValueError(f"weights shape {weights.shape} does not match batch {batch} x scales {n_scales}")
+            column = weights.T[:, :, None]
+            scaled = _ensure_finite(scaled * column, "mul")
+        la, pa = log_softmax_rows(scaled.sum(axis=0) * (1.0 / n_scales))
+        g_stack = np.zeros_like(scaled)
         g_avg = np.zeros_like(pa)
         if "pc_local" in coeffs:
-            ls, ps = log_softmax_rows(stack)
+            ls, ps = log_softmax_rows(scaled)
             kl = np.sum(ps * (ls - la), axis=2)
             values["pc_local"] = float(kl.mean())
             c = coeffs["pc_local"] / (n_scales * batch)
@@ -142,7 +139,7 @@ def prediction_objective(
             g_over += sign - po * sign_sum
             g_avg -= sign - pa * sign_sum
         g_stack += g_avg * (1.0 / n_scales)
-        g_local = (g_stack if column is None else g_stack * column).reshape(rows, n_classes)
+        g_local = g_stack if column is None else g_stack * column
         parents = (overall, local)
     if "im" in coeffs:
         marginal = po.mean(axis=0)
@@ -177,7 +174,7 @@ def prediction_objective(
 
 def local_prediction_consistency(local: Tensor, overall: Tensor) -> Tensor:
     """Mean KL of each scale's prediction to that of the scales' logit average,
-    from the scale-major (S*B, C) local and the (B, C) overall logits."""
+    from the (S, B, C) local and the (B, C) overall logits."""
     return prediction_objective(local, overall, {"pc_local": 1.0})[0]
 
 

@@ -35,13 +35,10 @@ def confidence(logits: np.ndarray) -> np.ndarray:
     return neg_entropy / np.log(n_classes)
 
 
-def local_relevance_weight(local_logits: Tensor, n_scales: int) -> np.ndarray:
-    """Residual weights 1 + C(p), one per (video, scale), gradient-detached.
-
-    ``local_logits`` is the scale-major (S*B, C) stack of local logits with
-    S = ``n_scales``; the result is a (B, S) float array.
-    """
-    return 1.0 + confidence(local_logits.data).reshape(n_scales, -1).T
+def local_relevance_weight(local_logits: Tensor) -> np.ndarray:
+    """Residual weights 1 + C(p), one per (video, scale), gradient-detached:
+    a (B, S) float array from the (S, B, C) stack of local logits."""
+    return 1.0 + confidence(local_logits.data).T
 
 
 def apply_weights(lts: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, np.ndarray | None]:
@@ -59,5 +56,5 @@ def apply_weights(lts: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, np.n
     if unknown:
         raise ValueError(f"apply_weights: unknown sites {sorted(unknown)}")
     weights = np.asarray(weights, dtype=np.float64)
-    overall = aggregate_overall(lts, weights.shape[1], weights if FEATURE_SITE in sites else None)
+    overall = aggregate_overall(lts, weights if FEATURE_SITE in sites else None)
     return overall, weights if PREDICTION_SITE in sites else None

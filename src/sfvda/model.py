@@ -16,10 +16,10 @@ frame-major (k*B, d_in) matrix. Scale r gathers its M_r clips of every video
 from that output into one (B*M_r, r*d_enc) matrix and sums each video's
 hidden rows before the output layer, which is affine:
 sum_m (h_m W2 + b2) = (sum_m h_m) W2 + M_r b2, so that GEMM has B rows. The
-S = k-1 local features of a batch travel as one scale-major (S*B, d) stack,
-rows s*B ... (s+1)*B - 1 holding scale s+2: the head classifies the whole
-stack in one pass, and the aggregation, the local weights and the
-consistency losses each act on it as one operation.
+S = k-1 local features of a batch travel as one (S, B, d) stack, index s
+holding scale s+2: the head classifies the whole stack in one pass, and the
+aggregation, the local weights and the consistency losses each act on it as
+one operation.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import _SPEC_BOUNDS, _choice, _in_range, _require_fields, _require_version
 from .data import check_float_text, decode_floats, encode_floats, parse_json, read_text
-from .tensor import Tensor, _ensure_finite, concat
+from .tensor import Tensor, _ensure_finite, stack
 
 __all__ = [
     "ModelParams",
@@ -75,7 +75,7 @@ def sample_clips(k: int, m_max: int, rng: np.random.Generator) -> dict[int, np.n
     listed in lexicographic order so the summation order is reproducible.
     """
     _in_range(k, "sample_clips: k", *_SPEC_BOUNDS["frames"])
-    _in_range(m_max, "sample_clips: m_max", _HYPERPARAMS["m_max"][1])
+    _in_range(m_max, "sample_clips: m_max", *_HYPERPARAMS["m_max"][1])
     clips = {}
     for r in range(2, k + 1):
         combos = _combinations(k, r)
@@ -240,8 +240,9 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, s
     over gathered rows of ``x``: with ``rows`` an int array (G, M, r), input
     m of group g concatenates rows rows[g, m, :] of ``x``, and output row g
     is (sum_m relu(in_gm W1 + b1)) W2 + M b2. Every GEMM and bias add output
-    is checked for finiteness. ``shared`` promises rows[g] = rows[0] + g, so
-    each clip position reads one contiguous block of G rows.
+    is checked for finiteness, the last one by ``Tensor._from_op``.
+    ``shared`` promises rows[g] = rows[0] + g, so each clip position reads
+    one contiguous block of G rows.
     """
     if rows.min() < 0 or rows.max() >= x.shape[0]:
         raise ValueError(f"{prefix}: frame index out of range")
@@ -254,7 +255,6 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, s
     pooled = hidden.reshape(groups, m, -1).sum(axis=1)
     out = _ensure_finite(pooled @ w2.data, "matmul")
     out += m * b2.data
-    _ensure_finite(out, "add")
 
     def vjp(g):
         active = (hidden > 0.0).reshape(groups, m, -1)
@@ -271,7 +271,7 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, s
                 grads[0][slice(start, start + groups) if shared else rows[at]] += g_in[at]
         return grads
 
-    return Tensor._from_op(out, prefix, (x, w1, b1, w2, b2), vjp)
+    return Tensor._from_op(out, "add", (x, w1, b1, w2, b2), vjp)
 
 
 def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
@@ -291,10 +291,10 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
 
 
 def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], params: ModelParams) -> Tensor:
-    """The local temporal features of a batch as one scale-major (S*B, d)
-    stack, S = k-1: rows s*B ... (s+1)*B - 1 hold scale s+2. A scale's
-    feature sums, over its clips, the relation MLP applied to the clip's
-    frame encodings in temporal order.
+    """The local temporal features of a batch as one (S, B, d) stack,
+    S = k-1, index s holding scale s+2. A scale's feature sums, over its
+    clips, the relation MLP applied to the clip's frame encodings in
+    temporal order.
 
     ``encodings`` is the frame-major output of ``encode_frames``. ``clips``
     maps each scale r to an int array of frame indices: (M_r, r) when the
@@ -310,21 +310,17 @@ def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], par
         if index.ndim not in (2, 3) or index.shape[-1] != r or index.shape[:-2] not in ((), (batch,)):
             raise ValueError(f"rel{r}: clip array of shape {index.shape} does not fit a batch of {batch}")
         scales.append(_pooled_mlp(encodings, index * batch + videos, params, f"rel{r}", index.ndim == 2))
-    return concat(scales)
+    return stack(scales)
 
 
-def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = None) -> Tensor:
-    """Mean over scales of the scale-major (S*B, d) local features,
-    optionally per-scale weighted, as one op.
+def aggregate_overall(lts: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """Mean over scales of the (S, B, d) local features, optionally
+    per-scale weighted, as one op.
 
     With weights w of shape (B, S): (1/S) * sum_s w[:, s] * lt_s.
     """
-    rows, d = lts.shape
-    if n_scales < 1 or rows % n_scales:
-        raise ValueError(f"aggregate_overall: {rows} rows do not split into {n_scales} scales")
-    batch = rows // n_scales
-    stack = lts.data.reshape(n_scales, batch, d)
-    column = None
+    n_scales, batch, _ = lts.shape
+    scaled, column = lts.data, None
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (batch, n_scales):
@@ -333,46 +329,45 @@ def aggregate_overall(lts: Tensor, n_scales: int, weights: np.ndarray | None = N
                 f"batch {batch} x scales {n_scales}"
             )
         column = weights.T[:, :, None]
-        stack = _ensure_finite(stack * column, "mul")
+        scaled = _ensure_finite(scaled * column, "mul")
     inv = 1.0 / n_scales
-    out = _ensure_finite(stack.sum(axis=0), "sum") * inv
 
     def vjp(g):
-        g_stack = np.broadcast_to(g * inv, stack.shape)
-        return ((g_stack if column is None else g_stack * column).reshape(rows, d),)
+        g_stack = np.broadcast_to(g * inv, lts.shape)
+        return (g_stack.copy() if column is None else g_stack * column,)
 
-    return Tensor._from_op(out, "scale", (lts,), vjp)
+    # scaling a finite sum by 1/S keeps it finite, so one scan covers both
+    return Tensor._from_op(scaled.sum(axis=0) * inv, "sum", (lts,), vjp)
 
 
 _HEAD = ("bot_w", "bot_b", "bn_gamma", "bn_beta", "wn_v", "wn_g", "wn_b")
 
 
 @np.errstate(all="ignore")  # every stage is checked, so a warning would be a second report
-def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks: int = 1) -> Tensor:
+def classify(features: Tensor, params: ModelParams, *, batch_stats: bool) -> Tensor:
     """Logits from bottleneck -> batch norm -> weight-normalized affine, as
     one op with a closed-form VJP.
 
-    ``features`` holds ``blocks`` equal row blocks (the scale-major local
-    stack has S), and all of them go through one head pass: one bottleneck
-    GEMM and one weight-norm matrix. With ``batch_stats`` each block is
-    normalized with its own batch statistics and the running ones are
-    updated once per block, in block order (source training, and adaptation
-    under ``last_layer_only``); otherwise the running statistics normalize
+    ``features`` is a (B, d) batch or an (S, B, d) stack of them, and the
+    whole stack goes through one head pass: one bottleneck GEMM and one
+    weight-norm matrix. With ``batch_stats`` each batch is normalized with
+    its own batch statistics and the running ones are updated once per
+    batch, in stack order (source training, and adaptation under
+    ``last_layer_only``); otherwise the running statistics normalize
     and stay as they are (evaluation, and a head frozen with its batch norm),
     while gradients still flow to ``features``. Every stage is checked for
     finiteness under the name of the operation it once was.
     """
-    rows = features.shape[0]
-    if blocks < 1 or rows % blocks:
-        raise ValueError(f"classify: {rows} rows do not split into {blocks} blocks")
     head = [params.tensors[name] for name in _HEAD]
     bot_w, bot_b, gamma, beta, v, g, wn_b = (t.data for t in head)
-    x = features.data
+    # the GEMMs run on the 2-D view of every batch's rows, one pass for a whole stack
+    x = features.data.reshape(-1, features.shape[-1])
+    rows, batch = x.shape[0], features.shape[-2]
     h = _ensure_finite(x @ bot_w, "matmul")
     h += bot_b
     _ensure_finite(h, "add")
     if batch_stats:
-        grouped = h.reshape(blocks, rows // blocks, -1)
+        grouped = h.reshape(-1, batch, h.shape[1])
         mu = _ensure_finite(grouped.mean(axis=1, keepdims=True), "mean")
         centered = grouped - mu
         var = _ensure_finite(np.mean(centered * centered, axis=1, keepdims=True), "variance")
@@ -380,9 +375,9 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks
         sigma = _ensure_finite(np.sqrt(_ensure_finite(var + BN_EPS, "add")), "sqrt")
         hat = _ensure_finite(centered / sigma, "div").reshape(rows, -1)
         m = params.bn_momentum
-        for block_mu, block_var in zip(mu, var):
-            params.bn_mean = m * params.bn_mean + (1.0 - m) * block_mu.reshape(-1)
-            params.bn_var = m * params.bn_var + (1.0 - m) * block_var.reshape(-1)
+        for batch_mu, batch_var in zip(mu, var):
+            params.bn_mean = m * params.bn_mean + (1.0 - m) * batch_mu.reshape(-1)
+            params.bn_var = m * params.bn_var + (1.0 - m) * batch_var.reshape(-1)
         params.bn_initialized = True
     else:
         if not params.bn_initialized:
@@ -402,6 +397,7 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks
 
     def vjp(grad):
         # parents: features, then the head in _HEAD order
+        grad = grad.reshape(rows, -1)
         needs = [features.requires_grad] + [t.requires_grad for t in head]
         grads = [None] * 8
         if needs[7]:
@@ -420,7 +416,7 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks
         grads[4] = g_normed.sum(axis=0)
         g_hat = g_normed * gamma
         if batch_stats:
-            # back through (h - mean) / sigma, both taken over each block
+            # back through (h - mean) / sigma, both taken over each batch
             g_hat = g_hat.reshape(grouped.shape)
             z = hat.reshape(grouped.shape)
             g_h = (g_hat - g_hat.mean(axis=1, keepdims=True) - z * np.mean(g_hat * z, axis=1, keepdims=True)) / sigma
@@ -428,23 +424,23 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool, blocks
         else:
             g_h = g_hat / sigma
         if needs[0]:
-            grads[0] = g_h @ bot_w.T
+            grads[0] = (g_h @ bot_w.T).reshape(features.shape)
         if needs[1]:
             grads[1] = x.T @ g_h
         grads[2] = g_h.sum(axis=0)
         return grads
 
-    return Tensor._from_op(logits, "add", (features, *head), vjp)
+    return Tensor._from_op(logits.reshape(features.shape[:-1] + (-1,)), "add", (features, *head), vjp)
 
 
 # -- checkpoints --------------------------------------------------------------
 
-# ModelParams attribute -> (checkpoint hyperparams key, least value): init_model
-# takes the attributes as keyword arguments, and the data sizes share the
-# bounds of the DomainSpec fields they come from
+# ModelParams attribute -> (checkpoint hyperparams key, bounds as ``_in_range``
+# takes them): init_model takes the attributes as keyword arguments, and the
+# data sizes share the bounds of the DomainSpec fields they come from
 _HYPERPARAMS = {
-    "k": ("k", _SPEC_BOUNDS["frames"][0]), "d_in": ("d_in", _SPEC_BOUNDS["frame_dim"][0]), "d_enc": ("d_enc", 1),
-    "d": ("d", 1), "d_b": ("d_b", 1), "n_classes": ("C", _SPEC_BOUNDS["classes"][0]), "m_max": ("M_max", 1),
+    "k": ("k", _SPEC_BOUNDS["frames"]), "d_in": ("d_in", _SPEC_BOUNDS["frame_dim"]), "d_enc": ("d_enc", (1,)),
+    "d": ("d", (1,)), "d_b": ("d_b", (1,)), "n_classes": ("C", _SPEC_BOUNDS["classes"]), "m_max": ("M_max", (1,)),
 }
 _CHECKPOINT_FIELDS = ("format_version", "hyperparams", "aggregation", "rng_seed", "parameters", "batch_norm")
 _BATCH_NORM_FIELDS = ("running_mean", "running_var", "initialized", "momentum")
@@ -484,8 +480,8 @@ def load_checkpoint(path) -> ModelParams:
     _require_fields(doc, _CHECKPOINT_FIELDS, where)
     hp = _require_fields(doc["hyperparams"], (key for key, _ in _HYPERPARAMS.values()), where, "hyperparams")
     dims = {
-        attr: _in_range(hp[key], f"{where}: field 'hyperparams.{key}'", least)
-        for attr, (key, least) in _HYPERPARAMS.items()
+        attr: _in_range(hp[key], f"{where}: field 'hyperparams.{key}'", *bounds)
+        for attr, (key, bounds) in _HYPERPARAMS.items()
     }
     seed = _in_range(doc["rng_seed"], f"{where}: field 'rng_seed'", *_SPEC_BOUNDS["seed"])
     aggregation = _choice(doc["aggregation"], AGGREGATIONS, f"{where}: field 'aggregation'")

@@ -142,17 +142,15 @@ def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
 
 def _overall_eval_logits(model: ModelParams, lts: Tensor):
     """Overall feature and logits with the model's aggregation and the running batch-norm statistics."""
-    n_scales = model.k - 1
     weights = None
     if model.aggregation == "entropy_weighted":
-        local_logits = classify(lts, model, batch_stats=False)
-        weights = lwm.local_relevance_weight(local_logits, n_scales)
-    overall = aggregate_overall(lts, n_scales, weights)
+        weights = lwm.local_relevance_weight(classify(lts, model, batch_stats=False))
+    overall = aggregate_overall(lts, weights)
     return overall, classify(overall, model, batch_stats=False)
 
 
 def _eval_batches(model: ModelParams, ds: Dataset):
-    """(rows, scale-major local features) per eval batch, in order, with each video's eval clips."""
+    """(rows, (S, B, d) local features) per eval batch, in order, with each video's eval clips."""
     for start in range(0, len(ds), EVAL_BATCH):
         rows = slice(start, start + EVAL_BATCH)
         enc = encode_frames(ds.frames[rows], model)
@@ -196,7 +194,7 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int
     n_batches = 0
     shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(shuffle_tag, epoch))
     for b, idx in enumerate(batch_iterator(ds, cfg.batch_size, shuffle_seed)):
-        clips = sample_clips(ds.k, cfg.m_max, _train_rng(cfg.seed, clips_tag, epoch, b))
+        clips = sample_clips(model.k, model.m_max, _train_rng(cfg.seed, clips_tag, epoch, b))
         lts = local_temporal_features(encode_frames(ds.frames[idx], model), clips, model)
         loss, components = batch_loss(idx, lts)
         total = loss.item()
@@ -216,7 +214,7 @@ def _source_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, labels: 
     """``train_source``'s loss of one batch from its local temporal features:
     smoothed cross-entropy of the head, with batch statistics, on the mean
     over scales. Returns the loss and {"ce": its value}."""
-    logits = classify(aggregate_overall(lts, model.k - 1), model, batch_stats=True)
+    logits = classify(aggregate_overall(lts), model, batch_stats=True)
     return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=cfg.eps_smooth)
 
 
@@ -279,21 +277,19 @@ def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, pseudo: n
     head frozen under ``cfg.freeze_scope``. Returns the loss and each
     component's value."""
     variant = VARIANTS[cfg.variant]
-    n_scales = model.k - 1
     # a head frozen with its batch norm normalizes with the running statistics
     batch_stats = cfg.freeze_scope != "head_all"
-    local_logits = classify(lts, model, batch_stats=batch_stats, blocks=n_scales)
+    local_logits = classify(lts, model, batch_stats=batch_stats)
     if variant.sites:
-        weights = lwm.local_relevance_weight(local_logits, n_scales)
-        overall, pc_weights = lwm.apply_weights(lts, weights, variant.sites)
+        overall, pc_weights = lwm.apply_weights(lts, lwm.local_relevance_weight(local_logits), variant.sites)
     else:
-        overall, pc_weights = aggregate_overall(lts, n_scales), None
+        overall, pc_weights = aggregate_overall(lts), None
     overall_logits = classify(overall, model, batch_stats=batch_stats)
 
     coeffs = dict(_leaf_coefficients(variant.objective, cfg))
     terms, components = [], {}
     if "fc" in coeffs:
-        fc = feature_consistency_total(lts, n_scales, cfg.lam, cfg.eps_norm)
+        fc = feature_consistency_total(lts, cfg.lam, cfg.eps_norm)
         terms.append((coeffs.pop("fc"), fc))
         components["fc"] = fc.item()
     if coeffs:
@@ -364,8 +360,7 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
         with no_grad():
             for rows, lts in _eval_batches(model, ds):
                 if level == "local":
-                    per_scale = lts.data.reshape(model.k - 1, -1, model.d)
-                    columns = [(str(r), block.tolist()) for r, block in enumerate(per_scale, start=2)]
+                    columns = [(str(r), scale.tolist()) for r, scale in enumerate(lts.data, start=2)]
                 else:
                     columns = [("overall", _overall_eval_logits(model, lts)[0].data.tolist())]
                 for row, (video_id, label) in enumerate(zip(ds.ids[rows], labels[rows])):

@@ -8,7 +8,7 @@ graph once in reverse topological order and accumulates gradients into the
 
 The model and the losses build their layers as fused operations with
 closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
-ones, ``concat`` and ``weighted_sum``, and the package's one softmax,
+ones, ``stack`` and ``weighted_sum``, and the package's one softmax,
 ``log_softmax_rows``.
 
 Design constraints honoured throughout:
@@ -30,7 +30,7 @@ __all__ = [
     "Graph",
     "no_grad",
     "log_softmax_rows",
-    "concat",
+    "stack",
     "weighted_sum",
     "GradCheckReport",
     "finite_diff_check",
@@ -146,9 +146,9 @@ class Graph:
     def trace(root: Tensor) -> "Graph":
         order: list[Tensor] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
+        pending: list[tuple[Tensor, bool]] = [(root, False)]
+        while pending:
+            node, expanded = pending.pop()
             if expanded:
                 order.append(node)
                 continue
@@ -157,10 +157,10 @@ class Graph:
             visited.add(id(node))
             if node._consumed:
                 raise RuntimeError("backward through a consumed graph")
-            stack.append((node, True))
+            pending.append((node, True))
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
-                    stack.append((parent, False))
+                    pending.append((parent, False))
         return Graph(order)
 
     def run(self, seed: np.ndarray) -> None:
@@ -193,20 +193,11 @@ class Graph:
 # -- primitive operations ---------------------------------------------------------
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat: need at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.shape[axis] for t in tensors])
-
-    def vjp(g):
-        return tuple(
-            np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(tensors))
-        )
-
-    return Tensor._from_op(out, "concat", tuple(tensors), vjp)
+def stack(tensors) -> Tensor:
+    """Equal-shape tensors stacked on a new leading axis, as one op."""
+    tensors = tuple(tensors)
+    out = np.stack([t.data for t in tensors])  # raises on no tensors or unequal shapes
+    return Tensor._from_op(out, "stack", tensors, lambda g: tuple(part.copy() for part in g))
 
 
 def weighted_sum(terms) -> Tensor:

@@ -224,21 +224,24 @@ def unfused_relation_chain(x, rows, w1, b1, w2, b2, g):
     return out, grads
 
 
-def unfused_head(x, head, running, batch_stats, g, blocks=1, eps=1e-5):
+def unfused_head(x, head, running, batch_stats, g, eps=1e-5):
     """The classifier head as separate numpy operations: bottleneck affine,
     batch norm, then the weight-normalized affine w = v * g / |v| per class.
 
-    ``head`` maps bot_w, bot_b, bn_gamma, bn_beta, wn_v, wn_g, wn_b to
-    arrays; ``running`` is [mean, var, momentum]. With ``batch_stats`` each
-    of the ``blocks`` row blocks is normalized by its own statistics and the
-    running ones are updated in place, block by block; otherwise the running
-    statistics normalize. ``g`` is the gradient of the logits. Returns the
-    logits and the gradients of x and of every head parameter, each by the
-    chain rule through the operations in forward order.
+    ``x`` is a (B, d) batch or an (S, B, d) stack of them. ``head`` maps
+    bot_w, bot_b, bn_gamma, bn_beta, wn_v, wn_g, wn_b to arrays; ``running``
+    is [mean, var, momentum]. With ``batch_stats`` each batch is normalized
+    by its own statistics and the running ones are updated in place, batch
+    by batch; otherwise the running statistics normalize. ``g`` is the
+    gradient of the logits, of their shape. Returns the logits and the
+    gradients of x and of every head parameter, each by the chain rule
+    through the operations in forward order.
     """
+    shape = x.shape
+    x, g = x.reshape(-1, shape[-1]), g.reshape(-1, g.shape[-1])
     h = x @ head["bot_w"] + head["bot_b"]
     if batch_stats:
-        grouped = h.reshape(blocks, -1, h.shape[1])
+        grouped = h.reshape(-1, shape[-2], h.shape[1])
         n = grouped.shape[1]
         mu = grouped.mean(axis=1, keepdims=True)
         centered = grouped - grouped.mean(axis=1, keepdims=True)
@@ -284,8 +287,8 @@ def unfused_head(x, head, running, batch_stats, g, blocks=1, eps=1e-5):
         g_h = g_hat / denom
     grads["bot_w"] = x.T @ g_h
     grads["bot_b"] = g_h.sum(axis=0)
-    grads["x"] = g_h @ head["bot_w"].T
-    return logits, grads
+    grads["x"] = (g_h @ head["bot_w"].T).reshape(shape)
+    return logits.reshape(shape[:-1] + (-1,)), grads
 
 
 def _unfused_log_softmax(x):
@@ -310,7 +313,7 @@ def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=No
     """The terms on the logits as separate numpy operations, each term's
     gradient by the chain rule through them, scaled by its coefficient.
 
-    ``local`` is the scale-major (S*B, C) stack, scaled per (video, scale)
+    ``local`` is the (S, B, C) stack, scaled per (video, scale)
     by the (B, S) ``weights`` when given; A is its logit mean over scales.
     pc_local is the mean over scales and videos of KL(softmax(local) ||
     softmax(A)), pc_overall the mean L1 distance of the log-softmaxes of
@@ -324,10 +327,9 @@ def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=No
     g_overall = np.zeros_like(overall)
     g_local = None
     if "pc_local" in coeffs or "pc_overall" in coeffs:
-        n_scales = local.shape[0] // batch
-        stack = local.reshape(n_scales, batch, n_classes)
+        n_scales = local.shape[0]
         column = None if weights is None else weights.T.reshape(n_scales, batch, 1)
-        scaled = stack if column is None else stack * column
+        scaled = local if column is None else local * column
         average = scaled.sum(axis=0) * (1.0 / n_scales)
         lq = _unfused_log_softmax(average)
         g_scaled = np.zeros_like(scaled)
@@ -350,7 +352,7 @@ def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=No
             g_overall = g_overall + _log_softmax_vjp(lo, g_gap)
             g_average = g_average + _log_softmax_vjp(lq, -g_gap)
         g_scaled = g_scaled + np.broadcast_to(g_average * (1.0 / n_scales), scaled.shape)
-        g_local = (g_scaled if column is None else g_scaled * column).reshape(local.shape)
+        g_local = g_scaled if column is None else g_scaled * column
     if "im" in coeffs:
         probs = _unfused_softmax(overall)
         logp = _unfused_log_softmax(overall)

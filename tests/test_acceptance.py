@@ -19,7 +19,7 @@ from sfvda import pipeline as P
 from sfvda import pseudolabel as PL
 from sfvda.config import RunConfig
 from sfvda.data import generate_domain_pair
-from sfvda.tensor import Tensor, concat, finite_diff_check
+from sfvda.tensor import Tensor, finite_diff_check, stack
 
 from cli_runner import run_sfvda
 from oracles import brute_force_pseudo_labels, ordered_scale_pairs
@@ -48,13 +48,13 @@ def _loss_cases(rng):
         return losses.smoothed_cross_entropy(x, labels, 0.1)
 
     def fc_total(x):
-        return losses.feature_consistency_total(concat([x] + [Tensor(s) for s in fixed_scales]), k - 1, 5e-3, 1e-5)
+        return losses.feature_consistency_total(stack([x] + [Tensor(s) for s in fixed_scales]), 5e-3, 1e-5)
 
     def pc_local(x):
-        return losses.local_prediction_consistency(concat([x] + [Tensor(p) for p in fixed_logits]), Tensor(overall))
+        return losses.local_prediction_consistency(stack([x] + [Tensor(p) for p in fixed_logits]), Tensor(overall))
 
     def pc_overall(x):
-        return losses.overall_prediction_consistency(concat([Tensor(p) for p in fixed_logits] + [Tensor(overall)]), x)
+        return losses.overall_prediction_consistency(stack([Tensor(p) for p in fixed_logits] + [Tensor(overall)]), x)
 
     def im(x):
         return losses.information_maximization(x)
@@ -101,16 +101,16 @@ def test_criterion_2_loss_identities():
     # 1/(1 + eps_norm): at eps_norm = 1e-6 the three columns add 3e-12, where
     # the default 1e-5 would add 3e-10, above the bound.
     orthonormal = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
-    copies = Tensor(np.concatenate([orthonormal] * 4))
-    assert abs(losses.feature_consistency_total(copies, 4, 5e-3, 1e-6).item()) <= 1e-10
+    copies = Tensor(np.stack([orthonormal] * 4))
+    assert abs(losses.feature_consistency_total(copies, 5e-3, 1e-6).item()) <= 1e-10
 
     # Without the off-diagonal term, identical copies leave only the
     # diagonal deviations: at most 1e-6 in each of the 8 dimensions.
     lt = rng.normal(0.0, 5.0, size=(64, 8))
-    assert losses.feature_consistency_total(Tensor(np.concatenate([lt, lt])), 2, 0.0, 1e-5).item() <= 8 * 1e-6**2
+    assert losses.feature_consistency_total(Tensor(np.stack([lt, lt])), 0.0, 1e-5).item() <= 8 * 1e-6**2
 
     p = Tensor(rng.normal(size=(8, 4)))
-    preds = (concat([p, p, p]), p)
+    preds = (stack([p, p, p]), p)
     assert abs(losses.local_prediction_consistency(*preds).item()) <= 1e-10
     assert abs(losses.overall_prediction_consistency(*preds).item()) <= 1e-10
     pc_sum = losses.local_prediction_consistency(*preds).item() + losses.overall_prediction_consistency(*preds).item()
@@ -136,10 +136,10 @@ def test_criterion_3_lwm_identities():
 
     confident = np.zeros((5, 6))
     confident[:, 2] = 40.0
-    w = lwm.local_relevance_weight(concat([Tensor(confident)]), 1)
+    w = lwm.local_relevance_weight(stack([Tensor(confident)]))
     assert np.max(np.abs(w - 1.0)) < 1e-10
 
-    uniform = lwm.local_relevance_weight(concat([Tensor(np.zeros((5, 6)))]), 1)
+    uniform = lwm.local_relevance_weight(stack([Tensor(np.zeros((5, 6)))]))
     assert np.max(np.abs(uniform)) < 1e-10
 
     violations = 0
@@ -152,7 +152,7 @@ def test_criterion_3_lwm_identities():
             e = np.exp(x - x.max())
             prob = e / e.sum()
             entropies.append(float(-(prob * np.log(prob)).sum()))
-        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2)
+        w = lwm.local_relevance_weight(stack([Tensor(a[None, :]), Tensor(b[None, :])]))
         if entropies[0] < entropies[1] and not w[0, 0] > w[0, 1]:
             violations += 1
         if entropies[0] > entropies[1] and not w[0, 0] < w[0, 1]:

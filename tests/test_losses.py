@@ -8,7 +8,7 @@ from sfvda import losses
 from sfvda.config import VARIANTS, RunConfig
 from sfvda.losses import prediction_objective
 from sfvda.pipeline import _leaf_coefficients
-from sfvda.tensor import Tensor, concat, finite_diff_check, log_softmax_rows
+from sfvda.tensor import Tensor, finite_diff_check, log_softmax_rows, stack
 
 
 def leaf_coefficients(variant, **cfg):
@@ -68,7 +68,7 @@ class TestNormalizeFeatures:
     def test_needs_batch(self):
         # the fused op standardizes each scale over the batch
         with pytest.raises(ValueError, match="batch"):
-            losses.feature_consistency_total(Tensor(np.ones((2, 3))), 2, 5e-3, 1e-5)
+            losses.feature_consistency_total(Tensor(np.ones((2, 1, 3))), 5e-3, 1e-5)
 
 
 class TestCrossCorrelation:
@@ -114,21 +114,21 @@ class TestFeatureConsistency:
     def test_identical_decorrelated_scales_near_zero(self):
         rng = np.random.default_rng(2)
         lt = rng.normal(0.0, 5.0, size=(512, 3))
-        total = losses.feature_consistency_total(concat([Tensor(lt)] * 4), 4, 5e-3, 1e-5)
+        total = losses.feature_consistency_total(stack([Tensor(lt)] * 4), 5e-3, 1e-5)
         assert total.item() < 5e-3
 
     def test_k3_matches_scripted_mean_of_both_orders(self):
         rng = np.random.default_rng(21)
         lt2 = rng.normal(0, 3.0, size=(6, 4))
         lt3 = rng.normal(0, 3.0, size=(6, 4))
-        total = losses.feature_consistency_total(concat([Tensor(lt2), Tensor(lt3)]), 2, 5e-3, 1e-5)
+        total = losses.feature_consistency_total(stack([Tensor(lt2), Tensor(lt3)]), 5e-3, 1e-5)
         assert abs(total.item() - 1.6389019778958684) < 1e-12
 
     def test_nonnegative_and_zero_iff_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             lts = [Tensor(rng.normal(size=(8, 4))) for _ in range(3)]
-            assert losses.feature_consistency_total(concat(lts), 3, 5e-3, 1e-5).item() >= 0.0
+            assert losses.feature_consistency_total(stack(lts), 5e-3, 1e-5).item() >= 0.0
 
 
 class TestFusedFeatureConsistency:
@@ -148,7 +148,7 @@ class TestFusedFeatureConsistency:
         lam, eps = 5e-3, 1e-5
         lts = self.scales(k, 30 + k)
         reference = oracles.per_pair_feature_consistency([lt.tolist() for lt in lts], lam, eps)
-        fused = losses.feature_consistency_total(concat([Tensor(lt) for lt in lts]), k - 1, lam, eps).item()
+        fused = losses.feature_consistency_total(stack([Tensor(lt) for lt in lts]), lam, eps).item()
         assert abs(fused - reference) <= 1e-12 * abs(reference)
 
     def test_gradient_at_k8(self):
@@ -157,7 +157,7 @@ class TestFusedFeatureConsistency:
         # a large lam weights the Gram (off-diagonal) path as much as the
         # diagonal one, so an error in either shows in the gradient
         def f(x):
-            return losses.feature_consistency_total(concat(others[:3] + [x] + others[4:]), 7, 0.5, 1e-5)
+            return losses.feature_consistency_total(stack(others[:3] + [x] + others[4:]), 0.5, 1e-5)
 
         point = Tensor(np.random.default_rng(41).normal(size=(12, 5)))
         assert finite_diff_check(f, point, rel_tol=1e-4).passed
@@ -166,7 +166,7 @@ class TestFusedFeatureConsistency:
 class TestPredictionConsistency:
     def test_equal_logits_give_zero(self):
         p = Tensor(np.array([[0.3, -0.2, 1.0]] * 4))
-        preds = (concat([p, p, p]), p)
+        preds = (stack([p, p, p]), p)
         # the logit average reintroduces ~1 ulp of rounding noise
         assert abs(losses.local_prediction_consistency(*preds).item()) < 1e-12
         assert abs(losses.overall_prediction_consistency(*preds).item()) < 1e-12
@@ -174,26 +174,26 @@ class TestPredictionConsistency:
     def test_scripted_two_scale_value(self):
         p2 = Tensor([[math.log(2.0), 0.0]])
         p3 = Tensor([[0.0, math.log(2.0)]])
-        value = losses.local_prediction_consistency(concat([p2, p3]), p2).item()
+        value = losses.local_prediction_consistency(stack([p2, p3]), p2).item()
         assert abs(value - 0.0566330122651324) < 1e-12
 
     def test_local_consistency_nonnegative(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             local = [Tensor(rng.normal(size=(5, 3))) for _ in range(4)]
-            assert losses.local_prediction_consistency(concat(local), local[0]).item() >= 0.0
+            assert losses.local_prediction_consistency(stack(local), local[0]).item() >= 0.0
 
     def test_overall_scripted_value(self):
         # one scale, so the average is [0, 1]: the log-softmaxes differ by 1 per class
-        assert abs(losses.overall_prediction_consistency(Tensor([[0.0, 1.0]]), Tensor([[1.0, 0.0]])).item() - 2.0) < 1e-12
+        assert abs(losses.overall_prediction_consistency(Tensor([[[0.0, 1.0]]]), Tensor([[1.0, 0.0]])).item() - 2.0) < 1e-12
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(5)
         local = [rng.normal(size=(3, 4)) for _ in range(3)]
         overall = rng.normal(size=(3, 4))
-        base = (concat([Tensor(p) for p in local]), Tensor(overall))
+        base = (stack([Tensor(p) for p in local]), Tensor(overall))
         shifted = (
-            concat([Tensor(p + 2.5) for p in local]), Tensor(overall + 2.5)
+            stack([Tensor(p + 2.5) for p in local]), Tensor(overall + 2.5)
         )
         for fn in (losses.local_prediction_consistency, losses.overall_prediction_consistency):
             assert abs(fn(*base).item() - fn(*shifted).item()) < 1e-9
@@ -201,14 +201,14 @@ class TestPredictionConsistency:
     def test_weighted_sum(self):
         p = Tensor(np.array([[0.5, -0.5]]))
         q = Tensor(np.array([[1.5, 0.5]]))
-        stack = concat([p, q])
-        local = losses.local_prediction_consistency(stack, q).item()
-        overall = losses.overall_prediction_consistency(stack, q).item()
+        pair = stack([p, q])
+        local = losses.local_prediction_consistency(pair, q).item()
+        overall = losses.overall_prediction_consistency(pair, q).item()
         coeffs = leaf_coefficients("pc", alpha_local=2.0, alpha_overall=0.5)
-        combined, values = prediction_objective(stack, q, coeffs)
+        combined, values = prediction_objective(pair, q, coeffs)
         assert values == {"pc_local": local, "pc_overall": overall}
         assert abs(combined.item() - (2.0 * local + 0.5 * overall)) < 1e-12
-        only_local = prediction_objective(stack, q, leaf_coefficients("pc", alpha_overall=0.0))[0]
+        only_local = prediction_objective(pair, q, leaf_coefficients("pc", alpha_overall=0.0))[0]
         assert only_local.item() == pytest.approx(local)
 
     def test_average_is_mean_of_local_rows(self):
@@ -216,13 +216,13 @@ class TestPredictionConsistency:
         rng = np.random.default_rng(6)
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(5)]
         manual = np.mean([p.data for p in local], axis=0)
-        assert losses.overall_prediction_consistency(concat(local), Tensor(manual)).item() < 1e-10
+        assert losses.overall_prediction_consistency(stack(local), Tensor(manual)).item() < 1e-10
 
 
 def test_stacked_local_consistency_is_mean_of_per_scale_kls():
     rng = np.random.default_rng(22)
     blocks = [rng.normal(size=(6, 4)) for _ in range(5)]
-    stacked = losses.local_prediction_consistency(Tensor(np.concatenate(blocks)), Tensor(rng.normal(size=(6, 4)))).item()
+    stacked = losses.local_prediction_consistency(Tensor(np.stack(blocks)), Tensor(rng.normal(size=(6, 4)))).item()
     reference = oracles.per_scale_prediction_consistency([b.tolist() for b in blocks])
     assert abs(stacked - reference) <= 1e-12 * max(1.0, abs(reference))
 
@@ -230,7 +230,7 @@ def test_stacked_local_consistency_is_mean_of_per_scale_kls():
 def test_local_consistency_is_finite_on_a_certain_class():
     # a class probability of 1 is a log-probability of 0; the KL weighs it
     # by the probability, not through log(lp / lq), so it stays finite
-    local = Tensor([[800.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    local = Tensor([[[800.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]])
     assert np.isfinite(losses.local_prediction_consistency(local, Tensor([[1.0, 0.0, 0.0]])).item())
 
 
@@ -325,7 +325,7 @@ class TestGradients:
 
         def f(x):
             lts = [x] + [Tensor(o) for o in others]
-            return losses.feature_consistency_total(concat(lts), 3, 5e-3, 1e-5)
+            return losses.feature_consistency_total(stack(lts), 5e-3, 1e-5)
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(8, 4))), rel_tol=1e-4).passed
 
@@ -335,7 +335,7 @@ class TestGradients:
         overall = rng.normal(size=(5, 3))
 
         def f(x):
-            return prediction_objective(concat([x, Tensor(other)]), Tensor(overall), leaf_coefficients("pc"))[0]
+            return prediction_objective(stack([x, Tensor(other)]), Tensor(overall), leaf_coefficients("pc"))[0]
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(5, 3))), rel_tol=1e-4).passed
 
@@ -344,7 +344,7 @@ class TestGradients:
         local = [Tensor(rng.normal(size=(4, 3))) for _ in range(2)]
 
         def f(x):
-            return losses.overall_prediction_consistency(concat(local), x)
+            return losses.overall_prediction_consistency(stack(local), x)
 
         assert finite_diff_check(f, Tensor(rng.normal(size=(4, 3))), rel_tol=1e-4).passed
 
@@ -381,7 +381,7 @@ class TestFusedPredictionObjective:
     def test_values_and_input_gradients_match_the_unfused_chain(self, weighted, zero):
         rng = np.random.default_rng(50)
         n_scales, batch, n_classes = 4, 6, 5
-        local = rng.normal(size=(n_scales * batch, n_classes)) * 2.0
+        local = rng.normal(size=(n_scales, batch, n_classes)) * 2.0
         overall = rng.normal(size=(batch, n_classes)) * 2.0
         weights = rng.uniform(0.1, 1.0, size=(batch, n_scales)) if weighted else None
         labels = rng.integers(0, n_classes, size=batch)
@@ -411,7 +411,7 @@ class TestFusedPredictionObjective:
 
     def test_each_named_loss_is_its_term(self):
         rng = np.random.default_rng(52)
-        local, overall = Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4)))
+        local, overall = Tensor(rng.normal(size=(3, 3, 4))), Tensor(rng.normal(size=(3, 4)))
         pseudo = rng.integers(0, 4, size=3)
         coeffs = {"pc_local": 1.0, "pc_overall": 1.0, "im": 1.0, "pl_ce": 1.0}
         _, values = prediction_objective(local, overall, coeffs, labels=pseudo)
@@ -421,6 +421,16 @@ class TestFusedPredictionObjective:
             "im": losses.information_maximization(overall).item(),
             "pl_ce": losses.pseudo_label_cross_entropy(overall, pseudo).item(),
         }
+
+    def test_local_logits_and_weights_must_fit_the_overall_shape(self):
+        overall = Tensor(np.zeros((3, 4)))
+        for local in (np.zeros((9, 4)), np.zeros((2, 4, 4)), np.zeros((0, 3, 4))):
+            with pytest.raises(ValueError, match="are not a stack of"):
+                prediction_objective(Tensor(local), overall, {"pc_local": 1.0})
+        # a (B, 1) array would broadcast over every scale
+        for weights in (np.ones((3, 1)), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="does not match batch 3 x scales 2"):
+                prediction_objective(Tensor(np.zeros((2, 3, 4))), overall, {"pc_local": 1.0}, weights)
 
     def test_unknown_term_rejected(self):
         with pytest.raises(ValueError, match="unknown terms"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfvda import lwm
-from sfvda.tensor import Tensor, concat
+from sfvda.tensor import Tensor, stack
 
 
 def test_confidence_one_hot_is_near_zero():
@@ -26,18 +26,18 @@ def test_confidence_needs_two_classes():
 def test_weight_one_hot_is_one():
     logits = np.zeros((3, 4))
     logits[:, 1] = 40.0
-    w = lwm.local_relevance_weight(concat([Tensor(logits)]), 1)
+    w = lwm.local_relevance_weight(stack([Tensor(logits)]))
     assert np.allclose(w, 1.0, atol=1e-12)
 
 
 def test_weight_uniform_normalized_is_zero():
-    w = lwm.local_relevance_weight(concat([Tensor(np.zeros((2, 4)))]), 1)
+    w = lwm.local_relevance_weight(stack([Tensor(np.zeros((2, 4)))]))
     assert np.allclose(w, 0.0, atol=1e-12)
 
 
 def test_weight_two_class_is_one_minus_entropy_in_bits():
     # p = (1/4, 3/4): entropy 0.8112781244591328 bits
-    w = lwm.local_relevance_weight(concat([Tensor([[0.0, math.log(3.0)]])]), 1)
+    w = lwm.local_relevance_weight(stack([Tensor([[0.0, math.log(3.0)]])]))
     assert w[0, 0] == pytest.approx(1.0 - (0.25 * math.log2(4.0) + 0.75 * math.log2(4.0 / 3.0)), abs=1e-12)
     assert w[0, 0] == pytest.approx(0.1887218755408672, abs=1e-10)
 
@@ -47,7 +47,7 @@ def test_weight_ranges():
     for _ in range(100):
         n_classes = int(rng.integers(2, 9))
         logits = [Tensor(rng.normal(size=(4, n_classes)) * 5.0)]
-        w = lwm.local_relevance_weight(concat(logits), 1)
+        w = lwm.local_relevance_weight(stack(logits))
         assert np.all((w >= 0.0) & (w <= 1.0))
 
 
@@ -62,7 +62,7 @@ def test_monotonicity_in_entropy():
             e = np.exp(x - x.max())
             p = e / e.sum()
             ent.append(float(-(p * np.log(p)).sum()))
-        w = lwm.local_relevance_weight(concat([Tensor(a[None, :]), Tensor(b[None, :])]), 2)
+        w = lwm.local_relevance_weight(stack([Tensor(a[None, :]), Tensor(b[None, :])]))
         if ent[0] < ent[1]:
             assert w[0, 0] > w[0, 1]
         elif ent[0] > ent[1]:
@@ -81,7 +81,7 @@ def test_apply_weights_identity_when_all_one():
     rng = np.random.default_rng(3)
     lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
     ones = np.ones((3, 2))
-    overall, weights = lwm.apply_weights(concat(lts), ones, {"feature", "prediction"})
+    overall, weights = lwm.apply_weights(stack(lts), ones, {"feature", "prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall.data - plain)) < 1e-12
     assert np.array_equal(weights, ones)
@@ -90,7 +90,7 @@ def test_apply_weights_identity_when_all_one():
 def test_apply_weights_zero_scale():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
     w = np.array([[1.0, 0.0]])
-    overall, weights = lwm.apply_weights(concat(lts), w, {"feature", "prediction"})
+    overall, weights = lwm.apply_weights(stack(lts), w, {"feature", "prediction"})
     assert np.allclose(overall.data, [[1.0, 0.0]])
     assert np.array_equal(weights, w)  # scale 1 of the one video scales its logits to 0
 
@@ -98,7 +98,7 @@ def test_apply_weights_zero_scale():
 def test_apply_weights_scripted_feature_site():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
     w = np.array([[1.0, 0.5]])
-    overall, weights = lwm.apply_weights(concat(lts), w, {"feature"})
+    overall, weights = lwm.apply_weights(stack(lts), w, {"feature"})
     assert np.allclose(overall.data, [[1.0, 1.0]])
     assert weights is None
 
@@ -107,20 +107,20 @@ def test_apply_weights_site_selection():
     rng = np.random.default_rng(4)
     lts = [Tensor(rng.normal(size=(2, 3))) for _ in range(2)]
     w = rng.uniform(0.2, 0.9, size=(2, 2))
-    overall_p, weights_p = lwm.apply_weights(concat(lts), w, {"prediction"})
+    overall_p, weights_p = lwm.apply_weights(stack(lts), w, {"prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall_p.data - plain)) < 1e-12
     assert np.array_equal(weights_p, w)
     with pytest.raises(ValueError, match="nonempty"):
-        lwm.apply_weights(concat(lts), w, set())
+        lwm.apply_weights(stack(lts), w, set())
     with pytest.raises(ValueError, match="unknown"):
-        lwm.apply_weights(concat(lts), w, {"bogus"})
+        lwm.apply_weights(stack(lts), w, {"bogus"})
 
 
 def test_weights_are_detached():
     rng = np.random.default_rng(5)
     logits = [Tensor(rng.normal(size=(2, 3)), requires_grad=True)]
-    w = lwm.local_relevance_weight(concat(logits), 1)
+    w = lwm.local_relevance_weight(stack(logits))
     assert isinstance(w, np.ndarray)
 
 
@@ -132,7 +132,7 @@ def test_one_hot_confident_weighting_equals_plain_mean():
         block = np.zeros((3, 5))
         block[np.arange(3), rng.integers(0, 5, size=3)] = 40.0
         logits.append(Tensor(block))
-    w = lwm.local_relevance_weight(concat(logits), 3)
-    overall, _ = lwm.apply_weights(concat(lts), w, {"feature"})
+    w = lwm.local_relevance_weight(stack(logits))
+    overall, _ = lwm.apply_weights(stack(lts), w, {"feature"})
     plain = np.mean([lt.data for lt in lts], axis=0)
     assert np.max(np.abs(overall.data - plain)) < 1e-12

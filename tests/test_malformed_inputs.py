@@ -21,6 +21,7 @@ import pytest
 
 from oracles import float64_base64, floats_of_base64
 from sfvda import cli
+from sfvda import model as M
 from sfvda.config import RunConfig
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "quickstart"
@@ -173,3 +174,36 @@ def test_malformed_input_is_one_error_line_naming_file_and_place(workdir, capsys
     assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), captured.err
     assert str(path) in lines[0] and locator in lines[0], lines[0]
     assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+def _with_k(kind: str, k: int) -> str:
+    """The quickstart config, dataset or checkpoint with its frame count set to ``k``."""
+    if kind == "config":
+        return CONFIG.read_text().replace("frames = 4\n", f"frames = {k}\n")
+    source = DATASET if kind == "dataset" else CHECKPOINT
+    first, rest = source.read_text().split("\n", 1)
+    doc = json.loads(first)
+    (doc if kind == "dataset" else doc["hyperparams"])["k"] = k
+    return json.dumps(doc, sort_keys=True) + "\n" + rest
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset", "checkpoint"])
+def test_frames_above_16_end_before_any_clip_table(workdir, capsys, monkeypatch, kind):
+    # the clip tables grow as k * 2^k, so the bound is checked where k is read
+    def no_table(k, r):
+        raise AssertionError(f"clip table C({k}, {r}) built")
+
+    monkeypatch.setattr(M, "_combinations", no_table)
+    path = workdir / f"k17.{kind}"
+    path.write_text(_with_k(kind, 17))
+    out = workdir / "never"
+    command = {
+        "config": ["train-source", "--config", str(path), "--data", str(DATASET), "--out", str(out)],
+        "dataset": ["train-source", "--data", str(path), "--out", str(out)],
+        "checkpoint": ["eval", "--model", str(path), "--data", str(DATASET)],
+    }[kind]
+    code = cli.main(command)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(lines) == 1, lines
+    assert str(path) in lines[0] and lines[0].endswith("must lie in [3, 16], got 17"), lines[0]
+    assert not out.exists()

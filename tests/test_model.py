@@ -15,7 +15,7 @@ from oracles import (
 )
 from probes import inner, squared_norm
 from sfvda import model as M
-from sfvda.tensor import Tensor, concat, finite_diff_check, no_grad
+from sfvda.tensor import Tensor, finite_diff_check, no_grad, stack
 
 
 _DELETE = object()
@@ -172,7 +172,7 @@ class TestLocalTemporalFeatures:
         lts = M.local_temporal_features(enc, clips, params)
         enc_np = per_frame(enc).transpose(1, 0, 2)
         clip_in = np.concatenate([enc_np[:, 0], enc_np[:, 2]], axis=1)
-        assert np.max(np.abs(lts.data[:2] - scripted_relation(params, 2, clip_in))) < 1e-12
+        assert np.max(np.abs(lts.data[0] - scripted_relation(params, 2, clip_in))) < 1e-12
 
     def test_zero_relation_map_gives_zero(self):
         params = tiny_model()
@@ -182,7 +182,7 @@ class TestLocalTemporalFeatures:
         frames = np.random.default_rng(4).normal(size=(2, 3, 4))
         enc = M.encode_frames(frames, params)
         lts = M.local_temporal_features(enc, M.sample_clips(3, 3, np.random.default_rng(0)), params)
-        assert lts.shape == (2 * 2, params.d)
+        assert lts.shape == (2, 2, params.d)
         assert np.allclose(lts.data, 0.0, atol=0)
 
     def test_two_clips_sum(self):
@@ -194,7 +194,7 @@ class TestLocalTemporalFeatures:
         enc_np = per_frame(enc).transpose(1, 0, 2)
         first = scripted_relation(params, 2, np.concatenate([enc_np[:, 0], enc_np[:, 1]], axis=1))
         second = scripted_relation(params, 2, np.concatenate([enc_np[:, 1], enc_np[:, 2]], axis=1))
-        assert np.max(np.abs(lts.data[:2] - (first + second))) < 1e-12
+        assert np.max(np.abs(lts.data[0] - (first + second))) < 1e-12
 
     def test_per_video_clip_sets(self):
         params = tiny_model()
@@ -205,8 +205,8 @@ class TestLocalTemporalFeatures:
         enc_np = per_frame(enc).transpose(1, 0, 2)
         want0 = scripted_relation(params, 2, np.concatenate([enc_np[:1, 0], enc_np[:1, 1]], axis=1))
         want1 = scripted_relation(params, 2, np.concatenate([enc_np[1:, 1], enc_np[1:, 2]], axis=1))
-        assert np.max(np.abs(lts.data[0] - want0[0])) < 1e-12
-        assert np.max(np.abs(lts.data[1] - want1[0])) < 1e-12
+        assert np.max(np.abs(lts.data[0, 0] - want0[0])) < 1e-12
+        assert np.max(np.abs(lts.data[0, 1] - want1[0])) < 1e-12
 
     @staticmethod
     def clip_sets(per_video, batch, k):
@@ -226,15 +226,15 @@ class TestLocalTemporalFeatures:
         clips = self.clip_sets(per_video, batch, 4)
         enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
         lts = M.local_temporal_features(enc, clips, params)
+        assert lts.shape == (params.k - 1, batch, params.d)
         g = rng.normal(size=lts.shape)
         inner(lts, g).backward()
         grad_enc = 0.0
         for s, (r, idx) in enumerate(clips.items()):
             rows = np.broadcast_to(idx, (batch, *idx.shape[-2:])) * batch + np.arange(batch).reshape(batch, 1, 1)
             weights = [t[f"rel{r}_{n}"] for n in ("w1", "b1", "w2", "b2")]
-            block = slice(s * batch, (s + 1) * batch)
-            out, grads = unfused_relation_chain(enc.data, rows, *(w.data for w in weights), g[block])
-            assert_close(lts.data[block], out, f"rel{r}")
+            out, grads = unfused_relation_chain(enc.data, rows, *(w.data for w in weights), g[s])
+            assert_close(lts.data[s], out, f"rel{r}")
             for name, w in zip(("w1", "b1", "w2", "b2"), weights):
                 assert_close(w.grad, grads[name], f"rel{r}_{name}")
             grad_enc = grad_enc + grads["x"]
@@ -297,23 +297,41 @@ class TestLocalTemporalFeatures:
         with pytest.raises(ValueError, match="rel2: frame index out of range"):
             M._pooled_mlp(enc, np.array([[[0, bad]]]), params, "rel2")
 
+    def test_output_bias_overflow_names_the_add(self):
+        # M b2 overflows for two clips per video; the output is scanned once
+        params = tiny_model()
+        params.tensors["rel2_b2"].data[...] = 1e308
+        enc = M.encode_frames(np.zeros((2, 3, 4)), params)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^add: output contains non-finite values$"):
+            M._pooled_mlp(enc, np.array([[[0, 1], [1, 2]]]), params, "rel2")
+
 
 class TestAggregate:
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(7)
         lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-        plain = M.aggregate_overall(concat(lts), 2)
-        weighted = M.aggregate_overall(concat(lts), 2, np.ones((3, 2)))
+        plain = M.aggregate_overall(stack(lts))
+        weighted = M.aggregate_overall(stack(lts), np.ones((3, 2)))
         assert np.max(np.abs(plain.data - weighted.data)) < 1e-12
 
     def test_mean_example(self):
         lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])]
-        assert np.allclose(M.aggregate_overall(concat(lts), 2).data, [[1.0, 1.0]])
+        assert np.allclose(M.aggregate_overall(stack(lts)).data, [[1.0, 1.0]])
 
     def test_weighted_example(self):
         lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 2.0]])]
-        out = M.aggregate_overall(concat(lts), 2, np.array([[2.0, 0.0]]))
+        out = M.aggregate_overall(stack(lts), np.array([[2.0, 0.0]]))
         assert np.allclose(out.data, [[2.0, 0.0]])
+
+    def test_overflowing_sum_names_the_sum(self):
+        lts = stack([Tensor(np.full((2, 3), 1.5e308))] * 2)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^sum: output contains non-finite values$"):
+            M.aggregate_overall(lts)
+
+    def test_weights_must_be_batch_by_scales(self):
+        lts = stack([Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2)))])
+        with pytest.raises(ValueError, match=r"weights shape \(2, 3\) does not match batch 3 x scales 2"):
+            M.aggregate_overall(lts, np.ones((2, 3)))
 
 
 class TestClassify:
@@ -364,8 +382,8 @@ class TestClassify:
 
 
 class TestStackedClassify:
-    """One head pass over the scale-major stack against the head run on each
-    scale block by itself."""
+    """One head pass over the (S, B, d) stack against the head run on each
+    scale by itself."""
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["head_all", "last_layer_only"])
     def test_equals_per_scale_reference(self, frozen):
@@ -374,21 +392,16 @@ class TestStackedClassify:
         params.bn_mean = rng.normal(size=params.d_b)
         params.bn_var = rng.uniform(0.5, 2.0, size=params.d_b)
         params.bn_initialized = True
-        blocks = [rng.normal(size=(4, params.d)) for _ in range(params.k - 1)]
+        scales = [rng.normal(size=(4, params.d)) for _ in range(params.k - 1)]
         head = {name: t.data.tolist() for name, t in params.head_parameters("head_all")}
         running = [params.bn_mean.tolist(), params.bn_var.tolist(), params.bn_momentum]
-        want = per_scale_head([b.tolist() for b in blocks], head, running, batch_stats=not frozen)
-        logits = M.classify(Tensor(np.concatenate(blocks)), params, batch_stats=not frozen, blocks=params.k - 1)
-        assert np.max(np.abs(logits.data - np.array(want))) < 1e-12
+        want = per_scale_head([b.tolist() for b in scales], head, running, batch_stats=not frozen)
+        logits = M.classify(Tensor(np.stack(scales)), params, batch_stats=not frozen)
+        assert np.max(np.abs(logits.data - np.reshape(want, logits.shape))) < 1e-12
         # last_layer_only updates the running statistics once per scale, in
         # scale order; head_all leaves them as they were
         assert np.max(np.abs(params.bn_mean - running[0])) < 1e-12
         assert np.max(np.abs(params.bn_var - running[1])) < 1e-12
-
-    def test_rows_must_split_into_blocks(self):
-        params = tiny_model()
-        with pytest.raises(ValueError, match="do not split into 3 blocks"):
-            M.classify(Tensor(np.zeros((4, params.d))), params, batch_stats=True, blocks=3)
 
 
 class TestFusedHead:
@@ -408,20 +421,22 @@ class TestFusedHead:
         return params, x, rng.normal(size=(12, params.n_classes))
 
     @pytest.mark.parametrize(
-        "mode, frozen, blocks",
-        [("train", False, 3), ("train", False, 1), ("eval", False, 1), ("train", True, 3)],
+        "mode, frozen, lead",
+        [("train", False, (3, 4)), ("train", False, (12,)), ("eval", False, (12,)), ("train", True, (3, 4))],
         ids=["train-blocks", "train-one-block", "eval", "frozen"],
     )
-    def test_matches_the_unfused_chain(self, mode, frozen, blocks):
+    def test_matches_the_unfused_chain(self, mode, frozen, lead):
+        # lead: the (S, B) of a stack, or the B of one batch
         params, x, g = self.setup(23)
+        x, g = x.reshape(lead + (-1,)), g.reshape(lead + (-1,))
         if frozen:
             params.freeze_head("head_all")
         batch_stats = mode == "train" and not frozen
         head = {name: t.data.copy() for name, t in params.head_parameters("head_all")}
         running = [params.bn_mean.copy(), params.bn_var.copy(), params.bn_momentum]
-        want, grads = unfused_head(x, head, running, batch_stats, g, blocks=blocks)
+        want, grads = unfused_head(x, head, running, batch_stats, g)
         features = Tensor(x, requires_grad=True)
-        logits = M.classify(features, params, batch_stats=batch_stats, blocks=blocks)
+        logits = M.classify(features, params, batch_stats=batch_stats)
         inner(logits, g).backward()
         # relative to the largest entry, at least 1: with batch statistics
         # bot_b's gradient is zero up to rounding
@@ -432,7 +447,7 @@ class TestFusedHead:
                 assert t.grad is None, name
             else:
                 assert_close(t.grad, grads[name], name)
-        # running statistics move once per block in train mode only
+        # running statistics move once per batch in train mode only
         assert np.max(np.abs(params.bn_mean - running[0])) <= 1e-12 * np.max(np.abs(running[0]))
         assert np.max(np.abs(params.bn_var - running[1])) <= 1e-12 * np.max(np.abs(running[1]))
 
@@ -628,7 +643,7 @@ def test_eval_forward_is_permutation_invariant():
         with no_grad():
             enc = M.encode_frames(frames, params)
             lts = M.local_temporal_features(enc, M.eval_clip_set(ids, params.k, params.m_max), params)
-            overall = M.aggregate_overall(lts, params.k - 1)
+            overall = M.aggregate_overall(lts)
             return M.classify(overall, params, batch_stats=False).data
 
     base = forward(frames, ids)

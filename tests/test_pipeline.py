@@ -12,7 +12,7 @@ from sfvda import pipeline as P
 from sfvda import tensor as T
 from sfvda.config import VARIANTS, RunConfig
 from sfvda.data import generate_domain_pair
-from sfvda.tensor import Tensor, concat, finite_diff_check
+from sfvda.tensor import Tensor, finite_diff_check
 
 
 def tiny_cfg(**kw):
@@ -261,13 +261,13 @@ class TestAdaptTarget:
         assert sizes[0] < 400
 
     def test_one_step_graph_of_the_stacked_scales(self, monkeypatch):
-        # the scales travel as one (S*B, d) stack through the head, the local
+        # the scales travel as one (S, B, d) stack through the head, the local
         # weights and the consistency losses (277 nodes when each of those
         # looped over the 7 scales), and the encoder and each scale's relation
         # MLP are one op each (160 nodes as chains of 5 and 8 ops): 107 nodes.
         # The head and the prediction terms are one op each (75 op nodes as
         # chains of primitives), so 32 trainable leaves and 15 ops remain:
-        # encoder, 7 relation scales, concat, 2 heads, aggregation,
+        # encoder, 7 relation scales, stack, 2 heads, aggregation,
         # feature consistency, prediction objective and their weighted sum
         cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
         source, target = generate_domain_pair(cfg.domain_spec())
@@ -304,6 +304,15 @@ class TestAdaptTarget:
         _, other_target = generate_domain_pair(other_cfg.domain_spec())
         with pytest.raises(ValueError, match="d_in"):
             P.adapt_target(model, other_target, cfg)
+
+
+def test_adaptation_draws_training_clips_with_the_models_m_max(trained):
+    # training and evaluation both use the checkpoint's clip count, so a
+    # config m_max other than the model's changes no adapted parameter
+    cfg, _, target, model, _ = trained
+    assert model.m_max == cfg.m_max == 3
+    adapted = [P.adapt_target(model, target, replace(cfg, m_max=m_max))[0] for m_max in (1, 3)]
+    assert params_bytes(adapted[0]) == params_bytes(adapted[1])
 
 
 class TestSGD:
@@ -507,8 +516,8 @@ class TestWholeModelGradient:
         if scope:
             model.freeze_head(scope)
             # the weights at the base point, as pipeline's lwm calls them
-            fixed = lwm.local_relevance_weight(M.classify(features(), model, batch_stats=True, blocks=3), 3)
-            monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits, n_scales: fixed)
+            fixed = lwm.local_relevance_weight(M.classify(features(), model, batch_stats=True))
+            monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits: fixed)
 
             def loss():
                 return P._adapt_batch_loss(model, cfg, features(), labels)[0]
@@ -519,11 +528,12 @@ class TestWholeModelGradient:
 
         original = model.tensors[name]
         # probe the first two columns (entries of a bias); the rest stays fixed
-        axis = original.data.ndim - 1
-        rest = Tensor(original.data[..., 2:])
+        rest = original.data[..., 2:]
 
         def f(x):
-            model.tensors[name] = concat([x, rest], axis=axis)
+            # one op that puts the probed columns in front of the fixed rest
+            joined = np.concatenate([x.data, rest], axis=-1)
+            model.tensors[name] = Tensor._from_op(joined, "probe", (x,), lambda g: (g[..., :2].copy(),))
             return loss()
 
         report = finite_diff_check(f, Tensor(original.data[..., :2]), rel_tol=1e-4)

@@ -32,7 +32,7 @@ def test_backward_accumulates():
 
 def test_repeated_backward_same_graph_accumulates():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = squared_norm(T.concat([x]))
+    loss = squared_norm(T.stack([x]))
     loss.backward()
     loss.backward()
     assert np.array_equal(x.grad, [4.0, 8.0])
@@ -40,7 +40,7 @@ def test_repeated_backward_same_graph_accumulates():
 
 def test_consumed_graph_raises():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = squared_norm(T.concat([x]))
+    loss = squared_norm(T.stack([x]))
     loss.backward(free_graph=True)
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
@@ -49,7 +49,7 @@ def test_consumed_graph_raises():
 def test_backward_requires_scalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
-        T.concat([x, x]).backward()
+        T.stack([x, x]).backward()
 
 
 def test_shape_mismatch_raises():
@@ -57,6 +57,10 @@ def test_shape_mismatch_raises():
         T.weighted_sum([(1.0, Tensor(np.ones((2, 3)))), (1.0, Tensor(np.ones((4, 5))))])
     with pytest.raises(ValueError, match="weighted_sum"):
         T.weighted_sum([])
+    with pytest.raises(ValueError, match="same shape"):
+        T.stack([Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))])
+    with pytest.raises(ValueError, match="at least one"):
+        T.stack([])
 
 
 def test_non_finite_output_raises():
@@ -92,9 +96,8 @@ def test_finite_diff_check_flags_nondeterminism():
 
 
 OPS = [
-    ("concat-rows", lambda x: squared_norm(T.concat([x, T.weighted_sum([(0.5, x)])]))),
-    ("concat-columns", lambda x: squared_norm(T.concat([x, x], axis=1))),
-    ("weighted_sum", lambda x: squared_norm(T.weighted_sum([(2.0, x), (-0.5, T.concat([x]))]))),
+    ("stack", lambda x: squared_norm(T.stack([x, T.weighted_sum([(0.5, x)])]))),
+    ("weighted_sum", lambda x: squared_norm(T.weighted_sum([(2.0, T.stack([x])), (-0.5, T.stack([x]))]))),
 ]
 
 
@@ -105,22 +108,30 @@ def test_op_gradients_match_finite_differences(name, f):
     assert report.passed, f"{name}: max rel error {report.max_rel_error}"
 
 
-def test_concat_gradients():
+def test_stack_gradients():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(3, 2))
-    b = rng.normal(size=(3, 4))
-    g = rng.normal(size=(3, 6))
+    b = rng.normal(size=(3, 2))
+    g = rng.normal(size=(2, 3, 2))
 
     def f(x):
-        return inner(T.concat([x, Tensor(b)], axis=1), g)
+        return inner(T.stack([x, Tensor(b)]), g)
 
-    report = finite_diff_check(f, Tensor(a), rel_tol=1e-4)
-    assert report.passed
+    assert finite_diff_check(f, Tensor(a), rel_tol=1e-4).passed
 
     def h(x):
-        return inner(T.concat([Tensor(a), x], axis=1), g)
+        return inner(T.stack([Tensor(a), x]), g)
 
     assert finite_diff_check(h, Tensor(b), rel_tol=1e-4).passed
+
+
+def test_stack_gives_each_input_its_own_gradient_array():
+    # a leaf keeps the array a VJP returns, so the slices must not share memory
+    a, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.ones((2, 3)), requires_grad=True)
+    g = np.arange(12.0).reshape(2, 2, 3)
+    inner(T.stack([a, b]), g).backward()
+    assert np.array_equal(a.grad, g[0]) and np.array_equal(b.grad, g[1])
+    assert a.grad.flags.owndata and b.grad.flags.owndata
 
 
 def test_determinism_bitwise():
@@ -128,7 +139,7 @@ def test_determinism_bitwise():
         rng = np.random.default_rng(123)
         x = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        loss = squared_norm(T.concat([T.weighted_sum([(0.3, x), (-1.7, w)]), w]))
+        loss = squared_norm(T.stack([T.weighted_sum([(0.3, x), (-1.7, w)]), w]))
         loss.backward()
         return loss.data.tobytes(), x.grad.tobytes(), w.grad.tobytes()
 
@@ -138,7 +149,7 @@ def test_determinism_bitwise():
 def test_no_grad_suppresses_graph():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with T.no_grad():
-        out = T.concat([x, x])
+        out = T.stack([x, x])
     assert not out.requires_grad
     assert out._vjp is None
 
