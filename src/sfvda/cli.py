@@ -104,7 +104,9 @@ def _cmd_adapt(args) -> None:
     adapted, rows = adapt_target(model, target, cfg)
     save_checkpoint(adapted, args.out)
     write_metrics(rows, args.out + ".metrics.csv")
-    _echo_config(cfg, args.out, "adapt")
+    # adaptation took the model sizes from the source checkpoint
+    sizes = dict(d_enc=model.d_enc, d=model.d, d_b=model.d_b, m_max=model.m_max)
+    _echo_config(apply_overrides(cfg, sizes), args.out, "adapt")
     print(f"adapted variant {cfg.variant} for {len(rows)} epochs")
 
 

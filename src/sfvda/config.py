@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .data import _SPEC_BOUNDS, DomainSpec, _choice, _in_range, read_text
+from .lwm import SITES
 from .model import _HYPERPARAMS, HEAD_SCOPES
 
 __all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
@@ -33,6 +34,10 @@ _FULL = (("beta_tc", _TC), ("beta_im", "im"), ("beta_ce", "pl_ce"))
 class Variant:
     objective: tuple
     sites: frozenset = frozenset()
+
+    def __post_init__(self):
+        if not SITES.issuperset(self.sites):
+            raise ValueError(f"variant sites {sorted(set(self.sites) - SITES)} are not among {sorted(SITES)}")
 
 
 VARIANTS = {

@@ -81,7 +81,7 @@ def feature_consistency_total(lts: Tensor, lam: float, eps_norm: float) -> Tenso
 
 def prediction_objective(
     local: Tensor | None,
-    overall: Tensor,
+    overall: Tensor | None,
     coeffs: dict[str, float],
     weights: np.ndarray | None = None,
     labels=None,
@@ -99,21 +99,28 @@ def prediction_objective(
         uniform;
       * ce / pl_ce: mean cross-entropy of ``overall`` against the
         ``labels`` one-hot, smoothed to (1 - eps) * onehot + eps / C.
-    The VJP sums the terms' closed-form input gradients, each scaled by its
+    Only pc_local leaves the (B, C) ``overall`` logits unread; they may be
+    None then. The op's parents are the logit sets the terms read, and its
+    VJP sums the terms' closed-form input gradients, each scaled by its
     coefficient.
     """
     unknown = set(coeffs) - set(PREDICTION_TERMS)
     if unknown:
         raise ValueError(f"prediction_objective: unknown terms {sorted(unknown)}")
-    batch, n_classes = overall.shape
-    lo, po = log_softmax_rows(overall.data)
-    g_over = np.zeros_like(po)
+    reads_overall = sorted(set(coeffs) - {"pc_local"})
+    if overall is None and reads_overall:
+        raise ValueError(f"prediction_objective: {reads_overall} read the overall logits, and none were given")
+    batch, n_classes = local.shape[-2:] if overall is None else overall.shape
+    grads = []  # (parent, the gradient of the total with respect to it)
     values: dict[str, float] = {}
-    parents = (overall,)
+    if reads_overall:
+        lo, po = log_softmax_rows(overall.data)
+        g_over = np.zeros_like(po)
+        grads.append((overall, g_over))
     if "pc_local" in coeffs or "pc_overall" in coeffs:
         n_scales = local.shape[0]
-        if n_scales == 0 or local.shape[1:] != overall.shape:
-            raise ValueError(f"local logits {local.shape} are not a stack of {overall.shape} logits")
+        if n_scales == 0 or local.shape[1:] != (batch, n_classes):
+            raise ValueError(f"local logits {local.shape} are not a stack of {(batch, n_classes)} logits")
         scaled, column = local.data, None
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
@@ -139,8 +146,7 @@ def prediction_objective(
             g_over += sign - po * sign_sum
             g_avg -= sign - pa * sign_sum
         g_stack += g_avg * (1.0 / n_scales)
-        g_local = g_stack if column is None else g_stack * column
-        parents = (overall, local)
+        grads.append((local, g_stack if column is None else g_stack * column))
     if "im" in coeffs:
         marginal = po.mean(axis=0)
         with np.errstate(divide="ignore"):
@@ -166,10 +172,9 @@ def prediction_objective(
     total = sum(coeffs[name] * values[name] for name in coeffs)
 
     def vjp(g):
-        g = float(g)
-        return (g * g_over, g * g_local) if len(parents) == 2 else (g * g_over,)
+        return tuple(float(g) * grad for _, grad in grads)
 
-    return Tensor._from_op(np.asarray(total), "prediction_objective", parents, vjp), values
+    return Tensor._from_op(np.asarray(total), "prediction_objective", tuple(p for p, _ in grads), vjp), values
 
 
 def local_prediction_consistency(local: Tensor, overall: Tensor) -> Tensor:

@@ -14,14 +14,10 @@ import numpy as np
 from .model import aggregate_overall
 from .tensor import Tensor, log_softmax_rows
 
-__all__ = [
-    "confidence",
-    "local_relevance_weight",
-    "apply_weights",
-]
+__all__ = ["confidence", "local_relevance_weight", "apply_weights"]
 
-FEATURE_SITE = "feature"
-PREDICTION_SITE = "prediction"
+# where the weights can act: the overall feature and the local logits
+SITES = frozenset({"feature", "prediction"})
 
 
 def confidence(logits: np.ndarray) -> np.ndarray:
@@ -41,20 +37,14 @@ def local_relevance_weight(local_logits: Tensor) -> np.ndarray:
     return 1.0 + confidence(local_logits.data).T
 
 
-def apply_weights(lts: Tensor, weights: np.ndarray, sites) -> tuple[Tensor, np.ndarray | None]:
-    """Apply (B, S) relevance weights at the requested sites.
-
-    Returns the overall temporal feature (weighted when ``feature`` is in
-    ``sites``, plain mean otherwise) and the weights that scale the local
-    logits in ``losses.prediction_objective`` (None unless ``prediction`` is
-    in ``sites``).
-    """
-    sites = set(sites)
+def apply_weights(lts: Tensor, local_logits: Tensor | None, sites) -> tuple[Tensor, np.ndarray | None]:
+    """The overall feature of the (S, B, d) stack ``lts``, weighted by the
+    relevance of the (S, B, C) ``local_logits`` when ``feature`` is in
+    ``sites``, and those (B, S) weights when ``prediction`` is (they scale
+    the local logits in ``losses.prediction_objective``), else None. With
+    no sites: the plain mean and None, and the logits are not read."""
     if not sites:
-        raise ValueError("apply_weights: sites must be a nonempty subset")
-    unknown = sites - {FEATURE_SITE, PREDICTION_SITE}
-    if unknown:
-        raise ValueError(f"apply_weights: unknown sites {sorted(unknown)}")
-    weights = np.asarray(weights, dtype=np.float64)
-    overall = aggregate_overall(lts, weights if FEATURE_SITE in sites else None)
-    return overall, weights if PREDICTION_SITE in sites else None
+        return aggregate_overall(lts), None
+    weights = local_relevance_weight(local_logits)
+    overall = aggregate_overall(lts, weights if "feature" in sites else None)
+    return overall, weights if "prediction" in sites else None

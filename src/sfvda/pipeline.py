@@ -20,7 +20,6 @@ from .data import Dataset, batch_iterator, generate_domain_pair
 from .losses import feature_consistency_total, prediction_objective
 from .model import (
     ModelParams,
-    aggregate_overall,
     classify,
     encode_frames,
     eval_clip_set,
@@ -47,6 +46,8 @@ __all__ = [
 _STREAM_TAGS = {"train_source": (101, 102), "adapt_target": (201, 202)}
 
 EVAL_BATCH = 256
+# a model's aggregation as the sites the eval pass weights at
+_EVAL_SITES = {"mean": (), "entropy_weighted": ("feature",)}
 
 
 class SGD:
@@ -140,13 +141,14 @@ def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *key)))
 
 
-def _overall_eval_logits(model: ModelParams, lts: Tensor):
-    """Overall feature and logits with the model's aggregation and the running batch-norm statistics."""
-    weights = None
-    if model.aggregation == "entropy_weighted":
-        weights = lwm.local_relevance_weight(classify(lts, model, batch_stats=False))
-    overall = aggregate_overall(lts, weights)
-    return overall, classify(overall, model, batch_stats=False)
+def _head(model: ModelParams, lts: Tensor, *, batch_stats: bool, sites=(), local=False, overall=True):
+    """The one path from an (S, B, d) local stack to (local logits, site
+    weights, overall feature, overall logits). The local head pass runs if
+    ``local`` or a site reads it, the overall one if ``overall``, else None."""
+    local_logits = classify(lts, model, batch_stats=batch_stats) if local or sites else None
+    feature, weights = lwm.apply_weights(lts, local_logits, sites)
+    overall_logits = classify(feature, model, batch_stats=batch_stats) if overall else None
+    return local_logits, weights, feature, overall_logits
 
 
 def _eval_batches(model: ModelParams, ds: Dataset):
@@ -162,7 +164,7 @@ def _full_eval_pass(model: ModelParams, ds: Dataset):
     feats, logits = [], []
     with no_grad():
         for _, lts in _eval_batches(model, ds):
-            overall, out = _overall_eval_logits(model, lts)
+            _, _, overall, out = _head(model, lts, batch_stats=False, sites=_EVAL_SITES[model.aggregation])
             feats.append(overall.data)
             logits.append(out.data)
     return np.concatenate(feats, axis=0), np.concatenate(logits, axis=0)
@@ -214,7 +216,7 @@ def _source_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, labels: 
     """``train_source``'s loss of one batch from its local temporal features:
     smoothed cross-entropy of the head, with batch statistics, on the mean
     over scales. Returns the loss and {"ce": its value}."""
-    logits = classify(aggregate_overall(lts), model, batch_stats=True)
+    logits = _head(model, lts, batch_stats=True)[3]
     return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=cfg.eps_smooth)
 
 
@@ -270,30 +272,24 @@ def _leaf_coefficients(tree, cfg: RunConfig, coeff: float = 1.0):
             yield from _leaf_coefficients(child, cfg, c)
 
 
-def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, pseudo: np.ndarray | None):
+def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, pseudo: np.ndarray | None):
     """``adapt_target``'s loss of one batch from its local temporal features:
-    the variant's objective with its leaf coefficients, built from
+    the variant's objective with its leaf ``coeffs``, built from
     ``feature_consistency_total`` and one ``prediction_objective``, with the
-    head frozen under ``cfg.freeze_scope``. Returns the loss and each
-    component's value."""
-    variant = VARIANTS[cfg.variant]
-    # a head frozen with its batch norm normalizes with the running statistics
-    batch_stats = cfg.freeze_scope != "head_all"
-    local_logits = classify(lts, model, batch_stats=batch_stats)
-    if variant.sites:
-        overall, pc_weights = lwm.apply_weights(lts, lwm.local_relevance_weight(local_logits), variant.sites)
-    else:
-        overall, pc_weights = aggregate_overall(lts), None
-    overall_logits = classify(overall, model, batch_stats=batch_stats)
-
-    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
+    head frozen under ``cfg.freeze_scope``, running only the head passes its
+    terms read. Returns the loss and each component's value."""
     terms, components = [], {}
     if "fc" in coeffs:
         fc = feature_consistency_total(lts, cfg.lam, cfg.eps_norm)
-        terms.append((coeffs.pop("fc"), fc))
+        terms.append((coeffs["fc"], fc))
         components["fc"] = fc.item()
-    if coeffs:
-        loss, values = prediction_objective(local_logits, overall_logits, coeffs, pc_weights, pseudo)
+    on_logits = {name: c for name, c in coeffs.items() if name != "fc"}
+    if on_logits:
+        # a head frozen with its batch norm normalizes with the running statistics
+        local_logits, weights, _, overall_logits = _head(
+            model, lts, batch_stats=cfg.freeze_scope != "head_all", sites=VARIANTS[cfg.variant].sites,
+            local="pc_local" in on_logits or "pc_overall" in on_logits, overall=on_logits.keys() != {"pc_local"})
+        loss, values = prediction_objective(local_logits, overall_logits, on_logits, weights, pseudo)
         terms.append((1.0, loss))
         components |= values
     return weighted_sum(terms), components
@@ -324,7 +320,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
 
     def batch_loss(idx, lts):
         # this epoch's pseudo-labels, bound below before its batches run
-        return _adapt_batch_loss(model, cfg, lts, pseudo[idx] if use_pl else None)
+        return _adapt_batch_loss(model, cfg, coeffs, lts, pseudo[idx] if use_pl else None)
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is
@@ -362,7 +358,8 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
                 if level == "local":
                     columns = [(str(r), scale.tolist()) for r, scale in enumerate(lts.data, start=2)]
                 else:
-                    columns = [("overall", _overall_eval_logits(model, lts)[0].data.tolist())]
+                    head = _head(model, lts, batch_stats=False, sites=_EVAL_SITES[model.aggregation], overall=False)
+                    columns = [("overall", head[2].data.tolist())]
                 for row, (video_id, label) in enumerate(zip(ds.ids[rows], labels[rows])):
                     for scale_name, values in columns:
                         fh.write(f"{video_id},{scale_name},{label},{','.join(map(repr, values[row]))}\n")
@@ -387,10 +384,10 @@ def run_ablation(cfg: RunConfig, variants: list[str], seeds: list[int]):
     for run_cfg in run_cfgs:
         source, target = generate_domain_pair(run_cfg.domain_spec())
         source_model, _ = train_source(source, run_cfg)
+        unlabeled = target.without_labels()  # no per-epoch target evaluation
         for variant in variants:
-            adapted, rows = adapt_target(source_model, target, replace(run_cfg, variant=variant))
-            # the last epoch already evaluated the returned model on target
-            results[variant][run_cfg.seed] = rows[-1].accuracy if rows else evaluate(adapted, target).accuracy
+            adapted, _ = adapt_target(source_model, unlabeled, replace(run_cfg, variant=variant))
+            results[variant][run_cfg.seed] = evaluate(adapted, target).accuracy
     return results
 
 

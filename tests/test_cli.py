@@ -75,6 +75,21 @@ def test_adapt_and_metrics(workspace):
     assert (workspace / "adapted.ckpt.json.config").read_text().count("variant = fc") == 1
 
 
+def test_adapt_echoes_the_model_sizes_it_used(workspace):
+    # d_enc, d, d_b and m_max come from the source checkpoint, not the config
+    out = run_sfvda(
+        "adapt", "--config", "tiny.config", "--source-model", "source.ckpt.json",
+        "--target-data", "data/target.jsonl", "--variant", "fc", "--set", "d=99", "--set", "m_max=1",
+        "--out", "resized.ckpt.json", cwd=workspace,
+    )
+    assert out.returncode == 0, out.stderr
+    echoed = (workspace / "resized.ckpt.json.config").read_text().splitlines()
+    hyperparams = json.loads((workspace / "resized.ckpt.json").read_text())["hyperparams"]
+    assert hyperparams["d"] == 8 and hyperparams["M_max"] == 3
+    for line in ("d_enc = 8", "d = 8", "d_b = 8", "m_max = 3", "variant = fc"):
+        assert line in echoed, line
+
+
 def test_unknown_config_key_names_the_key(workspace):
     bad = workspace / "bad.config"
     bad.write_text(TINY + "betaa_fc = 1.0\n")

@@ -1,6 +1,6 @@
 import pytest
 
-from sfvda.config import RunConfig, apply_overrides, emit_config, parse_config
+from sfvda.config import RunConfig, Variant, apply_overrides, emit_config, parse_config
 
 
 def test_emit_parse_roundtrip_defaults():
@@ -53,6 +53,13 @@ def test_variant_validation():
         parse_config("variant = bogus")
     with pytest.raises(ValueError, match="freeze_scope"):
         parse_config("freeze_scope = nothing")
+
+
+def test_variant_sites_are_checked_when_the_variant_is_made():
+    # a variant's sites are fixed at import, so no batch re-checks them
+    with pytest.raises(ValueError, match=r"variant sites \['bogus'\] are not among \['feature', 'prediction'\]"):
+        Variant((("beta_im", "im"),), frozenset({"feature", "bogus"}))
+    assert Variant((), frozenset({"feature", "prediction"})).sites == {"feature", "prediction"}
 
 
 def test_apply_overrides_precedence():

@@ -432,6 +432,35 @@ class TestFusedPredictionObjective:
             with pytest.raises(ValueError, match="does not match batch 3 x scales 2"):
                 prediction_objective(Tensor(np.zeros((2, 3, 4))), overall, {"pc_local": 1.0}, weights)
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "prediction-site"])
+    def test_local_term_alone_needs_no_overall_logits(self, weighted):
+        # pc_local reads only the local stack, so without overall logits it
+        # gives the same value and local gradient, and has no other parent
+        rng = np.random.default_rng(53)
+        local = rng.normal(size=(3, 5, 4)) * 2.0
+        weights = rng.uniform(0.1, 1.0, size=(5, 3)) if weighted else None
+        results = []
+        for overall in (Tensor(rng.normal(size=(5, 4)), requires_grad=True), None):
+            local_t = Tensor(local, requires_grad=True)
+            loss, values = prediction_objective(local_t, overall, {"pc_local": 0.7}, weights)
+            loss.backward()
+            results.append((loss.item(), values, local_t.grad))
+            if overall is not None:
+                assert overall.grad is None
+        (with_value, with_values, with_grad), (value, values, grad) = results
+        assert value == with_value and values == with_values
+        assert grad.tobytes() == with_grad.tobytes()
+        _, _, oracle_grads = oracles.unfused_prediction_objective(
+            local, rng.normal(size=(5, 4)), {"pc_local": 0.7}, weights
+        )
+        self.assert_close(grad, oracle_grads["local"], "local logits")
+
+    def test_terms_on_the_overall_logits_need_them(self):
+        local = Tensor(np.zeros((2, 3, 4)))
+        for term in ("pc_overall", "im", "pl_ce"):
+            with pytest.raises(ValueError, match=rf"\['{term}'\] read the overall logits, and none were given"):
+                prediction_objective(local, None, {"pc_local": 1.0, term: 1.0}, labels=np.zeros(3, dtype=int))
+
     def test_unknown_term_rejected(self):
         with pytest.raises(ValueError, match="unknown terms"):
             prediction_objective(None, Tensor(np.zeros((2, 3))), {"fc": 1.0})

@@ -77,44 +77,53 @@ def test_weighted_logits_preserve_argmax():
         assert np.argmax(logits) == np.argmax(logits * w)
 
 
+def one_hot_logits(rng, n_scales, batch, n_classes):
+    """(S, B, C) logits confident enough that every relevance weight is 1."""
+    logits = np.zeros((n_scales, batch, n_classes))
+    logits[:, np.arange(batch), rng.integers(0, n_classes, size=batch)] = 40.0
+    return Tensor(logits)
+
+
 def test_apply_weights_identity_when_all_one():
     rng = np.random.default_rng(3)
     lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(2)]
-    ones = np.ones((3, 2))
-    overall, weights = lwm.apply_weights(stack(lts), ones, {"feature", "prediction"})
+    overall, weights = lwm.apply_weights(stack(lts), one_hot_logits(rng, 2, 3, 5), {"feature", "prediction"})
     plain = (lts[0].data + lts[1].data) / 2.0
     assert np.max(np.abs(overall.data - plain)) < 1e-12
-    assert np.array_equal(weights, ones)
+    assert np.allclose(weights, np.ones((3, 2)), atol=1e-12)
 
 
 def test_apply_weights_zero_scale():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
-    w = np.array([[1.0, 0.0]])
-    overall, weights = lwm.apply_weights(stack(lts), w, {"feature", "prediction"})
-    assert np.allclose(overall.data, [[1.0, 0.0]])
-    assert np.array_equal(weights, w)  # scale 1 of the one video scales its logits to 0
+    # scale 0 is one-hot (weight 1) and scale 1 uniform (weight 0)
+    logits = stack([Tensor([[40.0, 0.0]]), Tensor([[0.0, 0.0]])])
+    overall, weights = lwm.apply_weights(stack(lts), logits, {"feature", "prediction"})
+    assert np.allclose(overall.data, [[1.0, 0.0]], atol=1e-12)
+    assert np.allclose(weights, [[1.0, 0.0]], atol=1e-12)  # scale 1 of the one video scales its logits to 0
 
 
 def test_apply_weights_scripted_feature_site():
     lts = [Tensor([[2.0, 0.0]]), Tensor([[0.0, 4.0]])]
-    w = np.array([[1.0, 0.5]])
-    overall, weights = lwm.apply_weights(stack(lts), w, {"feature"})
-    assert np.allclose(overall.data, [[1.0, 1.0]])
+    # p = (1/4, 3/4) on scale 1: weight 1 - 0.8112781244591328 bits
+    w = 0.1887218755408672
+    logits = stack([Tensor([[40.0, 0.0]]), Tensor([[0.0, math.log(3.0)]])])
+    overall, weights = lwm.apply_weights(stack(lts), logits, {"feature"})
+    assert np.allclose(overall.data, [[1.0, 2.0 * w]], atol=1e-10)
     assert weights is None
 
 
 def test_apply_weights_site_selection():
     rng = np.random.default_rng(4)
-    lts = [Tensor(rng.normal(size=(2, 3))) for _ in range(2)]
-    w = rng.uniform(0.2, 0.9, size=(2, 2))
-    overall_p, weights_p = lwm.apply_weights(stack(lts), w, {"prediction"})
-    plain = (lts[0].data + lts[1].data) / 2.0
+    lts = stack([Tensor(rng.normal(size=(2, 3))) for _ in range(2)])
+    logits = Tensor(rng.normal(size=(2, 2, 4)))
+    plain = lts.data.mean(axis=0)
+    overall_p, weights_p = lwm.apply_weights(lts, logits, {"prediction"})
     assert np.max(np.abs(overall_p.data - plain)) < 1e-12
-    assert np.array_equal(weights_p, w)
-    with pytest.raises(ValueError, match="nonempty"):
-        lwm.apply_weights(stack(lts), w, set())
-    with pytest.raises(ValueError, match="unknown"):
-        lwm.apply_weights(stack(lts), w, {"bogus"})
+    assert np.array_equal(weights_p, lwm.local_relevance_weight(logits))
+    # no sites: the plain mean, and the local logits are not read
+    overall_none, weights_none = lwm.apply_weights(lts, None, ())
+    assert np.max(np.abs(overall_none.data - plain)) < 1e-12
+    assert weights_none is None
 
 
 def test_weights_are_detached():
@@ -127,12 +136,6 @@ def test_weights_are_detached():
 def test_one_hot_confident_weighting_equals_plain_mean():
     rng = np.random.default_rng(6)
     lts = [Tensor(rng.normal(size=(3, 4))) for _ in range(3)]
-    logits = []
-    for _ in range(3):
-        block = np.zeros((3, 5))
-        block[np.arange(3), rng.integers(0, 5, size=3)] = 40.0
-        logits.append(Tensor(block))
-    w = lwm.local_relevance_weight(stack(logits))
-    overall, _ = lwm.apply_weights(stack(lts), w, {"feature"})
+    overall, _ = lwm.apply_weights(stack(lts), one_hot_logits(rng, 3, 3, 5), {"feature"})
     plain = np.mean([lt.data for lt in lts], axis=0)
     assert np.max(np.abs(overall.data - plain)) < 1e-12

@@ -298,6 +298,24 @@ class TestAdaptTarget:
         else:
             assert largest <= 1e-12
 
+    @pytest.mark.parametrize(
+        "variant, passes",
+        [("full", 2), ("pc", 2), ("tc", 2), ("na", 2), ("a_at_f", 2), ("a_at_p", 2),
+         ("pc_no_overall", 1), ("shot_baseline", 1), ("fc", 0)],
+    )
+    @pytest.mark.parametrize("scope", list(M.HEAD_SCOPES))
+    def test_a_step_runs_only_the_head_passes_its_terms_read(self, trained, monkeypatch, variant, passes, scope):
+        # the local pass runs for a pc term or a weighting site, the overall
+        # pass for any term but pc_local; eval passes run without a graph
+        cfg, _, target, model, _ = trained
+        graph_passes, steps = [], []
+        classify, step = P.classify, P.SGD.step
+        monkeypatch.setattr(P, "classify", lambda *a, **kw: graph_passes.append(T._grad_enabled) or classify(*a, **kw))
+        monkeypatch.setattr(P.SGD, "step", lambda opt: steps.append(opt) or step(opt))
+        P.adapt_target(model, target, replace(cfg, variant=variant, freeze_scope=scope))
+        assert steps
+        assert sum(graph_passes) == passes * len(steps)
+
     def test_mismatched_dataset_rejected(self, trained):
         cfg, _, _, model, _ = trained
         other_cfg = tiny_cfg(frame_dim=9)
@@ -434,14 +452,17 @@ class TestMetricsFile:
 
 class TestRunAblation:
     def test_single_variant_single_seed_matches_direct_path(self):
+        # run_ablation adapts without labels; the pseudo-label variants
+        # (full, shot_baseline) then make their own eval pass for them
         cfg = tiny_cfg()
-        results = P.run_ablation(cfg, ["source_only", "fc"], [cfg.seed])
+        results = P.run_ablation(cfg, ["source_only", "fc", "full", "shot_baseline"], [cfg.seed])
         source, target = generate_domain_pair(cfg.domain_spec())
         model, _ = P.train_source(source, cfg)
         direct = P.evaluate(model, target).accuracy
         assert results["source_only"][cfg.seed] == direct
-        adapted, _ = P.adapt_target(model, target, replace(cfg, variant="fc"))
-        assert results["fc"][cfg.seed] == P.evaluate(adapted, target).accuracy
+        for variant in ("fc", "full", "shot_baseline"):
+            adapted, _ = P.adapt_target(model, target, replace(cfg, variant=variant))
+            assert results[variant][cfg.seed] == P.evaluate(adapted, target).accuracy, variant
 
     def test_unknown_variant_fails_before_any_training(self, monkeypatch):
         def no_training(*args, **kwargs):
@@ -461,15 +482,21 @@ class TestRunAblation:
         assert float(cells[3]) == pytest.approx(0.6)
 
 
+def _unread(objective):
+    """Name prefixes of the parameters no term of ``objective`` reads: fc
+    acts on the local features alone and runs no head pass."""
+    return M.HEAD_SCOPES["head_all"] if objective == "fc" else ()
+
+
 def _gradient_cases():
     """(objective, freeze scope, parameter) for every trainable parameter of
-    the tiny model: three adaptation variants under both scopes, and the
-    source objective, which freezes nothing."""
+    the tiny model that the objective reads: five adaptation variants under
+    both scopes, and the source objective, which freezes nothing."""
     names = [name for name, _, _ in M.parameter_layout(k=4, d_in=5, n_classes=3, d_enc=4, d=6, d_b=5, m_max=3)]
-    for variant in ("full", "tc", "shot_baseline"):
+    for variant in ("full", "tc", "shot_baseline", "fc", "pc_no_overall"):
         for scope in M.HEAD_SCOPES:
             for name in names:
-                if not name.startswith(M.HEAD_SCOPES[scope]):
+                if not name.startswith(M.HEAD_SCOPES[scope] + _unread(variant)):
                     yield variant, scope, name
     for name in names:
         yield "ce", None, name
@@ -498,7 +525,10 @@ class TestWholeModelGradient:
         shared by every row of the block. ``bot_b`` shifts every row of
         every block; ``rel<r>_b2`` shifts all of scale r's rows, which the
         overall feature passes on to every video alike unless the feature
-        site weights it per video."""
+        site weights it per video. Feature consistency normalizes each
+        scale over the batch, so it cancels ``rel<r>_b2`` under any scope."""
+        if objective == "fc":
+            return name.startswith("rel") and name.endswith("_b2")
         if scope == "head_all":
             return False
         if name == "bot_b":
@@ -509,6 +539,10 @@ class TestWholeModelGradient:
     def test_gradient_matches_central_differences(self, monkeypatch, objective, scope, name):
         model, frames, labels, clips = self.tiny_batch()
         cfg = tiny_cfg(variant=objective if scope else "full", freeze_scope=scope or "head_all")
+        if objective == "pc_no_overall":
+            # pc_local alone is quadratic in the small logit gaps of the
+            # untrained head, so some of its gradients are of order 1e-8
+            cfg = replace(cfg, alpha_local=100.0)
 
         def features():
             return M.local_temporal_features(M.encode_frames(frames, model), clips, model)
@@ -519,8 +553,10 @@ class TestWholeModelGradient:
             fixed = lwm.local_relevance_weight(M.classify(features(), model, batch_stats=True))
             monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits: fixed)
 
+            coeffs = dict(P._leaf_coefficients(VARIANTS[objective].objective, cfg))
+
             def loss():
-                return P._adapt_batch_loss(model, cfg, features(), labels)[0]
+                return P._adapt_batch_loss(model, cfg, coeffs, features(), labels)[0]
         else:
 
             def loss():
@@ -545,4 +581,5 @@ class TestWholeModelGradient:
             assert np.abs(report.analytic).max() > 1e-6, f"{name}: gradient vanished"
         loss().backward()
         for other, t in model.tensors.items():
-            assert (t.grad is None) == (not t.requires_grad), f"{other}: frozen iff no gradient"
+            unread = other.startswith(_unread(objective))
+            assert (t.grad is None) == (not t.requires_grad or unread), f"{other}: frozen or unread iff no gradient"
