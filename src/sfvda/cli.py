@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,8 +106,7 @@ def _cmd_adapt(args) -> None:
     save_checkpoint(adapted, args.out)
     write_metrics(rows, args.out + ".metrics.csv")
     # adaptation took the model sizes from the source checkpoint
-    sizes = dict(d_enc=model.d_enc, d=model.d, d_b=model.d_b, m_max=model.m_max)
-    _echo_config(apply_overrides(cfg, sizes), args.out, "adapt")
+    _echo_config(replace(cfg, d_enc=model.d_enc, d=model.d, d_b=model.d_b, m_max=model.m_max), args.out, "adapt")
     print(f"adapted variant {cfg.variant} for {len(rows)} epochs")
 
 

@@ -452,8 +452,9 @@ class TestMetricsFile:
 
 class TestRunAblation:
     def test_single_variant_single_seed_matches_direct_path(self):
-        # run_ablation adapts without labels; the pseudo-label variants
-        # (full, shot_baseline) then make their own eval pass for them
+        # run_ablation adapts on the unlabeled target, so the pseudo-label
+        # variants (full, shot_baseline) make each epoch's eval pass
+        # themselves instead of reusing the previous epoch's evaluation
         cfg = tiny_cfg()
         results = P.run_ablation(cfg, ["source_only", "fc", "full", "shot_baseline"], [cfg.seed])
         source, target = generate_domain_pair(cfg.domain_spec())
