@@ -39,6 +39,20 @@ class Variant:
         if not SITES.issuperset(self.sites):
             raise ValueError(f"variant sites {sorted(set(self.sites) - SITES)} are not among {sorted(SITES)}")
 
+    def coefficients(self, cfg: RunConfig) -> dict[str, float]:
+        """Each component's coefficient under ``cfg``: the product of the
+        weights on its path, components left to right."""
+
+        def leaves(tree, coeff):
+            for name, child in tree:
+                c = coeff * getattr(cfg, name)
+                if isinstance(child, str):
+                    yield child, c
+                else:
+                    yield from leaves(child, c)
+
+        return dict(leaves(self.objective, 1.0))
+
 
 VARIANTS = {
     "full": Variant(_FULL, frozenset({"feature", "prediction"})),
@@ -143,8 +157,6 @@ def _parse_value(key: str, raw: str):
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Parse ``key = value`` lines on top of ``base`` (defaults when absent)."""
-    values = {f.name: getattr(base, f.name) for f in fields(RunConfig)} if base else {}
-    cfg = RunConfig(**values) if values else RunConfig()
     updates = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -160,7 +172,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             updates[key] = _parse_value(key, raw)
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: {exc}") from None
-    return apply_overrides(cfg, updates)
+    return apply_overrides(base or RunConfig(), updates)
 
 
 def apply_overrides(cfg: RunConfig, updates: dict) -> RunConfig:

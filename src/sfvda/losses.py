@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, _ensure_finite, log_softmax_rows
+from .tensor import Tensor, _ensure_finite, _scale_mean, _standardize, _standardize_vjp, log_softmax_rows
 
 __all__ = [
     "PREDICTION_TERMS",
@@ -50,10 +50,7 @@ def feature_consistency_total(lts: Tensor, lam: float, eps_norm: float) -> Tenso
         raise ValueError("feature_consistency_total: need at least two scales")
     if batch < 2:
         raise ValueError("feature_consistency_total: need a batch of at least 2")
-    x = lts.data
-    centered = x - x.mean(axis=1, keepdims=True)
-    sigma = np.sqrt((centered * centered).mean(axis=1, keepdims=True) + eps_norm)
-    z = centered / sigma  # (S, B, d)
+    z, _, _, sigma = _standardize(lts.data, eps_norm)  # (S, B, d)
     by_dim = z.transpose(2, 0, 1)  # (d, S, B)
     grams = z @ z.transpose(0, 2, 1)  # (S, B, B)
     gram_sum = grams.sum(axis=0)
@@ -73,8 +70,7 @@ def feature_consistency_total(lts: Tensor, lam: float, eps_norm: float) -> Tenso
         g_diag = -2.0 * g * (diag_dev + lam * pairs * diag)
         dz_by_dim = (2.0 / batch) * (g_diag @ by_dim)  # (d, S, B)
         dz = dz_by_dim.transpose(1, 2, 0) + (4.0 * g * lam / (batch * batch)) * ((gram_sum - grams) @ z)
-        # back through z = (x - mean) / sigma, both taken over the batch
-        return ((dz - dz.mean(axis=1, keepdims=True) - z * (dz * z).mean(axis=1, keepdims=True)) / sigma,)
+        return (_standardize_vjp(dz, z, sigma),)
 
     return Tensor._from_op(np.asarray(value), "feature_consistency_total", (lts,), vjp)
 
@@ -98,7 +94,8 @@ def prediction_objective(
       * im: mean entropy of p(overall) plus KL of its batch marginal to
         uniform;
       * ce / pl_ce: mean cross-entropy of ``overall`` against the
-        ``labels`` one-hot, smoothed to (1 - eps) * onehot + eps / C.
+        ``labels`` one-hot; ce smooths it to (1 - eps) * onehot + eps / C,
+        and pl_ce never does.
     Only pc_local leaves the (B, C) ``overall`` logits unread; they may be
     None then. The op's parents are the logit sets the terms read, and its
     VJP sums the terms' closed-form input gradients, each scaled by its
@@ -107,6 +104,8 @@ def prediction_objective(
     unknown = set(coeffs) - set(PREDICTION_TERMS)
     if unknown:
         raise ValueError(f"prediction_objective: unknown terms {sorted(unknown)}")
+    if not 0.0 <= eps_smooth < 1.0:
+        raise ValueError(f"eps_smooth must lie in [0, 1), got {eps_smooth}")
     reads_overall = sorted(set(coeffs) - {"pc_local"})
     if overall is None and reads_overall:
         raise ValueError(f"prediction_objective: {reads_overall} read the overall logits, and none were given")
@@ -121,14 +120,8 @@ def prediction_objective(
         n_scales = local.shape[0]
         if n_scales == 0 or local.shape[1:] != (batch, n_classes):
             raise ValueError(f"local logits {local.shape} are not a stack of {(batch, n_classes)} logits")
-        scaled, column = local.data, None
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != (batch, n_scales):
-                raise ValueError(f"weights shape {weights.shape} does not match batch {batch} x scales {n_scales}")
-            column = weights.T[:, :, None]
-            scaled = _ensure_finite(scaled * column, "mul")
-        la, pa = log_softmax_rows(scaled.sum(axis=0) * (1.0 / n_scales))
+        scaled, column, average = _scale_mean(local.data, weights)
+        la, pa = log_softmax_rows(average)
         g_stack = np.zeros_like(scaled)
         g_avg = np.zeros_like(pa)
         if "pc_local" in coeffs:
@@ -156,17 +149,15 @@ def prediction_objective(
         # d/dlogits of both parts: p * (u - sum(p * u)) / B, u = log marginal - lp
         u = log_marginal - lo
         g_over += (coeffs["im"] / batch) * po * (u - np.sum(po * u, axis=1, keepdims=True))
-    for name in ("ce", "pl_ce"):
+    for name, eps in (("ce", eps_smooth), ("pl_ce", 0.0)):
         if name in coeffs:
-            if not 0.0 <= eps_smooth < 1.0:
-                raise ValueError(f"eps_smooth must lie in [0, 1), got {eps_smooth}")
             labels = np.asarray(labels, dtype=np.int64)
             if labels.shape != (batch,):
                 raise ValueError(f"{name}: labels of shape {labels.shape} for a batch of {batch}")
             if labels.min() < 0 or labels.max() >= n_classes:
                 raise ValueError(f"{name}: label out of range")
-            target = np.full((batch, n_classes), eps_smooth / n_classes)
-            target[np.arange(batch), labels] += 1.0 - eps_smooth
+            target = np.full((batch, n_classes), eps / n_classes)
+            target[np.arange(batch), labels] += 1.0 - eps
             values[name] = float(np.sum(target * lo) * (-1.0 / batch))
             g_over += (coeffs[name] / batch) * (po - target)
     total = sum(coeffs[name] * values[name] for name in coeffs)

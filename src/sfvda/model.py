@@ -35,7 +35,7 @@ import numpy as np
 
 from .data import _SPEC_BOUNDS, _choice, _in_range, _require_fields, _require_version
 from .data import check_float_text, decode_floats, encode_floats, parse_json, read_text
-from .tensor import Tensor, _ensure_finite, stack
+from .tensor import Tensor, _ensure_finite, _scale_mean, _standardize, _standardize_vjp, stack
 
 __all__ = [
     "ModelParams",
@@ -319,25 +319,15 @@ def aggregate_overall(lts: Tensor, weights: np.ndarray | None = None) -> Tensor:
 
     With weights w of shape (B, S): (1/S) * sum_s w[:, s] * lt_s.
     """
-    n_scales, batch, _ = lts.shape
-    scaled, column = lts.data, None
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (batch, n_scales):
-            raise ValueError(
-                f"aggregate_overall: weights shape {weights.shape} does not match "
-                f"batch {batch} x scales {n_scales}"
-            )
-        column = weights.T[:, :, None]
-        scaled = _ensure_finite(scaled * column, "mul")
-    inv = 1.0 / n_scales
+    _, column, mean = _scale_mean(lts.data, weights)
+    inv = 1.0 / lts.shape[0]
 
     def vjp(g):
         g_stack = np.broadcast_to(g * inv, lts.shape)
         return (g_stack.copy() if column is None else g_stack * column,)
 
     # scaling a finite sum by 1/S keeps it finite, so one scan covers both
-    return Tensor._from_op(scaled.sum(axis=0) * inv, "sum", (lts,), vjp)
+    return Tensor._from_op(mean, "sum", (lts,), vjp)
 
 
 _HEAD = ("bot_w", "bot_b", "bn_gamma", "bn_beta", "wn_v", "wn_g", "wn_b")
@@ -367,13 +357,8 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool) -> Ten
     h += bot_b
     _ensure_finite(h, "add")
     if batch_stats:
-        grouped = h.reshape(-1, batch, h.shape[1])
-        mu = _ensure_finite(grouped.mean(axis=1, keepdims=True), "mean")
-        centered = grouped - mu
-        var = _ensure_finite(np.mean(centered * centered, axis=1, keepdims=True), "variance")
-        _ensure_finite(centered, "sub")
-        sigma = _ensure_finite(np.sqrt(_ensure_finite(var + BN_EPS, "add")), "sqrt")
-        hat = _ensure_finite(centered / sigma, "div").reshape(rows, -1)
+        z, mu, var, sigma = _standardize(h.reshape(-1, batch, h.shape[1]), BN_EPS)
+        hat = z.reshape(rows, -1)
         m = params.bn_momentum
         for batch_mu, batch_var in zip(mu, var):
             params.bn_mean = m * params.bn_mean + (1.0 - m) * batch_mu.reshape(-1)
@@ -416,11 +401,7 @@ def classify(features: Tensor, params: ModelParams, *, batch_stats: bool) -> Ten
         grads[4] = g_normed.sum(axis=0)
         g_hat = g_normed * gamma
         if batch_stats:
-            # back through (h - mean) / sigma, both taken over each batch
-            g_hat = g_hat.reshape(grouped.shape)
-            z = hat.reshape(grouped.shape)
-            g_h = (g_hat - g_hat.mean(axis=1, keepdims=True) - z * np.mean(g_hat * z, axis=1, keepdims=True)) / sigma
-            g_h = g_h.reshape(rows, -1)
+            g_h = _standardize_vjp(g_hat.reshape(z.shape), z, sigma).reshape(rows, -1)
         else:
             g_h = g_hat / sigma
         if needs[0]:

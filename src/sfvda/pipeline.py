@@ -203,7 +203,7 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int
         if not np.isfinite(total):
             raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
         opt.zero_grad()
-        loss.backward(free_graph=True)
+        loss.backward()
         opt.step()
         for name, value in components.items():
             sums[name] += value
@@ -212,12 +212,25 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int
     return {name: value / max(1, n_batches) for name, value in sums.items()}
 
 
-def _source_batch_loss(model: ModelParams, cfg: RunConfig, lts: Tensor, labels: np.ndarray):
-    """``train_source``'s loss of one batch from its local temporal features:
-    smoothed cross-entropy of the head, with batch statistics, on the mean
-    over scales. Returns the loss and {"ce": its value}."""
-    logits = _head(model, lts, batch_stats=True)[3]
-    return prediction_objective(None, logits, {"ce": 1.0}, labels=labels, eps_smooth=cfg.eps_smooth)
+def _batch_loss(model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, labels, *, batch_stats: bool, sites=()):
+    """Either loop's loss of one batch from its local temporal features: the
+    objective with leaf ``coeffs``, from ``feature_consistency_total`` and one
+    ``prediction_objective`` (ce / pl_ce against ``labels``), running only the
+    head passes its terms read. Returns the loss and each component's value."""
+    terms, components = [], {}
+    if "fc" in coeffs:
+        fc = feature_consistency_total(lts, cfg.lam, cfg.eps_norm)
+        terms.append((coeffs["fc"], fc))
+        components["fc"] = fc.item()
+    on_logits = {name: c for name, c in coeffs.items() if name != "fc"}
+    if on_logits:
+        local_logits, weights, _, overall_logits = _head(
+            model, lts, batch_stats=batch_stats, sites=sites,
+            local="pc_local" in on_logits or "pc_overall" in on_logits, overall=on_logits.keys() != {"pc_local"})
+        loss, values = prediction_objective(local_logits, overall_logits, on_logits, weights, labels, cfg.eps_smooth)
+        terms.append((1.0, loss))
+        components |= values
+    return weighted_sum(terms), components
 
 
 def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
@@ -238,7 +251,7 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     opt = SGD(model.trainable_parameters(), cfg.lr_source, cfg.momentum, cfg.weight_decay)
 
     def batch_loss(idx, lts):
-        return _source_batch_loss(model, cfg, lts, source.labels[idx])
+        return _batch_loss(model, cfg, {"ce": 1.0}, lts, source.labels[idx], batch_stats=True)
 
     rows: list[MetricsRow] = []
     best_acc, best_model = -1.0, None
@@ -262,39 +275,6 @@ def _frozen_state(model: ModelParams, scope: str) -> dict[str, bytes]:
     return state
 
 
-def _leaf_coefficients(tree, cfg: RunConfig, coeff: float = 1.0):
-    """(component, product of the weights on its path) per leaf, left to right."""
-    for name, child in tree:
-        c = coeff * getattr(cfg, name)
-        if isinstance(child, str):
-            yield child, c
-        else:
-            yield from _leaf_coefficients(child, cfg, c)
-
-
-def _adapt_batch_loss(model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, pseudo: np.ndarray | None):
-    """``adapt_target``'s loss of one batch from its local temporal features:
-    the variant's objective with its leaf ``coeffs``, built from
-    ``feature_consistency_total`` and one ``prediction_objective``, with the
-    head frozen under ``cfg.freeze_scope``, running only the head passes its
-    terms read. Returns the loss and each component's value."""
-    terms, components = [], {}
-    if "fc" in coeffs:
-        fc = feature_consistency_total(lts, cfg.lam, cfg.eps_norm)
-        terms.append((coeffs["fc"], fc))
-        components["fc"] = fc.item()
-    on_logits = {name: c for name, c in coeffs.items() if name != "fc"}
-    if on_logits:
-        # a head frozen with its batch norm normalizes with the running statistics
-        local_logits, weights, _, overall_logits = _head(
-            model, lts, batch_stats=cfg.freeze_scope != "head_all", sites=VARIANTS[cfg.variant].sites,
-            local="pc_local" in on_logits or "pc_overall" in on_logits, overall=on_logits.keys() != {"pc_local"})
-        loss, values = prediction_objective(local_logits, overall_logits, on_logits, weights, pseudo)
-        terms.append((1.0, loss))
-        components |= values
-    return weighted_sum(terms), components
-
-
 def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[MetricsRow]]:
     """Source-free adaptation with the variant's objective; head stays frozen.
 
@@ -305,7 +285,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     check_compatible(source_model, target)
     model = source_model.copy()
     variant = VARIANTS[cfg.variant]
-    coeffs = dict(_leaf_coefficients(variant.objective, cfg))
+    coeffs = variant.coefficients(cfg)
     # source_only, or a variant whose coefficients are all zero, optimizes
     # nothing: it returns the source model as it is, with no metrics rows
     if not any(c > 0.0 for c in coeffs.values()):
@@ -315,12 +295,15 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     model.freeze_head(cfg.freeze_scope)
     frozen = _frozen_state(model, cfg.freeze_scope)
     use_pl = "pl_ce" in coeffs
+    # a head frozen with its batch norm normalizes with the running statistics
+    batch_stats = cfg.freeze_scope != "head_all"
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
     model.aggregation = "entropy_weighted" if "feature" in variant.sites else "mean"
 
     def batch_loss(idx, lts):
         # this epoch's pseudo-labels, bound below before its batches run
-        return _adapt_batch_loss(model, cfg, coeffs, lts, pseudo[idx] if use_pl else None)
+        labels = pseudo[idx] if use_pl else None
+        return _batch_loss(model, cfg, coeffs, lts, labels, batch_stats=batch_stats, sites=variant.sites)
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is

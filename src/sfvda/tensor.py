@@ -3,13 +3,14 @@
 Small eager autograd engine on numpy storage: each operation computes its
 value immediately and, while gradients are enabled, records parent links
 and a local vector-Jacobian closure. ``Tensor.backward`` walks the recorded
-graph once in reverse topological order and accumulates gradients into the
-``.grad`` buffer of every leaf that requires them.
+graph once in reverse topological order, accumulates gradients into the
+``.grad`` buffer of every leaf that requires them, and then frees the graph
+it ran, so a second backward through it raises.
 
 The model and the losses build their layers as fused operations with
 closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
-ones, ``stack`` and ``weighted_sum``, and the package's one softmax,
-``log_softmax_rows``.
+ones, ``stack`` and ``weighted_sum``, and the array steps layers share: the
+one softmax ``log_softmax_rows``, ``_scale_mean`` and ``_standardize``.
 
 Design constraints honoured throughout:
   * float64 everywhere (finite-difference checks are meaningless in 32-bit),
@@ -114,19 +115,18 @@ class Tensor:
 
     # -- backward ----------------------------------------------------------------
 
-    def backward(self, free_graph: bool = False) -> None:
-        """Accumulate dSelf/dLeaf into every requiring leaf.
-
-        Repeated calls add to existing ``.grad`` buffers. With
-        ``free_graph=True`` the recorded closures are dropped afterwards and
-        any further backward through this graph raises.
-        """
+    def backward(self) -> None:
+        """Accumulate dSelf/dLeaf into every requiring leaf, adding to any
+        ``.grad`` already there, then free the graph: a second backward raises."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
         graph = Graph.trace(self)
         graph.run(np.ones_like(self.data))
-        if free_graph:
-            graph.free()
+        for node in graph.nodes:
+            if node._vjp is not None:
+                node._parents = ()
+                node._vjp = None
+                node._consumed = True
 
 
 class Graph:
@@ -182,13 +182,6 @@ class Graph:
                 else:
                     grads[key] = pg
 
-    def free(self) -> None:
-        for node in self.nodes:
-            if node._vjp is not None:
-                node._parents = ()
-                node._vjp = None
-                node._consumed = True
-
 
 # -- primitive operations ---------------------------------------------------------
 
@@ -225,6 +218,39 @@ def log_softmax_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(shifted)
     total = e.sum(axis=-1, keepdims=True)
     return _ensure_finite(shifted - np.log(total), "log_softmax"), e / total
+
+
+def _scale_mean(x: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The (S, B, n) stack ``x`` scaled per (video, scale) by the (B, S)
+    ``weights`` when given, their (S, B, 1) column (None without weights),
+    and the mean over scales of the scaled stack."""
+    n_scales, batch, _ = x.shape
+    column = None
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (batch, n_scales):
+            raise ValueError(f"weights shape {weights.shape} does not match batch {batch} x scales {n_scales}")
+        column = weights.T[:, :, None]
+        x = _ensure_finite(x * column, "mul")
+    return x, column, x.sum(axis=0) * (1.0 / n_scales)
+
+
+@np.errstate(all="ignore")  # every stage is checked, so a warning would be a second report
+def _standardize(x: np.ndarray, eps: float):
+    """(z, mean, var, sigma) of the (G, B, d) ``x`` standardized over each
+    group's batch, sigma = sqrt(var + eps); every stage is checked for
+    finiteness under the name of the operation it once was."""
+    mean = _ensure_finite(x.mean(axis=1, keepdims=True), "mean")
+    centered = x - mean
+    var = _ensure_finite(np.mean(centered * centered, axis=1, keepdims=True), "variance")
+    _ensure_finite(centered, "sub")
+    sigma = _ensure_finite(np.sqrt(_ensure_finite(var + eps, "add")), "sqrt")
+    return _ensure_finite(centered / sigma, "div"), mean, var, sigma
+
+
+def _standardize_vjp(g: np.ndarray, z: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The gradient of ``x`` from that of ``z``, back through ``_standardize``."""
+    return (g - g.mean(axis=1, keepdims=True) - z * np.mean(g * z, axis=1, keepdims=True)) / sigma
 
 
 # -- gradient checking ---------------------------------------------------------------

@@ -318,9 +318,10 @@ def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=No
     pc_local is the mean over scales and videos of KL(softmax(local) ||
     softmax(A)), pc_overall the mean L1 distance of the log-softmaxes of
     ``overall`` and A, im the mean entropy of softmax(overall) plus the KL of
-    its batch marginal to uniform, and ce / pl_ce the mean cross-entropy of
-    ``overall`` against (1 - eps) * onehot(labels) + eps / C. Returns the
-    weighted sum, each term's value, and the gradients of local and overall.
+    its batch marginal to uniform, ce the mean cross-entropy of ``overall``
+    against (1 - eps) * onehot(labels) + eps / C, and pl_ce the same with
+    eps = 0. Returns the weighted sum, each term's value, and the gradients
+    of local and overall.
     """
     batch, n_classes = overall.shape
     values = {}
@@ -365,10 +366,10 @@ def unfused_prediction_objective(local, overall, coeffs, weights=None, labels=No
         g_marginal = c * shifted + c * marginal / marginal
         g_probs = g_plogp * logp + np.broadcast_to(g_marginal / batch, probs.shape)
         g_overall = g_overall + _softmax_vjp(probs, g_probs) + _log_softmax_vjp(logp, g_plogp * probs)
-    for name in ("ce", "pl_ce"):
+    for name, eps in (("ce", eps_smooth), ("pl_ce", 0.0)):
         if name in coeffs:
-            target = np.full((batch, n_classes), eps_smooth / n_classes)
-            target[np.arange(batch), labels] += 1.0 - eps_smooth
+            target = np.full((batch, n_classes), eps / n_classes)
+            target[np.arange(batch), labels] += 1.0 - eps
             logp = _unfused_log_softmax(overall)
             values[name] = (target * logp).sum() * (-1.0 / batch)
             g_overall = g_overall + _log_softmax_vjp(logp, target * (-coeffs[name] / batch))

@@ -1,6 +1,6 @@
 import pytest
 
-from sfvda.config import RunConfig, Variant, apply_overrides, emit_config, parse_config
+from sfvda.config import VARIANTS, RunConfig, Variant, apply_overrides, emit_config, parse_config
 
 
 def test_emit_parse_roundtrip_defaults():
@@ -60,6 +60,28 @@ def test_variant_sites_are_checked_when_the_variant_is_made():
     with pytest.raises(ValueError, match=r"variant sites \['bogus'\] are not among \['feature', 'prediction'\]"):
         Variant((("beta_im", "im"),), frozenset({"feature", "bogus"}))
     assert Variant((), frozenset({"feature", "prediction"})).sites == {"feature", "prediction"}
+
+
+def test_variant_coefficients_are_the_weight_products_on_each_path():
+    # a distinct prime per weight, so every product names the weights on its path
+    cfg = RunConfig(alpha_local=2.0, alpha_overall=3.0, beta_fc=5.0, beta_pc=7.0, beta_tc=11.0, beta_im=13.0, beta_ce=17.0)
+    full = {"fc": 11.0 * 5.0, "pc_local": 11.0 * 7.0 * 2.0, "pc_overall": 11.0 * 7.0 * 3.0, "im": 13.0, "pl_ce": 17.0}
+    expected = {
+        "full": full,
+        "fc": {"fc": 5.0},
+        "pc": {"pc_local": 2.0, "pc_overall": 3.0},
+        "pc_no_overall": {"pc_local": 2.0},
+        "tc": {"fc": 5.0, "pc_local": 7.0 * 2.0, "pc_overall": 7.0 * 3.0},
+        "na": full,
+        "a_at_f": full,
+        "a_at_p": full,
+        "shot_baseline": {"im": 13.0, "pl_ce": 17.0},
+        "source_only": {},
+    }
+    assert list(VARIANTS) == list(expected)
+    for name, variant in VARIANTS.items():
+        # components in the tree's left-to-right order
+        assert list(variant.coefficients(cfg).items()) == list(expected[name].items()), name
 
 
 def test_apply_overrides_precedence():

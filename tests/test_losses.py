@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,12 +8,11 @@ import oracles
 from sfvda import losses
 from sfvda.config import VARIANTS, RunConfig
 from sfvda.losses import prediction_objective
-from sfvda.pipeline import _leaf_coefficients
 from sfvda.tensor import Tensor, finite_diff_check, log_softmax_rows, stack
 
 
 def leaf_coefficients(variant, **cfg):
-    return dict(_leaf_coefficients(VARIANTS[variant].objective, RunConfig(**cfg)))
+    return VARIANTS[variant].coefficients(RunConfig(**cfg))
 
 
 def test_loss_weights_validation():
@@ -69,6 +69,15 @@ class TestNormalizeFeatures:
         # the fused op standardizes each scale over the batch
         with pytest.raises(ValueError, match="batch"):
             losses.feature_consistency_total(Tensor(np.ones((2, 1, 3))), 5e-3, 1e-5)
+
+    def test_overflow_names_the_stage(self):
+        # the squared deviations overflow, so sigma is infinite; unchecked,
+        # the normalized features would be silently zero
+        lts = Tensor(np.random.default_rng(23).normal(size=(3, 4, 5)) * 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one report: the error, and no numpy warning before it
+            with pytest.raises(ValueError, match="^variance: output contains non-finite values$"):
+                losses.feature_consistency_total(lts, 5e-3, 1e-5)
 
 
 class TestCrossCorrelation:
@@ -406,6 +415,32 @@ class TestFusedPredictionObjective:
         leaf = Tensor(logits, requires_grad=True)
         loss = losses.smoothed_cross_entropy(leaf, labels, 0.1)
         loss.backward()
+        assert abs(loss.item() - total) <= 1e-12 * abs(total)
+        self.assert_close(leaf.grad, grads["overall"], "logits")
+
+    def test_only_the_source_cross_entropy_is_smoothed(self):
+        # pl_ce ignores eps_smooth, value and gradient; ce smooths by it
+        rng = np.random.default_rng(54)
+        logits = rng.normal(size=(6, 4)) * 2.0
+        labels = rng.integers(0, 4, size=6)
+        results = {}
+        for name in ("ce", "pl_ce"):
+            for eps in (0.0, 0.1):
+                leaf = Tensor(logits, requires_grad=True)
+                loss = prediction_objective(None, leaf, {name: 1.0}, labels=labels, eps_smooth=eps)[0]
+                loss.backward()
+                results[name, eps] = (loss.item(), leaf.grad.tobytes())
+        assert results["pl_ce", 0.1] == results["pl_ce", 0.0]
+        assert results["ce", 0.0] == results["pl_ce", 0.0]
+        assert results["ce", 0.1][0] != results["ce", 0.0][0]
+        assert results["ce", 0.1][1] != results["ce", 0.0][1]
+        coeffs = {"ce": 0.6, "pl_ce": 1.3}
+        total, values, grads = oracles.unfused_prediction_objective(None, logits, coeffs, labels=labels, eps_smooth=0.1)
+        leaf = Tensor(logits, requires_grad=True)
+        loss, got = prediction_objective(None, leaf, coeffs, labels=labels, eps_smooth=0.1)
+        loss.backward()
+        for name, value in values.items():
+            assert abs(got[name] - value) <= 1e-12 * abs(value), name
         assert abs(loss.item() - total) <= 1e-12 * abs(total)
         self.assert_close(leaf.grad, grads["overall"], "logits")
 

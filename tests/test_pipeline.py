@@ -505,10 +505,11 @@ def _gradient_cases():
 
 class TestWholeModelGradient:
     """Central differences through encoder, relation MLPs and head, for each
-    trainable parameter, of the batch loss ``_epoch`` minimizes: the
-    adaptation variants' ``_adapt_batch_loss`` and source training's
-    ``_source_batch_loss``. The LWM weights are coefficients (never
-    differentiated), so they are taken once at the base point and held fixed."""
+    trainable parameter, of the batch loss ``_epoch`` minimizes:
+    ``_batch_loss`` with each adaptation variant's ``Variant.coefficients``
+    and sites, and with source training's ``{"ce": 1.0}``. The LWM weights
+    are coefficients (never differentiated), so they are taken once at the
+    base point and held fixed."""
 
     @staticmethod
     def tiny_batch():
@@ -554,14 +555,17 @@ class TestWholeModelGradient:
             fixed = lwm.local_relevance_weight(M.classify(features(), model, batch_stats=True))
             monkeypatch.setattr(lwm, "local_relevance_weight", lambda logits: fixed)
 
-            coeffs = dict(P._leaf_coefficients(VARIANTS[objective].objective, cfg))
+            variant = VARIANTS[objective]
+            coeffs = variant.coefficients(cfg)
 
             def loss():
-                return P._adapt_batch_loss(model, cfg, coeffs, features(), labels)[0]
+                return P._batch_loss(
+                    model, cfg, coeffs, features(), labels, batch_stats=scope != "head_all", sites=variant.sites
+                )[0]
         else:
 
             def loss():
-                return P._source_batch_loss(model, cfg, features(), labels)[0]
+                return P._batch_loss(model, cfg, {"ce": 1.0}, features(), labels, batch_stats=True)[0]
 
         original = model.tensors[name]
         # probe the first two columns (entries of a bias); the rest stays fixed

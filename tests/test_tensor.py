@@ -30,18 +30,10 @@ def test_backward_accumulates():
     assert np.array_equal(x.grad, [4.0, 8.0])
 
 
-def test_repeated_backward_same_graph_accumulates():
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    loss = squared_norm(T.stack([x]))
-    loss.backward()
-    loss.backward()
-    assert np.array_equal(x.grad, [4.0, 8.0])
-
-
 def test_consumed_graph_raises():
     x = Tensor([1.0, 2.0], requires_grad=True)
     loss = squared_norm(T.stack([x]))
-    loss.backward(free_graph=True)
+    loss.backward()
     with pytest.raises(RuntimeError, match="consumed"):
         loss.backward()
 

@@ -1,10 +1,11 @@
 """Hash every output of every adaptation variant under both freeze scopes.
 
-A change that claims to keep every output byte runs this on the parent and on
-the change, and the two listings must be identical:
+The listing is committed as ``tests/golden/variant_hashes.txt``, and
+``tests/test_variant_hashes.py`` checks it in every test run, so a change
+that claims to keep every output byte needs that test to pass. When a move
+is intended, regenerate the copy and record each moved line:
 
-    PYTHONPATH=src python tests/variant_hashes.py > change.txt
-    PYTHONPATH=<parent checkout>/src python tests/variant_hashes.py > parent.txt
+    PYTHONPATH=src python tests/variant_hashes.py > tests/golden/variant_hashes.txt
 
 One source model is trained for two epochs on a 3-class, 5-frame, 120-video
 domain pair, then adapted with each of the 10 variants under each of the 2
