@@ -20,7 +20,11 @@ int64), and ``target/eval_clips`` hashes the target videos' eval clip
 arrays, so a change to the generator or to the clip derivation shows even
 where no output moves. The ``params``, ``metrics``, ``export_*`` and
 ``accuracy`` lines do not depend on the checkpoint format, so a format
-change must leave them identical.
+change must leave them identical. The ``frames8`` lines come last: the
+same configuration at 8 frames, with ``full`` under ``head_all`` adapted on
+the target without its labels, the shape of the deployed workload
+(``bench/child.py``), where every scale but the last has M_r = 3 clips
+drawn from up to 70 combinations.
 pytest does not collect this file.
 """
 
@@ -36,10 +40,20 @@ from sfvda.data import generate_domain_pair
 
 BASE = RunConfig(classes=3, videos_per_class=40, frames=5, frame_dim=8, d_enc=16, d=16, d_b=16, seed=3)
 BASE = replace(BASE, epochs_source=2, epochs_adapt=3, batch_size=16)
+FRAMES_8 = replace(BASE, frames=8, variant="full", freeze_scope="head_all")
 SETTINGS = {
     "head_all": {},
     "last_layer_only": {"freeze_scope": "last_layer_only"},
 }
+
+
+def emit_model(label, model, target):
+    digest = hashlib.sha256()
+    for t in model.tensors.values():
+        digest.update(t.data.tobytes())
+    digest.update(model.bn_mean.tobytes() + model.bn_var.tobytes())
+    print(f"{label}/params", digest.hexdigest())
+    print(f"{label}/accuracy", repr(P.evaluate(model, target).accuracy))
 
 
 def main() -> None:
@@ -58,28 +72,23 @@ def main() -> None:
             write(path / name)
             print(label, hashlib.sha256((path / name).read_bytes()).hexdigest())
 
-        def emit_model(label, model):
-            digest = hashlib.sha256()
-            for t in model.tensors.values():
-                digest.update(t.data.tobytes())
-            digest.update(model.bn_mean.tobytes() + model.bn_var.tobytes())
-            print(f"{label}/params", digest.hexdigest())
-            print(f"{label}/accuracy", repr(P.evaluate(model, target).accuracy))
-
-        emit_model("source", source_model)
+        emit_model("source", source_model, target)
         emit("source/checkpoint", "source.json", lambda p: M.save_checkpoint(source_model, p))
         emit("source/metrics", "source.csv", lambda p: P.write_metrics(source_rows, p))
         for setting, overrides in SETTINGS.items():
             for variant in VARIANTS:
                 model, rows = P.adapt_target(source_model, target, replace(BASE, variant=variant, **overrides))
                 run = f"{variant}/{setting}"
-                emit_model(run, model)
+                emit_model(run, model, target)
                 emit(f"{run}/checkpoint", "adapted.json", lambda p: M.save_checkpoint(model, p))
                 reloaded = M.load_checkpoint(path / "adapted.json")
                 emit(f"{run}/resave", "resaved.json", lambda p: M.save_checkpoint(reloaded, p))
                 emit(f"{run}/metrics", "adapted.csv", lambda p: P.write_metrics(rows, p))
                 for level in ("local", "overall"):
                     emit(f"{run}/export_{level}", "export.csv", lambda p: P.export_embeddings(model, target, level, p))
+    source, target = generate_domain_pair(FRAMES_8.domain_spec())
+    source_model, _ = P.train_source(source, FRAMES_8)
+    emit_model("frames8/full/head_all", P.adapt_target(source_model, target.without_labels(), FRAMES_8)[0], target)
 
 
 if __name__ == "__main__":
