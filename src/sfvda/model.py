@@ -12,10 +12,13 @@ per class so the per-row norm invariant is directly checkable.
 Each layer runs on stacked rows as one op with a closed-form VJP: the
 encoder, each scale's relation MLP, the aggregation over scales and the
 head. The encoder sees all B*k frames of a batch as one
-frame-major (k*B, d_in) matrix. Scale r gathers its M_r clips of every video
-from that output into one (B*M_r, r*d_enc) matrix and sums each video's
-hidden rows before the output layer, which is affine:
-sum_m (h_m W2 + b2) = (sum_m h_m) W2 + M_r b2, so that GEMM has B rows. The
+frame-major (k*B, d_in) matrix, fed to its GEMM as it is. Scale r gathers
+its M_r clips of every video from that output into one (B*M_r, r*d_enc)
+matrix and sums each video's hidden rows before the output layer, which is
+affine: sum_m (h_m W2 + b2) = (sum_m h_m) W2 + M_r b2, so that GEMM has B
+rows; with M_r = 1 the hidden rows are the sum. Backward scatters a scale's
+clip gradients onto the frame rows with one batched one-hot GEMM, in the
+order np.add.at would add them, for shared and per-video clips alike. The
 S = k-1 local features of a batch travel as one (S, B, d) stack, index s
 holding scale s+2: the head classifies the whole stack in one pass, and the
 aggregation, the local weights and the consistency losses each act on it as
@@ -235,24 +238,27 @@ def init_model(
     return ModelParams(**dims, seed=seed, tensors=tensors, bn_mean=np.zeros(d_b), bn_var=np.ones(d_b))
 
 
-def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, shared: bool = False) -> Tensor:
+def _pooled_mlp(x: Tensor, rows: np.ndarray | None, params: ModelParams, prefix: str) -> Tensor:
     """One op, with a closed-form VJP, for the two-layer ReLU MLP ``prefix``
     over gathered rows of ``x``: with ``rows`` an int array (G, M, r), input
     m of group g concatenates rows rows[g, m, :] of ``x``, and output row g
-    is (sum_m relu(in_gm W1 + b1)) W2 + M b2. Every GEMM and bias add output
+    is (sum_m relu(in_gm W1 + b1)) W2 + M b2; with ``rows`` None, row g of
+    ``x`` is group g's one input, ungathered. Every GEMM and bias add output
     is checked for finiteness, the last one by ``Tensor._from_op``.
-    ``shared`` promises rows[g] = rows[0] + g, so each clip position reads
-    one contiguous block of G rows.
+    Precondition: ``x`` has F*G rows and rows[g] = g (mod G). The input
+    gradient is then one batched GEMM with a (G, M*r, F) one-hot; OpenBLAS
+    adds each row's clip positions in (m, j) order from 0, np.add.at's
+    order, whenever ``x`` has more than one column (one column is a gemv).
     """
-    if rows.min() < 0 or rows.max() >= x.shape[0]:
+    if rows is not None and (rows.min() < 0 or rows.max() >= x.shape[0]):
         raise ValueError(f"{prefix}: frame index out of range")
     w1, b1, w2, b2 = (params.tensors[f"{prefix}_{n}"] for n in ("w1", "b1", "w2", "b2"))
-    groups, m = rows.shape[:2]
-    inputs = x.data[rows].reshape(groups * m, -1)
+    groups, m = (x.shape[0], 1) if rows is None else rows.shape[:2]
+    inputs = x.data if rows is None else x.data[rows].reshape(groups * m, -1)
     hidden = _ensure_finite(inputs @ w1.data, "matmul")
     hidden += b1.data
     np.maximum(_ensure_finite(hidden, "add"), 0.0, out=hidden)
-    pooled = hidden.reshape(groups, m, -1).sum(axis=1)
+    pooled = hidden if m == 1 else hidden.reshape(groups, m, -1).sum(axis=1)
     out = _ensure_finite(pooled @ w2.data, "matmul")
     out += m * b2.data
 
@@ -261,14 +267,12 @@ def _pooled_mlp(x: Tensor, rows: np.ndarray, params: ModelParams, prefix: str, s
         g_pre = ((g @ w2.data.T)[:, None, :] * active).reshape(groups * m, -1)
         grads = [None, inputs.T @ g_pre, g_pre.sum(axis=0), pooled.T @ g, m * g.sum(axis=0)]
         if x.requires_grad:
-            # the groups' rows at one clip position are distinct, so each
-            # source row gets one add per position, in np.add.at's order
-            g_in = (g_pre @ w1.data.T).reshape(rows.shape + (x.shape[1],))
-            grads[0] = np.zeros_like(x.data)
-            for pos in np.ndindex(rows.shape[1:]):
-                at = (slice(None), *pos)
-                start = rows[(0, *pos)]
-                grads[0][slice(start, start + groups) if shared else rows[at]] += g_in[at]
+            grads[0] = g_pre @ w1.data.T
+            if rows is not None:
+                # onehot[g, p, f] = 1 iff clip position p of group g reads row f*G + g
+                onehot = (rows.reshape(groups, -1, 1) // groups == np.arange(x.shape[0] // groups)).astype(np.float64)
+                g_in = grads[0].reshape(groups, onehot.shape[1], -1).transpose(0, 2, 1) @ onehot
+                grads[0] = g_in.transpose(2, 0, 1).reshape(x.shape)
         return grads
 
     return Tensor._from_op(out, "add", (x, w1, b1, w2, b2), vjp)
@@ -285,9 +289,8 @@ def encode_frames(frames: np.ndarray, params: ModelParams) -> Tensor:
         raise ValueError(
             f"encode_frames: expected (B, {params.k}, {params.d_in}), got {frames.shape}"
         )
-    batch = frames.shape[0]
-    stacked = Tensor(frames.transpose(1, 0, 2).reshape(params.k * batch, params.d_in))
-    return _pooled_mlp(stacked, np.arange(params.k * batch).reshape(-1, 1, 1), params, "enc")
+    stacked = Tensor(frames.transpose(1, 0, 2).reshape(-1, params.d_in))
+    return _pooled_mlp(stacked, None, params, "enc")
 
 
 def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], params: ModelParams) -> Tensor:
@@ -309,7 +312,7 @@ def local_temporal_features(encodings: Tensor, clips: dict[int, np.ndarray], par
         index = clips[r]
         if index.ndim not in (2, 3) or index.shape[-1] != r or index.shape[:-2] not in ((), (batch,)):
             raise ValueError(f"rel{r}: clip array of shape {index.shape} does not fit a batch of {batch}")
-        scales.append(_pooled_mlp(encodings, index * batch + videos, params, f"rel{r}", index.ndim == 2))
+        scales.append(_pooled_mlp(encodings, index * batch + videos, params, f"rel{r}"))
     return stack(scales)
 
 

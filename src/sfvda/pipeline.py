@@ -51,7 +51,8 @@ _EVAL_SITES = {"mean": (), "entropy_weighted": ("feature",)}
 
 
 class SGD:
-    """Plain SGD with momentum and L2 weight decay, deterministic in order."""
+    """Plain SGD with momentum and L2 weight decay, deterministic in order;
+    ``step`` drops each gradient it applies, so none outlives its step."""
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
         self.params = list(params)
@@ -60,16 +61,13 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 continue
             g = self.weight_decay * p.data
             g += p.grad
+            p.grad = None
             v *= self.momentum
             v += g
             p.data -= np.multiply(v, self.lr, out=g)
@@ -202,7 +200,6 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int
         total = loss.item()
         if not np.isfinite(total):
             raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
-        opt.zero_grad()
         loss.backward()
         opt.step()
         for name, value in components.items():

@@ -17,7 +17,7 @@ Design constraints honoured throughout:
   * every operation validates that its output is finite and raises
     instead of propagating NaN/Inf,
   * ``log_softmax_rows`` acts over the last axis and subtracts the row max,
-  * gradient accumulation is additive; callers zero grads between steps.
+  * gradient accumulation is additive; the optimizer step drops each one.
 """
 
 from __future__ import annotations

@@ -240,17 +240,36 @@ class TestLocalTemporalFeatures:
             grad_enc = grad_enc + grads["x"]
         assert_close(enc.grad, grad_enc, "encodings")
 
-    def test_shared_clip_scatter_equals_the_per_video_scatter(self):
-        # a shared clip set adds its input gradient by contiguous slices; the
-        # per-video path adds the same rows by fancy indexing, to the same bytes
-        params = tiny_model(k=4, d_in=5, d_enc=6, d=7, seed=8)
-        frames = np.random.default_rng(14).normal(size=(5, 4, 5))
-        shared = M.sample_clips(4, 3, np.random.default_rng(40))
+    @pytest.mark.parametrize("k, d_enc", [(4, 6), (8, 3)])
+    def test_shared_clip_scatter_equals_the_per_video_scatter(self, k, d_enc):
+        # both clip layouts scatter their input gradient by one path, which
+        # adds each frame row's clip positions in np.add.at's (video, clip,
+        # position) order, so the two layouts of one clip set agree bitwise;
+        # with 3 columns the GEMM that scatters must be oriented so that
+        # OpenBLAS does not split the sum
+        params = tiny_model(k=k, d_in=5, d_enc=d_enc, d=7, seed=8)
+        frames = np.random.default_rng(14).normal(size=(5, k, 5))
+        encoded = M.encode_frames(frames, params).data
+        shared = M.sample_clips(k, 3, np.random.default_rng(40))
+        layouts = (shared, {r: np.stack([index] * 5) for r, index in shared.items()}, self.clip_sets(True, 5, k))
         grads = []
-        for clips in (shared, {r: np.stack([index] * 5) for r, index in shared.items()}):
-            enc = Tensor(M.encode_frames(frames, params).data, requires_grad=True)
+        for clips in layouts:
+            enc = Tensor(encoded, requires_grad=True)
             squared_norm(M.local_temporal_features(enc, clips, params)).backward()
             grads.append(enc.grad.tobytes())
+            for r, index in clips.items():
+                w1, b1, w2 = (params.tensors[f"rel{r}_{n}"].data for n in ("w1", "b1", "w2"))
+                rows = index * 5 + np.arange(5).reshape(5, 1, 1)
+                enc = Tensor(encoded, requires_grad=True)
+                out = M._pooled_mlp(enc, rows, params, f"rel{r}")
+                g = np.random.default_rng(r).normal(size=out.shape)
+                inner(out, g).backward()
+                hidden = encoded[rows].reshape(-1, r * d_enc) @ w1 + b1
+                active = (hidden > 0.0).reshape(5, -1, w1.shape[1])
+                g_pre = ((g @ w2.T)[:, None, :] * active).reshape(hidden.shape)
+                want = np.zeros_like(encoded)
+                np.add.at(want, rows.reshape(-1), (g_pre @ w1.T).reshape(-1, d_enc))
+                assert enc.grad.tobytes() == want.tobytes(), f"rel{r}"
         assert grads[0] == grads[1]
 
     def test_fused_encoder_equals_the_unfused_chain(self):

@@ -333,6 +333,32 @@ def test_adaptation_draws_training_clips_with_the_models_m_max(trained):
     assert params_bytes(adapted[0]) == params_bytes(adapted[1])
 
 
+def test_gradients_live_only_from_backward_to_step(trained, monkeypatch):
+    # every backward of an epoch finds the optimizer's parameters without a
+    # gradient, and the returned model holds none, labeled target or not
+    cfg, source, target, model, _ = trained
+    optimizers, backwards = [], []
+
+    class RecordingSGD(P.SGD):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    backward = Tensor.backward
+
+    def checked_backward(loss):
+        backwards.append(all(p.grad is None for p in optimizers[-1].params))
+        backward(loss)
+
+    monkeypatch.setattr(P, "SGD", RecordingSGD)
+    monkeypatch.setattr(Tensor, "backward", checked_backward)
+    trained_model, _ = P.train_source(source, replace(cfg, epochs_source=1))
+    models = [trained_model] + [P.adapt_target(model, ds, cfg)[0] for ds in (target, target.without_labels())]
+    assert len(optimizers) == 3 and backwards and all(backwards)
+    for m in models:
+        assert [name for name, t in m.tensors.items() if t.grad is not None] == []
+
+
 class TestSGD:
     def test_step_matches_the_update_formula_bitwise(self):
         rng = np.random.default_rng(4)
