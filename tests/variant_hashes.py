@@ -20,11 +20,14 @@ int64), and ``target/eval_clips`` hashes the target videos' eval clip
 arrays, so a change to the generator or to the clip derivation shows even
 where no output moves. The ``params``, ``metrics``, ``export_*`` and
 ``accuracy`` lines do not depend on the checkpoint format, so a format
-change must leave them identical. The ``frames8`` lines come last: the
-same configuration at 8 frames, with ``full`` under ``head_all`` adapted on
-the target without its labels, the shape of the deployed workload
-(``bench/child.py``), where every scale but the last has M_r = 3 clips
-drawn from up to 70 combinations.
+change must leave them identical. The ``pl_rounds2`` lines follow the
+variants: ``params``, ``accuracy`` and ``metrics`` of ``full`` under
+``head_all`` with ``pl_rounds = 2``, two rounds of pseudo-label
+clustering. The ``frames8`` lines come last: the same configuration at 8
+frames, with ``full`` under ``head_all`` adapted on the target without its
+labels, the shape of the deployed workload (``bench/child.py``), where
+every scale but the last has M_r = 3 clips drawn from up to 70
+combinations.
 pytest does not collect this file.
 """
 
@@ -40,6 +43,7 @@ from sfvda.data import generate_domain_pair
 
 BASE = RunConfig(classes=3, videos_per_class=40, frames=5, frame_dim=8, d_enc=16, d=16, d_b=16, seed=3)
 BASE = replace(BASE, epochs_source=2, epochs_adapt=3, batch_size=16)
+PL_ROUNDS_2 = replace(BASE, variant="full", freeze_scope="head_all", pl_rounds=2)
 FRAMES_8 = replace(BASE, frames=8, variant="full", freeze_scope="head_all")
 SETTINGS = {
     "head_all": {},
@@ -86,6 +90,9 @@ def main() -> None:
                 emit(f"{run}/metrics", "adapted.csv", lambda p: P.write_metrics(rows, p))
                 for level in ("local", "overall"):
                     emit(f"{run}/export_{level}", "export.csv", lambda p: P.export_embeddings(model, target, level, p))
+        model, rows = P.adapt_target(source_model, target, PL_ROUNDS_2)
+        emit_model("pl_rounds2/full/head_all", model, target)
+        emit("pl_rounds2/full/head_all/metrics", "adapted.csv", lambda p: P.write_metrics(rows, p))
     source, target = generate_domain_pair(FRAMES_8.domain_spec())
     source_model, _ = P.train_source(source, FRAMES_8)
     emit_model("frames8/full/head_all", P.adapt_target(source_model, target.without_labels(), FRAMES_8)[0], target)
