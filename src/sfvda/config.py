@@ -14,7 +14,7 @@ from .data import _SPEC_BOUNDS, DomainSpec, _choice, _in_range, read_text
 from .lwm import SITES
 from .model import _HYPERPARAMS, HEAD_SCOPES
 
-__all__ = ["RunConfig", "Variant", "VARIANTS", "FREEZE_SCOPES", "parse_config", "emit_config", "load_config"]
+__all__ = ["RunConfig", "Variant", "VARIANTS", "parse_config", "emit_config", "load_config"]
 
 # Each adaptation variant is a subtree of the full objective
 #   beta_tc*(beta_fc*fc + beta_pc*(alpha_local*pc_local + alpha_overall*pc_overall))
@@ -66,7 +66,6 @@ VARIANTS = {
     "shot_baseline": Variant(_FULL[1:]),
     "source_only": Variant(()),
 }
-FREEZE_SCOPES = tuple(HEAD_SCOPES)
 
 
 @dataclass
@@ -126,7 +125,7 @@ class RunConfig:
         return DomainSpec(**{f.name: getattr(self, f.name) for f in fields(DomainSpec)})
 
 
-_CHOICES = {"variant": tuple(VARIANTS), "freeze_scope": FREEZE_SCOPES}
+_CHOICES = {"variant": tuple(VARIANTS), "freeze_scope": tuple(HEAD_SCOPES)}
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 # key -> (least,) or (least, most), as ``_in_range`` takes them: every float key
 # is finite and >= 0, the data keys take DomainSpec's bounds, and the model

@@ -124,7 +124,8 @@ def eval_clip_set(ids, k: int, m_max: int) -> dict[int, np.ndarray]:
 
 # head parameter name prefixes per freeze scope
 HEAD_SCOPES = {"head_all": ("bot_", "bn_", "wn_"), "last_layer_only": ("wn_",)}
-AGGREGATIONS = ("mean", "entropy_weighted")
+# a model's aggregation -> the sites its eval pass weights
+AGGREGATIONS = {"mean": (), "entropy_weighted": ("feature",)}
 
 
 @dataclass
@@ -468,7 +469,7 @@ def load_checkpoint(path) -> ModelParams:
         for attr, (key, bounds) in _HYPERPARAMS.items()
     }
     seed = _in_range(doc["rng_seed"], f"{where}: field 'rng_seed'", *_SPEC_BOUNDS["seed"])
-    aggregation = _choice(doc["aggregation"], AGGREGATIONS, f"{where}: field 'aggregation'")
+    aggregation = _choice(doc["aggregation"], tuple(AGGREGATIONS), f"{where}: field 'aggregation'")
     stored = _require_fields(doc["parameters"], (name for name, _, _ in parameter_layout(**dims)), where, "parameters")
     bn = _require_fields(doc["batch_norm"], _BATCH_NORM_FIELDS, where, "batch_norm")
     # ModelParams name -> (checkpoint field, stored text, shape), parameters first

@@ -19,6 +19,7 @@ from .config import VARIANTS, RunConfig
 from .data import Dataset, batch_iterator, generate_domain_pair
 from .losses import feature_consistency_total, prediction_objective
 from .model import (
+    AGGREGATIONS,
     ModelParams,
     classify,
     encode_frames,
@@ -46,8 +47,6 @@ __all__ = [
 _STREAM_TAGS = {"train_source": (101, 102), "adapt_target": (201, 202)}
 
 EVAL_BATCH = 256
-# a model's aggregation as the sites the eval pass weights at
-_EVAL_SITES = {"mean": (), "entropy_weighted": ("feature",)}
 
 
 class SGD:
@@ -135,10 +134,6 @@ def _check_batch_size(batch_size: int, ds: Dataset, caller: str) -> None:
         )
 
 
-def _train_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(tag, *key)))
-
-
 def _head(model: ModelParams, lts: Tensor, *, batch_stats: bool, sites=(), local=False, overall=True):
     """The one path from an (S, B, d) local stack to (local logits, site
     weights, overall feature, overall logits). The local head pass runs if
@@ -162,7 +157,7 @@ def _full_eval_pass(model: ModelParams, ds: Dataset):
     feats, logits = [], []
     with no_grad():
         for _, lts in _eval_batches(model, ds):
-            _, _, overall, out = _head(model, lts, batch_stats=False, sites=_EVAL_SITES[model.aggregation])
+            _, _, overall, out = _head(model, lts, batch_stats=False, sites=AGGREGATIONS[model.aggregation])
             feats.append(overall.data)
             logits.append(out.data)
     return np.concatenate(feats, axis=0), np.concatenate(logits, axis=0)
@@ -182,21 +177,24 @@ def evaluate(model: ModelParams, ds: Dataset) -> EvalResult:
     return EvalResult(float((predicted == ds.labels).mean()), per_class, eval_pass)
 
 
-def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int, caller: str, batch_loss):
+def _epoch(
+    model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int, caller: str, coeffs: dict, labels,
+    *, batch_stats: bool, sites=(),
+):
     """One epoch of mini-batch SGD over ``ds`` with ``caller``'s random
-    streams; returns each component's and the ``total`` loss's batch mean.
-
-    ``batch_loss(idx, lts)`` returns the loss of the videos ``idx`` from
-    their local temporal features, with its named components' values.
-    """
+    streams, each step on ``_batch_loss`` of its batch with ``coeffs``
+    against the batch's rows of ``labels``, the epoch's (N,) targets or
+    None. Returns each component's and the ``total`` loss's batch mean."""
     shuffle_tag, clips_tag = _STREAM_TAGS[caller]
     sums: dict[str, float] = defaultdict(float)
     n_batches = 0
     shuffle_seed = np.random.SeedSequence(cfg.seed, spawn_key=(shuffle_tag, epoch))
     for b, idx in enumerate(batch_iterator(ds, cfg.batch_size, shuffle_seed)):
-        clips = sample_clips(model.k, model.m_max, _train_rng(cfg.seed, clips_tag, epoch, b))
+        clip_seed = np.random.SeedSequence(cfg.seed, spawn_key=(clips_tag, epoch, b))
+        clips = sample_clips(model.k, model.m_max, np.random.default_rng(clip_seed))
         lts = local_temporal_features(encode_frames(ds.frames[idx], model), clips, model)
-        loss, components = batch_loss(idx, lts)
+        batch_labels = None if labels is None else labels[idx]
+        loss, components = _batch_loss(model, cfg, coeffs, lts, batch_labels, batch_stats=batch_stats, sites=sites)
         total = loss.item()
         if not np.isfinite(total):
             raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
@@ -210,8 +208,8 @@ def _epoch(model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int
 
 
 def _batch_loss(model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, labels, *, batch_stats: bool, sites=()):
-    """Either loop's loss of one batch from its local temporal features: the
-    objective with leaf ``coeffs``, from ``feature_consistency_total`` and one
+    """The batch objective ``_epoch`` minimizes in both training loops: the
+    components ``coeffs`` weights, from ``feature_consistency_total`` and one
     ``prediction_objective`` (ce / pl_ce against ``labels``), running only the
     head passes its terms read. Returns the loss and each component's value."""
     terms, components = [], {}
@@ -247,13 +245,10 @@ def train_source(source: Dataset, cfg: RunConfig) -> tuple[ModelParams, list[Met
     )
     opt = SGD(model.trainable_parameters(), cfg.lr_source, cfg.momentum, cfg.weight_decay)
 
-    def batch_loss(idx, lts):
-        return _batch_loss(model, cfg, {"ce": 1.0}, lts, source.labels[idx], batch_stats=True)
-
     rows: list[MetricsRow] = []
     best_acc, best_model = -1.0, None
     for epoch in range(1, cfg.epochs_source + 1):
-        means = _epoch(model, source, cfg, opt, epoch, "train_source", batch_loss)
+        means = _epoch(model, source, cfg, opt, epoch, "train_source", {"ce": 1.0}, source.labels, batch_stats=True)
         acc = evaluate(model, source).accuracy
         rows.append(MetricsRow(epoch=epoch, accuracy=acc, **means))
         # ties prefer the later epoch: accuracy saturates early while the
@@ -297,11 +292,6 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
     model.aggregation = "entropy_weighted" if "feature" in variant.sites else "mean"
 
-    def batch_loss(idx, lts):
-        # this epoch's pseudo-labels, bound below before its batches run
-        labels = pseudo[idx] if use_pl else None
-        return _batch_loss(model, cfg, coeffs, lts, labels, batch_stats=batch_stats, sites=variant.sites)
-
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is
     for epoch in range(1, cfg.epochs_adapt + 1):
@@ -312,7 +302,9 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
             if target.labels is not None:
                 pl_acc = float((pseudo == target.labels).mean())
 
-        means = _epoch(model, target, cfg, opt, epoch, "adapt_target", batch_loss)
+        means = _epoch(
+            model, target, cfg, opt, epoch, "adapt_target", coeffs, pseudo, batch_stats=batch_stats, sites=variant.sites
+        )
         last_eval = evaluate(model, target) if target.labels is not None else None
         accuracy = None if last_eval is None else last_eval.accuracy
         rows.append(MetricsRow(epoch=epoch, accuracy=accuracy, pl_accuracy=pl_acc, **means))
@@ -338,7 +330,7 @@ def export_embeddings(model: ModelParams, ds: Dataset, level: str, path) -> None
                 if level == "local":
                     columns = [(str(r), scale.tolist()) for r, scale in enumerate(lts.data, start=2)]
                 else:
-                    head = _head(model, lts, batch_stats=False, sites=_EVAL_SITES[model.aggregation], overall=False)
+                    head = _head(model, lts, batch_stats=False, sites=AGGREGATIONS[model.aggregation], overall=False)
                     columns = [("overall", head[2].data.tolist())]
                 for row, (video_id, label) in enumerate(zip(ds.ids[rows], labels[rows])):
                     for scale_name, values in columns:

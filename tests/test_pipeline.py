@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sfvda import lwm
+from sfvda import lwm, pseudolabel
 from sfvda import model as M
 from sfvda import pipeline as P
 from sfvda import tensor as T
@@ -359,6 +359,62 @@ def test_gradients_live_only_from_backward_to_step(trained, monkeypatch):
         assert [name for name, t in m.tensors.items() if t.grad is not None] == []
 
 
+class TestEpochLabels:
+    """The labels ``_epoch`` hands to ``_batch_loss``: each batch's rows of the
+    epoch's targets, or None for an objective without a label term."""
+
+    @staticmethod
+    def steps(monkeypatch):
+        """Record, per step, (the pseudo-labels last generated, the batch's
+        rows, the labels ``_batch_loss`` received), filled in as training runs."""
+        steps, state = [], {"pseudo": None}
+        batch_iterator, batch_loss, generate = P.batch_iterator, P._batch_loss, pseudolabel.generate_pseudo_labels
+
+        def recording_iterator(*args, **kwargs):
+            for idx in batch_iterator(*args, **kwargs):
+                state["idx"] = idx
+                yield idx
+
+        def recording_loss(model, cfg, coeffs, lts, labels, **kwargs):
+            steps.append((state["pseudo"], state["idx"], None if labels is None else labels.copy()))
+            return batch_loss(model, cfg, coeffs, lts, labels, **kwargs)
+
+        def recording_generate(*args, **kwargs):
+            state["pseudo"] = generate(*args, **kwargs).copy()
+            return state["pseudo"]
+
+        monkeypatch.setattr(P, "batch_iterator", recording_iterator)
+        monkeypatch.setattr(P, "_batch_loss", recording_loss)
+        monkeypatch.setattr(pseudolabel, "generate_pseudo_labels", recording_generate)
+        return steps
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_adaptation_batches_get_the_epochs_pseudo_labels_at_their_rows(self, trained, monkeypatch, labeled):
+        cfg, _, target, model, _ = trained
+        steps = self.steps(monkeypatch)
+        P.adapt_target(model, target if labeled else target.without_labels(), replace(cfg, epochs_adapt=3))
+        assert len(steps) == 3 * (len(target) // cfg.batch_size)
+        for pseudo, idx, labels in steps:
+            assert labels.dtype == pseudo.dtype and np.array_equal(labels, pseudo[idx])
+        # the pseudo-labels move between epochs, so a stale epoch's would show
+        assert len({pseudo.tobytes() for pseudo, _, _ in steps}) > 1
+
+    def test_source_batches_get_their_labels(self, trained, monkeypatch):
+        cfg, source, _, _, _ = trained
+        steps = self.steps(monkeypatch)
+        P.train_source(source, replace(cfg, epochs_source=2))
+        assert len(steps) == 2 * (len(source) // cfg.batch_size)
+        for pseudo, idx, labels in steps:
+            assert pseudo is None and np.array_equal(labels, source.labels[idx])
+
+    def test_an_objective_without_pl_ce_gets_none(self, trained, monkeypatch):
+        cfg, _, target, model, _ = trained
+        steps = self.steps(monkeypatch)
+        P.adapt_target(model, target, replace(cfg, variant="tc"))
+        assert len(steps) == cfg.epochs_adapt * (len(target) // cfg.batch_size)
+        assert all(pseudo is None and labels is None for pseudo, _, labels in steps)
+
+
 class TestSGD:
     def test_step_matches_the_update_formula_bitwise(self):
         rng = np.random.default_rng(4)
@@ -531,9 +587,9 @@ def _gradient_cases():
 
 class TestWholeModelGradient:
     """Central differences through encoder, relation MLPs and head, for each
-    trainable parameter, of the batch loss ``_epoch`` minimizes:
-    ``_batch_loss`` with each adaptation variant's ``Variant.coefficients``
-    and sites, and with source training's ``{"ce": 1.0}``. The LWM weights
+    trainable parameter, of ``_batch_loss``, the loss ``_epoch`` steps on:
+    with each adaptation variant's ``Variant.coefficients`` and sites, and
+    with source training's ``{"ce": 1.0}``. The LWM weights
     are coefficients (never differentiated), so they are taken once at the
     base point and held fixed."""
 
