@@ -46,30 +46,38 @@ __all__ = [
 # (shuffle, clip) spawn tags of each training loop's random streams
 _STREAM_TAGS = {"train_source": (101, 102), "adapt_target": (201, 202)}
 
-EVAL_BATCH = 256
+EVAL_BATCH = 64
 
 
 class SGD:
-    """Plain SGD with momentum and L2 weight decay, deterministic in order;
-    ``step`` drops each gradient it applies, so none outlives its step."""
+    """Plain SGD with momentum and L2 weight decay, deterministic in order.
+    ``update`` steps one parameter and drops its gradient; ``_epoch`` hands
+    it to the backward sweep, so each parameter steps as soon as its
+    gradient is complete and no gradient outlives its backward."""
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9, weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = float(lr)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = {p: np.zeros_like(p.data) for p in self.params}
+
+    def update(self, p: Tensor) -> None:
+        """Step ``p`` on its gradient and drop it; a parameter without a
+        gradient, or one this optimizer does not own, is left as it is."""
+        v = self.velocity.get(p)
+        if v is None or p.grad is None:
+            return
+        g = self.weight_decay * p.data
+        g += p.grad
+        p.grad = None
+        v *= self.momentum
+        v += g
+        p.data -= np.multiply(v, self.lr, out=g)
 
     def step(self) -> None:
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            g = self.weight_decay * p.data
-            g += p.grad
-            p.grad = None
-            v *= self.momentum
-            v += g
-            p.data -= np.multiply(v, self.lr, out=g)
+        for p in self.params:
+            self.update(p)
 
 
 @dataclass
@@ -198,8 +206,7 @@ def _epoch(
         total = loss.item()
         if not np.isfinite(total):
             raise RuntimeError(f"{caller}: non-finite loss at epoch {epoch} batch {b}")
-        loss.backward()
-        opt.step()
+        loss.backward(opt.update)
         for name, value in components.items():
             sums[name] += value
         sums["total"] += total
@@ -290,7 +297,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     # a head frozen with its batch norm normalizes with the running statistics
     batch_stats = cfg.freeze_scope != "head_all"
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
-    model.aggregation = "entropy_weighted" if "feature" in variant.sites else "mean"
+    model.aggregation = next(name for name, sites in AGGREGATIONS.items() if set(sites) == variant.sites & {"feature"})
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is

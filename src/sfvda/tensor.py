@@ -4,8 +4,12 @@ Small eager autograd engine on numpy storage: each operation computes its
 value immediately and, while gradients are enabled, records parent links
 and a local vector-Jacobian closure. ``Tensor.backward`` walks the recorded
 graph once in reverse topological order, accumulates gradients into the
-``.grad`` buffer of every leaf that requires them, and then frees the graph
-it ran, so a second backward through it raises.
+``.grad`` buffer of every leaf that requires them, and frees each operation
+as it passes it, so a second backward through the graph raises. Given a
+per-leaf callback, the sweep hands it each leaf as soon as that leaf's
+gradient is complete, so an optimizer can step the leaf and drop its
+gradient mid-sweep: neither the forward arrays nor the gradients of a whole
+model are live at once.
 
 The model and the losses build their layers as fused operations with
 closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
@@ -17,7 +21,9 @@ Design constraints honoured throughout:
   * every operation validates that its output is finite and raises
     instead of propagating NaN/Inf,
   * ``log_softmax_rows`` acts over the last axis and subtracts the row max,
-  * gradient accumulation is additive; the optimizer step drops each one.
+  * gradient accumulation is additive; the optimizer step drops each one,
+  * every op lists each leaf it reads as a parent, so no VJP reads a leaf
+    after the sweep has handed that leaf to its callback.
 """
 
 from __future__ import annotations
@@ -65,8 +71,9 @@ class Tensor:
     """A dense float64 array, optionally tracked by the autograd graph.
 
     ``data`` is treated as immutable once the tensor participates in a
-    graph; only ``.grad`` and explicit optimizer updates between steps may
-    mutate state.
+    graph; only ``.grad`` and optimizer updates may mutate state, the
+    latter between steps or, for a leaf, from the backward sweep's callback
+    once every op that reads the leaf has run its VJP.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")
@@ -115,18 +122,14 @@ class Tensor:
 
     # -- backward ----------------------------------------------------------------
 
-    def backward(self) -> None:
+    def backward(self, on_leaf=None) -> None:
         """Accumulate dSelf/dLeaf into every requiring leaf, adding to any
-        ``.grad`` already there, then free the graph: a second backward raises."""
+        ``.grad`` already there, freeing the graph as the sweep goes: a second
+        backward raises. ``on_leaf``, if given, is called during the sweep
+        with each leaf once its gradient is complete (see ``Graph``)."""
         if self.data.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
-        graph = Graph.trace(self)
-        graph.run(np.ones_like(self.data))
-        for node in graph.nodes:
-            if node._vjp is not None:
-                node._parents = ()
-                node._vjp = None
-                node._consumed = True
+        Graph.trace(self).run(np.ones_like(self.data), on_leaf)
 
 
 class Graph:
@@ -137,6 +140,13 @@ class Graph:
     gradients accumulate additively across all their uses. A leaf keeps the
     array a VJP returns as its gradient, uncopied, so every VJP returns
     arrays that nothing else holds or writes.
+
+    ``run`` frees each op once its VJP has run. A leaf comes before every op
+    that reads it, so the reverse sweep reaches it only after all of their
+    VJPs have run: its gradient is then complete, and ``run`` hands the leaf
+    to ``on_leaf``, which may update its ``data`` in place. That holds
+    because every op lists each leaf it reads as a parent, parameters
+    included.
     """
 
     def __init__(self, nodes: list[Tensor]):
@@ -163,17 +173,22 @@ class Graph:
                     pending.append((parent, False))
         return Graph(order)
 
-    def run(self, seed: np.ndarray) -> None:
+    def run(self, seed: np.ndarray, on_leaf=None) -> None:
         grads: dict[int, np.ndarray] = {id(self.nodes[-1]): seed}
         for node in reversed(self.nodes):
             g = grads.pop(id(node), None)
+            parents, vjp = node._parents, node._vjp
+            if vjp is not None:
+                node._parents, node._vjp, node._consumed = (), None, True
             if g is None:
                 continue
-            if node._vjp is None:
+            if vjp is None:
                 if node.requires_grad:
                     node.grad = g if node.grad is None else node.grad + g
+                    if on_leaf is not None:
+                        on_leaf(node)
                 continue
-            for parent, pg in zip(node._parents, node._vjp(g)):
+            for parent, pg in zip(parents, vjp(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 key = id(parent)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -135,21 +136,21 @@ class TestAdaptTarget:
     def test_frozen_head_drift_is_detected(self, trained, monkeypatch, scope, nudged):
         cfg, _, target, model, _ = trained
         adapted = []
-        freeze_head, step = M.ModelParams.freeze_head, P.SGD.step
+        freeze_head, update = M.ModelParams.freeze_head, P.SGD.update
 
         def capturing_freeze_head(params, freeze_scope):
             adapted.append(params)
             freeze_head(params, freeze_scope)
 
-        def nudging_step(opt):
-            step(opt)
+        def nudging_update(opt, p):
+            update(opt, p)
             if nudged == "wn_v":
                 adapted[0].tensors["wn_v"].data[0, 0] += 1e-3
             else:
                 adapted[0].bn_mean = adapted[0].bn_mean + 1e-3
 
         monkeypatch.setattr(M.ModelParams, "freeze_head", capturing_freeze_head)
-        monkeypatch.setattr(P.SGD, "step", nudging_step)
+        monkeypatch.setattr(P.SGD, "update", nudging_update)
         with pytest.raises(RuntimeError, match=f"frozen parameter drift detected: {nudged}"):
             P.adapt_target(model, target, replace(cfg, freeze_scope=scope))
 
@@ -309,9 +310,9 @@ class TestAdaptTarget:
         # pass for any term but pc_local; eval passes run without a graph
         cfg, _, target, model, _ = trained
         graph_passes, steps = [], []
-        classify, step = P.classify, P.SGD.step
+        classify, backward = P.classify, Tensor.backward
         monkeypatch.setattr(P, "classify", lambda *a, **kw: graph_passes.append(T._grad_enabled) or classify(*a, **kw))
-        monkeypatch.setattr(P.SGD, "step", lambda opt: steps.append(opt) or step(opt))
+        monkeypatch.setattr(Tensor, "backward", lambda loss, *a: steps.append(loss) or backward(loss, *a))
         P.adapt_target(model, target, replace(cfg, variant=variant, freeze_scope=scope))
         assert steps
         assert sum(graph_passes) == passes * len(steps)
@@ -333,9 +334,10 @@ def test_adaptation_draws_training_clips_with_the_models_m_max(trained):
     assert params_bytes(adapted[0]) == params_bytes(adapted[1])
 
 
-def test_gradients_live_only_from_backward_to_step(trained, monkeypatch):
-    # every backward of an epoch finds the optimizer's parameters without a
-    # gradient, and the returned model holds none, labeled target or not
+def test_no_gradient_outlives_its_backward(trained, monkeypatch):
+    # the backward sweep steps each parameter and drops its gradient, so after
+    # every backward of an epoch no trainable parameter holds a gradient, and
+    # the returned model holds none, labeled target or not
     cfg, source, target, model, _ = trained
     optimizers, backwards = [], []
 
@@ -346,9 +348,9 @@ def test_gradients_live_only_from_backward_to_step(trained, monkeypatch):
 
     backward = Tensor.backward
 
-    def checked_backward(loss):
+    def checked_backward(loss, *args):
+        backward(loss, *args)
         backwards.append(all(p.grad is None for p in optimizers[-1].params))
-        backward(loss)
 
     monkeypatch.setattr(P, "SGD", RecordingSGD)
     monkeypatch.setattr(Tensor, "backward", checked_backward)
@@ -415,6 +417,116 @@ class TestEpochLabels:
         assert all(pseudo is None and labels is None for pseudo, _, labels in steps)
 
 
+class TestStepInBackward:
+    """``_epoch`` steps each parameter from the backward sweep, as soon as its
+    gradient is complete: that gives the bits of a whole backward followed by
+    ``SGD.step``, over every step of a run."""
+
+    @staticmethod
+    def backward_then_step(monkeypatch):
+        backward = Tensor.backward
+
+        def whole_backward_then_step(loss, on_leaf):
+            backward(loss)
+            on_leaf.__self__.step()  # on_leaf is the optimizer's bound ``update``
+
+        monkeypatch.setattr(Tensor, "backward", whole_backward_then_step)
+
+    @staticmethod
+    def same_bits(a, b):
+        assert params_bytes(a) == params_bytes(b)
+        assert a.bn_mean.tobytes() == b.bn_mean.tobytes() and a.bn_var.tobytes() == b.bn_var.tobytes()
+
+    # full under last_layer_only: the bot_ and bn_ parameters feed both head
+    # passes; fc under last_layer_only: they are trainable but get no gradient
+    @pytest.mark.parametrize("variant, scope", [("full", "last_layer_only"), ("full", "head_all"), ("fc", "last_layer_only")])
+    def test_adaptation_matches_backward_then_step(self, trained, monkeypatch, variant, scope):
+        cfg, _, target, model, _ = trained
+        run_cfg = replace(cfg, variant=variant, freeze_scope=scope, epochs_adapt=3)
+        inside, inside_rows = P.adapt_target(model, target, run_cfg)
+        self.backward_then_step(monkeypatch)
+        after, after_rows = P.adapt_target(model, target, run_cfg)
+        self.same_bits(inside, after)
+        assert inside_rows == after_rows
+        assert inside.tensors["enc_w1"].data.tobytes() != model.tensors["enc_w1"].data.tobytes()
+        if variant == "fc":
+            # weight decay would move a parameter the optimizer stepped
+            assert run_cfg.weight_decay > 0.0
+            for name in ("bot_w", "bot_b", "bn_gamma", "bn_beta"):
+                assert inside.tensors[name].requires_grad, name
+                assert inside.tensors[name].data.tobytes() == model.tensors[name].data.tobytes(), name
+
+    def test_source_training_matches_backward_then_step(self, trained, monkeypatch):
+        cfg, source, _, _, _ = trained
+        inside, inside_rows = P.train_source(source, cfg)
+        self.backward_then_step(monkeypatch)
+        after, after_rows = P.train_source(source, cfg)
+        self.same_bits(inside, after)
+        assert inside_rows == after_rows
+
+
+class TestPeakMemory:
+    """At the deployed shape (k = 8, d_enc = 64, batch 16, 320 videos, the
+    ``adapt_unlabeled`` benchmark's), neither one backward nor one eval pass
+    allocates as much as the trainable parameters take (2.81 MB). They took
+    3.07 and 5.94 MB when a step held every gradient at once and the eval
+    pass ran 256 videos at a time, and take 0.32 and 1.89 MB now."""
+
+    @pytest.fixture(scope="class")
+    def deployed(self):
+        cfg = RunConfig(classes=8, videos_per_class=40, frames=8, frame_dim=32, batch_size=16, variant="full", seed=1)
+        _, target = generate_domain_pair(cfg.domain_spec())
+        model = M.init_model(k=8, d_in=32, n_classes=8, d_enc=64, seed=1)
+        # one train-mode pass, as source training leaves it, for the running statistics
+        M.classify(Tensor(np.random.default_rng(0).normal(size=(16, 64))), model, batch_stats=True)
+        model.freeze_head(cfg.freeze_scope)
+        opt = P.SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
+        trainable = sum(p.data.nbytes for p in opt.params)
+        assert (len(target), cfg.batch_size, trainable) == (320, 16, 2_813_440)
+        return cfg, target, model, opt, trainable
+
+    @staticmethod
+    def traced_peak(run, prepare=lambda: None):
+        """Bytes ``run(prepare())`` allocates at its peak above what was live
+        when it began; ``prepare`` is traced too, so what ``run`` frees of
+        its allocations counts."""
+        tracemalloc.start()
+        try:
+            prepared = prepare()
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run(prepared)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_one_backward(self, deployed):
+        cfg, target, model, opt, trainable = deployed
+        variant = VARIANTS[cfg.variant]
+        clips = M.sample_clips(model.k, model.m_max, np.random.default_rng(0))
+
+        def batch_loss():
+            lts = M.local_temporal_features(M.encode_frames(target.frames[:16], model), clips, model)
+            labels = np.zeros(16, dtype=np.int64)
+            return P._batch_loss(model, cfg, variant.coefficients(cfg), lts, labels, batch_stats=False, sites=variant.sites)[0]
+
+        # the parameters holding a gradient each time the sweep hands one over
+        holding = []
+
+        def update(p):
+            holding.append(sum(q.grad is not None for q in opt.params))
+            opt.update(p)
+
+        peak = self.traced_peak(lambda loss: loss.backward(update), batch_loss)
+        assert holding == [1] * len(opt.params)
+        assert all(p.grad is None for p in opt.params)
+        assert peak < trainable
+
+    def test_one_eval_pass(self, deployed):
+        _, target, model, _, trainable = deployed
+        assert self.traced_peak(lambda _: P._full_eval_pass(model, target)) < trainable
+
+
 class TestSGD:
     def test_step_matches_the_update_formula_bitwise(self):
         rng = np.random.default_rng(4)
@@ -427,13 +539,20 @@ class TestSGD:
             data = data - 0.03 * velocity
             opt.step()
             assert p.data.tobytes() == data.tobytes()
-            assert opt.velocity[0].tobytes() == velocity.tobytes()
+            assert opt.velocity[p].tobytes() == velocity.tobytes()
 
     def test_parameter_without_gradient_is_skipped(self):
         p = Tensor(np.ones(3), requires_grad=True)
         opt = P.SGD([p], lr=0.1, weight_decay=0.5)
         opt.step()
         assert np.array_equal(p.data, np.ones(3))
+
+    def test_update_leaves_a_parameter_it_does_not_own_as_it_is(self):
+        p, other = Tensor(np.ones(3), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        opt = P.SGD([p], lr=0.1, weight_decay=0.5)
+        other.grad = np.ones(3)
+        opt.update(other)
+        assert np.array_equal(other.data, np.ones(3)) and np.array_equal(other.grad, np.ones(3))
 
 
 class TestEvaluate:
