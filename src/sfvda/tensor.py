@@ -5,11 +5,9 @@ value immediately and, while gradients are enabled, records parent links
 and a local vector-Jacobian closure. ``Tensor.backward`` walks the recorded
 graph once in reverse topological order, accumulates gradients into the
 ``.grad`` buffer of every leaf that requires them, and frees each operation
-as it passes it, so a second backward through the graph raises. Given a
-per-leaf callback, the sweep hands it each leaf as soon as that leaf's
-gradient is complete, so an optimizer can step the leaf and drop its
-gradient mid-sweep: neither the forward arrays nor the gradients of a whole
-model are live at once.
+as it passes it, so a second backward through the graph raises. An optional
+per-leaf callback gets each leaf as soon as its gradient is complete, so an
+optimizer can step the leaf and drop its gradient mid-sweep.
 
 The model and the losses build their layers as fused operations with
 closed-form VJPs on ``Tensor._from_op``; this module holds the two generic
@@ -22,8 +20,7 @@ Design constraints honoured throughout:
     instead of propagating NaN/Inf,
   * ``log_softmax_rows`` acts over the last axis and subtracts the row max,
   * gradient accumulation is additive; the optimizer step drops each one,
-  * every op lists each leaf it reads as a parent, so no VJP reads a leaf
-    after the sweep has handed that leaf to its callback.
+  * every op lists each leaf it reads as a parent (see ``Graph``).
 """
 
 from __future__ import annotations
@@ -71,9 +68,8 @@ class Tensor:
     """A dense float64 array, optionally tracked by the autograd graph.
 
     ``data`` is treated as immutable once the tensor participates in a
-    graph; only ``.grad`` and optimizer updates may mutate state, the
-    latter between steps or, for a leaf, from the backward sweep's callback
-    once every op that reads the leaf has run its VJP.
+    graph; only ``.grad`` and optimizer updates may mutate state, the latter
+    between steps or from the backward sweep's per-leaf callback.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_consumed")

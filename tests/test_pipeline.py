@@ -439,7 +439,9 @@ class TestStepInBackward:
 
     # full under last_layer_only: the bot_ and bn_ parameters feed both head
     # passes; fc under last_layer_only: they are trainable but get no gradient
-    @pytest.mark.parametrize("variant, scope", [("full", "last_layer_only"), ("full", "head_all"), ("fc", "last_layer_only")])
+    @pytest.mark.parametrize(
+        "variant, scope", [("full", "last_layer_only"), ("full", "head_all"), ("fc", "last_layer_only")]
+    )
     def test_adaptation_matches_backward_then_step(self, trained, monkeypatch, variant, scope):
         cfg, _, target, model, _ = trained
         run_cfg = replace(cfg, variant=variant, freeze_scope=scope, epochs_adapt=3)
@@ -508,7 +510,8 @@ class TestPeakMemory:
         def batch_loss():
             lts = M.local_temporal_features(M.encode_frames(target.frames[:16], model), clips, model)
             labels = np.zeros(16, dtype=np.int64)
-            return P._batch_loss(model, cfg, variant.coefficients(cfg), lts, labels, batch_stats=False, sites=variant.sites)[0]
+            coeffs = variant.coefficients(cfg)
+            return P._batch_loss(model, cfg, coeffs, lts, labels, batch_stats=False, sites=variant.sites)[0]
 
         # the parameters holding a gradient each time the sweep hands one over
         holding = []
