@@ -48,7 +48,6 @@ def _build_config(args) -> RunConfig:
 
 def _echo_config(cfg: RunConfig, out_path: str, command: str) -> None:
     directory = os.path.dirname(os.path.abspath(out_path))
-    os.makedirs(directory, exist_ok=True)
     base = os.path.basename(out_path)
     with open(os.path.join(directory, f"{base}.config"), "w") as fh:
         fh.write(f"# effective config for {command}\n")

@@ -124,10 +124,10 @@ def eval_clip_set(ids, k: int, m_max: int) -> dict[int, np.ndarray]:
 
 # head parameter name prefixes per freeze scope
 HEAD_SCOPES = {"head_all": ("bot_", "bn_", "wn_"), "last_layer_only": ("wn_",)}
-# a model's aggregation -> the sites its eval pass weights; an eval pass has only
-# the feature site, so an adapted model gets the entry equal to its variant's
-# sites & {"feature"}
-AGGREGATIONS = {"mean": (), "entropy_weighted": ("feature",)}
+# a model's aggregation -> the sites its eval pass weights, a frozenset like a
+# variant's; an eval pass has only the feature site, so an adapted model gets
+# the entry equal to its variant's sites & {"feature"}
+AGGREGATIONS = {"mean": frozenset(), "entropy_weighted": frozenset({"feature"})}
 
 
 @dataclass

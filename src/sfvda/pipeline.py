@@ -142,7 +142,7 @@ def _check_batch_size(batch_size: int, ds: Dataset, caller: str) -> None:
         )
 
 
-def _head(model: ModelParams, lts: Tensor, *, batch_stats: bool, sites=(), local=False, overall=True):
+def _head(model: ModelParams, lts: Tensor, *, batch_stats: bool, sites=frozenset(), local=False, overall=True):
     """The one path from an (S, B, d) local stack to (local logits, site
     weights, overall feature, overall logits). The local head pass runs if
     ``local`` or a site reads it, the overall one if ``overall``, else None."""
@@ -187,7 +187,7 @@ def evaluate(model: ModelParams, ds: Dataset) -> EvalResult:
 
 def _epoch(
     model: ModelParams, ds: Dataset, cfg: RunConfig, opt: SGD, epoch: int, caller: str, coeffs: dict, labels,
-    *, batch_stats: bool, sites=(),
+    *, batch_stats: bool, sites=frozenset(),
 ):
     """One epoch of mini-batch SGD over ``ds`` with ``caller``'s random
     streams, each step on ``_batch_loss`` of its batch with ``coeffs``
@@ -214,7 +214,9 @@ def _epoch(
     return {name: value / max(1, n_batches) for name, value in sums.items()}
 
 
-def _batch_loss(model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, labels, *, batch_stats: bool, sites=()):
+def _batch_loss(
+    model: ModelParams, cfg: RunConfig, coeffs: dict, lts: Tensor, labels, *, batch_stats: bool, sites=frozenset()
+):
     """The batch objective ``_epoch`` minimizes in both training loops: the
     components ``coeffs`` weights, from ``feature_consistency_total`` and one
     ``prediction_objective`` (ce / pl_ce against ``labels``), running only the
@@ -297,7 +299,7 @@ def adapt_target(source_model: ModelParams, target: Dataset, cfg: RunConfig) -> 
     # a head frozen with its batch norm normalizes with the running statistics
     batch_stats = cfg.freeze_scope != "head_all"
     opt = SGD(model.trainable_parameters(), cfg.lr_adapt, cfg.momentum, cfg.weight_decay)
-    model.aggregation = next(name for name, sites in AGGREGATIONS.items() if set(sites) == variant.sites & {"feature"})
+    model.aggregation = next(name for name, sites in AGGREGATIONS.items() if sites == variant.sites & {"feature"})
 
     rows: list[MetricsRow] = []
     last_eval = None  # the previous epoch's evaluation, of the model as it still is

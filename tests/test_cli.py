@@ -122,6 +122,20 @@ def test_batch_size_larger_than_dataset_is_one_error_line(workspace):
     assert not (workspace / "never.json").exists()
 
 
+def test_checkpoint_in_a_missing_directory_is_one_error_line_and_makes_none(workspace):
+    # train-source writes its checkpoint before the metrics and the config
+    # echo, so a missing --out directory fails there and nothing creates it
+    out = run_sfvda(
+        "train-source", "--config", "tiny.config", "--data", "data/source.jsonl",
+        "--out", "missing/m.json", cwd=workspace,
+    )
+    assert out.returncode == 1
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+    assert "missing/m.json" in lines[0]
+    assert not (workspace / "missing").exists()
+
+
 def test_unparsable_value_is_one_error_line_naming_the_key(workspace):
     out = run_sfvda(
         "gen-data", "--config", "tiny.config", "--set", "frames=abc", "--out", "never", cwd=workspace

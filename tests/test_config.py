@@ -1,6 +1,6 @@
 import pytest
 
-from sfvda.config import VARIANTS, RunConfig, Variant, apply_overrides, emit_config, parse_config
+from sfvda.config import VARIANTS, RunConfig, apply_overrides, emit_config, parse_config
 
 
 def test_emit_parse_roundtrip_defaults():
@@ -53,13 +53,6 @@ def test_variant_validation():
         parse_config("variant = bogus")
     with pytest.raises(ValueError, match="freeze_scope"):
         parse_config("freeze_scope = nothing")
-
-
-def test_variant_sites_are_checked_when_the_variant_is_made():
-    # a variant's sites are fixed at import, so no batch re-checks them
-    with pytest.raises(ValueError, match=r"variant sites \['bogus'\] are not among \['feature', 'prediction'\]"):
-        Variant((("beta_im", "im"),), frozenset({"feature", "bogus"}))
-    assert Variant((), frozenset({"feature", "prediction"})).sites == {"feature", "prediction"}
 
 
 def test_variant_coefficients_are_the_weight_products_on_each_path():

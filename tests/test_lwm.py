@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sfvda import lwm
-from sfvda.tensor import Tensor, stack
+from sfvda.tensor import Tensor, log_softmax_rows, stack
 
 
 def test_confidence_one_hot_is_near_zero():
@@ -16,6 +16,19 @@ def test_confidence_one_hot_is_near_zero():
 def test_confidence_uniform_normalized():
     for n_classes in range(2, 13):
         assert lwm.confidence(np.zeros(n_classes)) == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_confidence_of_underflowed_probabilities_is_exactly_zero():
+    # the other probabilities of the first two rows underflow to exactly 0,
+    # and each such term adds 0 * log 1: bit for bit what the formula that
+    # also zeroed those terms in an outer ``where`` gave
+    logits = np.array([[0.0, -800.0, -800.0], [-800.0, 0.0, -800.0], [0.0, 0.0, -800.0]])
+    p = log_softmax_rows(logits)[1]
+    assert np.count_nonzero(p == 0.0) == 5
+    two_wheres = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=-1) / np.log(3)
+    got = lwm.confidence(logits)
+    assert got.tobytes() == two_wheres.tobytes()
+    assert got[:2].tobytes() == np.zeros(2).tobytes()  # +0.0, not -0.0
 
 
 def test_confidence_needs_two_classes():

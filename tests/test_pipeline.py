@@ -242,29 +242,12 @@ class TestAdaptTarget:
         with pytest.raises(ValueError, match=f"batch_size 25 exceeds the {len(target)} videos"):
             P.adapt_target(model, target, replace(cfg, batch_size=25))
 
-    def test_one_step_graph_stays_small(self, monkeypatch):
-        # one full-variant step at k=8, batch 16 traced 919 nodes when every
-        # scale pair and every clip was its own subgraph
-        cfg = tiny_cfg(classes=2, frames=8, epochs_source=1, epochs_adapt=1, batch_size=16)
-        source, target = generate_domain_pair(cfg.domain_spec())
-        model, _ = P.train_source(source, cfg)
-        sizes = []
-        trace = T.Graph.trace
-
-        def counting_trace(root):
-            graph = trace(root)
-            sizes.append(len(graph.nodes))
-            return graph
-
-        monkeypatch.setattr(T.Graph, "trace", staticmethod(counting_trace))
-        P.adapt_target(model, target, cfg)
-        assert len(sizes) == 1
-        assert sizes[0] < 400
-
     def test_one_step_graph_of_the_stacked_scales(self, monkeypatch):
-        # the scales travel as one (S, B, d) stack through the head, the local
-        # weights and the consistency losses (277 nodes when each of those
-        # looped over the 7 scales), and the encoder and each scale's relation
+        # one full-variant step at k=8, batch 16 traced 919 nodes when every
+        # scale pair and every clip was its own subgraph. The scales travel
+        # as one (S, B, d) stack through the head, the local weights and the
+        # consistency losses (277 nodes when each of those looped over the
+        # 7 scales), and the encoder and each scale's relation
         # MLP are one op each (160 nodes as chains of 5 and 8 ops): 107 nodes.
         # The head and the prediction terms are one op each (75 op nodes as
         # chains of primitives), so 32 trainable leaves and 15 ops remain:
