@@ -47,9 +47,7 @@ def _build_config(args) -> RunConfig:
 
 
 def _echo_config(cfg: RunConfig, out_path: str, command: str) -> None:
-    directory = os.path.dirname(os.path.abspath(out_path))
-    base = os.path.basename(out_path)
-    with open(os.path.join(directory, f"{base}.config"), "w") as fh:
+    with open(out_path + ".config", "w") as fh:
         fh.write(f"# effective config for {command}\n")
         fh.write(emit_config(cfg))
 

@@ -179,14 +179,8 @@ def apply_overrides(cfg: RunConfig, updates: dict) -> RunConfig:
 
 
 def emit_config(cfg: RunConfig) -> str:
-    lines = [f"{f.name} = {_format(getattr(cfg, f.name))}" for f in fields(RunConfig)]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
     return "\n".join(lines) + "\n"
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -437,7 +437,8 @@ def save_checkpoint(params: ModelParams, path) -> None:
     """Write a versioned JSON checkpoint whose arrays are ``encode_floats``
     text, so every value round-trips bit for bit.
 
-    The bytes are ``json.dumps(doc, sort_keys=True)`` plus a newline.
+    The bytes are ``json.dumps(doc, sort_keys=True)`` plus a newline,
+    streamed to the file so that the whole text is never held at once.
     """
     doc = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -453,14 +454,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
         },
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a checkpoint. The text length of every stored array is compared
     with the element count its hyperparams give in ``parameter_layout``, and
     every scalar is checked, before any array is decoded; nothing is drawn,
-    and every tensor must be finite."""
+    every tensor must be finite and no running variance negative."""
     where = f"{path}: checkpoint"
     doc = parse_json(read_text(path), where, "malformed JSON at line {exc.lineno}, column {exc.colno}")
     _require_version(doc, CHECKPOINT_FORMAT_VERSION, where)
@@ -482,6 +484,8 @@ def load_checkpoint(path) -> ModelParams:
     initialized = _choice(bn["initialized"], (True, False), f"{where}: field 'batch_norm.initialized'")
     momentum = _in_range(bn["momentum"], f"{where}: field 'batch_norm.momentum'", 0.0, 1.0)
     values = {name: decode_floats(text, shape, f"{where}: field {f!r}") for name, (f, text, shape) in arrays.items()}
+    if (values["bn_var"] < 0.0).any():
+        raise ValueError(f"{where}: field 'batch_norm.running_var': must hold no negative value")
     return ModelParams(
         **dims,
         seed=seed,

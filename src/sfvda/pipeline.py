@@ -10,7 +10,7 @@ bitwise after every run. All randomness derives from the config seed, so a
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -94,24 +94,12 @@ class MetricsRow:
     pl_accuracy: float | None = None
 
 
-METRICS_COLUMNS = tuple(f.name for f in fields(MetricsRow))
-
-
 def write_metrics(rows: list[MetricsRow], path) -> None:
     """CSV, one row per epoch; byte-identical across reruns."""
     with open(path, "w") as fh:
-        fh.write(",".join(METRICS_COLUMNS) + "\n")
+        fh.write(",".join(f.name for f in fields(MetricsRow)) + "\n")
         for row in rows:
-            cells = []
-            for col in METRICS_COLUMNS:
-                value = getattr(row, col)
-                if value is None:
-                    cells.append("")
-                elif col == "epoch":
-                    cells.append(str(value))
-                else:
-                    cells.append(repr(float(value)))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join("" if v is None else str(v) for v in astuple(row)) + "\n")
 
 
 @dataclass

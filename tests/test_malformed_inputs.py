@@ -8,7 +8,8 @@ value of another JSON type, set to NaN or infinity, emptied, cut off
 mid-line, or given a byte that is not UTF-8. Each base64 array also gets a
 character outside the alphabet, bad padding, and one value too few or too
 many. JSON nested deeper than the recursion limit is one more case for a
-checkpoint and for a dataset record. Every case runs in-process through
+checkpoint and for a dataset record, and a negative running variance one
+more for a checkpoint. Every case runs in-process through
 ``cli.main``.
 """
 
@@ -138,6 +139,16 @@ def deep_nesting_cases(depth=200_000):
     yield "dataset-record-deep-nesting", "dataset", f"{header}\n{'[' * depth}\n".encode(), "line 2"
 
 
+def negative_variance_case():
+    """Every running variance set to -1.0: finite, the right length, and a
+    value no save writes."""
+    doc = json.loads(CHECKPOINT.read_text())
+    count = len(floats_of_base64(doc["batch_norm"]["running_var"]))
+    text = edited(doc, ("batch_norm",), "running_var", float64_base64([-1.0] * count)) + "\n"
+    locator = "checkpoint: field 'batch_norm.running_var': must hold no negative value"
+    yield "checkpoint-batch_norm.running_var-negative", "checkpoint", text.encode(), locator
+
+
 CASES = [
     *json_cases("dataset", DATASET.read_text().splitlines(), 0),
     *json_cases("dataset", DATASET.read_text().splitlines(), 1, arrays=("frames",)),
@@ -150,6 +161,7 @@ CASES = [
     ),
     *config_cases(),
     *deep_nesting_cases(),
+    *negative_variance_case(),
 ]
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -628,6 +629,19 @@ class TestModelState:
             assert a.tobytes() == b.tobytes()
             assert b.flags.writeable
         assert np.signbit(loaded.tensors["wn_b"].data[0])
+
+    def test_checkpoint_save_streams_its_text(self, tmp_path):
+        # at the seed_cli model size (a 1.7 MB file) the save holds the encoded
+        # arrays, and never the whole JSON text as well
+        params = tiny_model(k=5, d_in=32, n_classes=8)
+        path = tmp_path / "model.json"
+        tracemalloc.start()
+        try:
+            M.save_checkpoint(params, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * path.stat().st_size, (peak, path.stat().st_size)
 
     def test_checkpoint_parameter_of_other_hyperparams_is_named(self, tmp_path):
         import json

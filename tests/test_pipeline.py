@@ -636,6 +636,18 @@ class TestMetricsFile:
         P.write_metrics(rows, again)
         assert path.read_bytes() == again.read_bytes()
 
+    def test_each_value_is_written_as_its_str(self, tmp_path):
+        rows = [
+            P.MetricsRow(epoch=1, ce=0.1, total=1e-05, accuracy=0.5),
+            P.MetricsRow(epoch=12, fc=1 / 3, pc_local=2.5e16, im=-0.0, pl_ce=123456.0, accuracy=None, pl_accuracy=1.0),
+        ]
+        path = tmp_path / "metrics.csv"
+        P.write_metrics(rows, path)
+        assert path.read_text().splitlines()[1:] == [
+            "1,0.1,0.0,0.0,0.0,0.0,0.0,1e-05,0.5,",
+            "12,0.0,0.3333333333333333,2.5e+16,0.0,-0.0,123456.0,0.0,,1.0",
+        ]
+
 
 class TestRunAblation:
     def test_single_variant_single_seed_matches_direct_path(self):
